@@ -81,7 +81,7 @@ def resolve_config(path, seed=None, out=None):
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
         if not isinstance(loaded, dict):
             raise ConfigError("config root must be a JSON object")
-        if "data" in loaded and "csv" in loaded.get("data", {}):
+        if isinstance(loaded.get("data"), dict) and "csv" in loaded["data"]:
             config["data"].pop("synthetic", None)
         config = _deep_merge(config, loaded)
     if seed is not None:
@@ -92,7 +92,17 @@ def resolve_config(path, seed=None, out=None):
     return config
 
 
+def _require_object(value, name):
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {json.dumps(value)}")
+
+
 def _validate_config(config):
+    for section in ("mask", "copula", "task", "data"):
+        _require_object(config.get(section, {}), section)
+    for source in ("synthetic", "csv"):
+        if source in config["data"]:
+            _require_object(config["data"][source], f"data.{source}")
     mask = config.get("mask", {})
     fraction = float(mask.get("fraction", 0.0))
     if not 0.0 <= fraction <= 1.0:
@@ -101,6 +111,7 @@ def _validate_config(config):
     if not isinstance(roster, list) or not roster:
         raise ConfigError("roster must be a non-empty list")
     for entry in roster:
+        _require_object(entry, "each roster entry")
         name = entry.get("name")
         if name not in FORECASTERS:
             raise ConfigError(f"unknown forecaster {name!r}; known: "

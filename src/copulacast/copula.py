@@ -3,12 +3,18 @@
 Each column is mapped to a latent standard normal coordinate through its
 empirical marginal: continuous cells map to exact latent values via the
 rescaled empirical CDF, ordinal cells map to latent intervals between
-normal-quantile cut points.  The latent rows are modeled as N(0, sigma) with
-sigma a correlation matrix estimated by EM: the E-step computes conditional
-first and second moments of each row's latent vector given its constraints,
-the M-step averages E[z z^T] over rows and rescales the average back onto
-the correlation manifold.  Missing cells are then imputed by pushing the
-conditional latent means back through the marginal inverses.
+normal-quantile cut points.  The mapping runs per column, not per cell:
+a continuous column's observed rows go through one np.interp and one
+normal-quantile call, and an ordinal column's through one searchsorted
+against cut points computed once for the column.  The normal CDF and
+quantile are scipy.special.ndtr and ndtri.
+
+The latent rows are modeled as N(0, sigma) with sigma a correlation matrix
+estimated by EM: the E-step computes conditional first and second moments
+of each row's latent vector given its constraints, the M-step averages
+E[z z^T] over rows and rescales the average back onto the correlation
+manifold.  Missing cells are then imputed by pushing the conditional latent
+means back through the marginal inverses, again one call per column.
 """
 
 import json
@@ -17,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.stats import norm
+from scipy.special import ndtr, ndtri
 
 from .dataset import CONTINUOUS, ORDINAL, ObservationMatrix
 from .errors import FitError
@@ -42,14 +48,14 @@ class MarginalTransform:
     @property
     def cut_points(self):
         """Latent cut points (ordinal columns): normal quantiles of cum_probs."""
-        return norm.ppf(np.asarray(self.cum_probs))
+        return ndtri(np.asarray(self.cum_probs))
 
     def to_latent(self, x):
         """Map a continuous observation to its exact latent value."""
         if self.kind != CONTINUOUS:
             raise ValueError("to_latent applies to continuous columns only")
         p = np.interp(np.asarray(x, dtype=float), self.support, self.cum_probs)
-        return norm.ppf(p)
+        return ndtri(p)
 
     def to_interval(self, x):
         """Map an ordinal observation to its latent interval (lo, hi]."""
@@ -72,7 +78,7 @@ class MarginalTransform:
         """
         z = np.asarray(z, dtype=float)
         if self.kind == CONTINUOUS:
-            return np.interp(norm.cdf(z), self.cum_probs, self.support)
+            return np.interp(ndtr(z), self.cum_probs, self.support)
         idx = np.searchsorted(self.cut_points, z, side="left")
         return np.asarray(self.support)[idx]
 
@@ -150,20 +156,54 @@ def fit_marginals(matrix):
     return out
 
 
+def _latent_column(marginal, x):
+    """Latent images of one column's observed values x, in one array call.
+
+    Continuous values map to exact latent floats, ordinal values to (lo, hi)
+    intervals between cut points computed once for the column; a value that
+    is not an observed level maps to None.
+    """
+    if marginal.kind == CONTINUOUS:
+        return marginal.to_latent(x).tolist()
+    support = marginal.support
+    idx = np.minimum(np.searchsorted(support, x), support.size - 1)
+    bounds = np.concatenate(([-np.inf], marginal.cut_points, [np.inf]))
+    return [(lo, hi) if seen else None for lo, hi, seen in
+            zip(bounds[idx].tolist(), bounds[idx + 1].tolist(),
+                (support[idx] == x).tolist())]
+
+
 def row_constraints(matrix, marginals):
-    """Translate every row of a matrix into latent-scale RowConstraints."""
+    """Translate every row of a matrix into latent-scale RowConstraints.
+
+    Each column's observed cells are mapped in one call; the result equals
+    a per-cell build from to_latent / to_interval bit for bit.
+
+    Raises:
+        ValueError: an ordinal cell holds a level its marginal never saw
+            (the first such cell in row-major order is named).
+    """
     if len(marginals) != matrix.n_cols:
         raise ValueError("marginal count does not match column count")
+    latent = []
+    for j, marginal in enumerate(marginals):
+        rows = np.flatnonzero(matrix.mask[:, j])
+        latent.append(dict(zip(rows.tolist(),
+                               _latent_column(marginal, matrix.values[rows, j]))))
+    continuous = [m.kind == CONTINUOUS for m in marginals]
     out = []
-    for i in range(matrix.n_rows):
+    for i, observed in enumerate(matrix.mask.tolist()):
         exact, intervals, missing = {}, {}, []
-        for j in range(matrix.n_cols):
-            if not matrix.mask[i, j]:
+        for j, seen in enumerate(observed):
+            if not seen:
                 missing.append(j)
-            elif marginals[j].kind == CONTINUOUS:
-                exact[j] = float(marginals[j].to_latent(matrix.values[i, j]))
+            elif continuous[j]:
+                exact[j] = latent[j][i]
+            elif latent[j][i] is None:
+                raise ValueError(f"value {matrix.values[i, j]!r} is not an "
+                                 "observed level")
             else:
-                intervals[j] = marginals[j].to_interval(matrix.values[i, j])
+                intervals[j] = latent[j][i]
         out.append(RowConstraint(exact=exact, intervals=intervals,
                                  missing=tuple(missing)))
     return out
@@ -185,7 +225,7 @@ def truncated_normal_moments(lo, hi, mean=0.0, sd=1.0):
         raise ValueError("need sd > 0")
     a = (lo - mean) / sd
     b = (hi - mean) / sd
-    mass = norm.cdf(b) - norm.cdf(a)
+    mass = ndtr(b) - ndtr(a)
     if mass < 1e-300:
         anchor = lo if abs(a) < abs(b) else hi
         if not np.isfinite(anchor):
@@ -233,7 +273,8 @@ def e_step(sigma, constraint, ridge=1e-8, max_inner=50, inner_tol=1e-6):
     if constraint.n_cols != q:
         raise ValueError("constraint arity does not match sigma")
     obs = list(constraint.observed)
-    mis = [j for j in range(q) if j not in set(obs)]
+    obs_set = set(obs)
+    mis = [j for j in range(q) if j not in obs_set]
 
     if not obs:
         return np.zeros(q), sigma.copy()
@@ -245,8 +286,9 @@ def e_step(sigma, constraint, ridge=1e-8, max_inner=50, inner_tol=1e-6):
         z_obs[pos[j]] = val
 
     ord_cols = sorted(constraint.intervals)
-    if ord_cols:
+    if ord_cols or mis:
         factor = _observed_block_inverse(sigma, obs, ridge)
+    if ord_cols:
         prec = cho_solve(factor, np.eye(len(obs)))
         for j in ord_cols:
             lo, hi = constraint.intervals[j]
@@ -276,7 +318,6 @@ def e_step(sigma, constraint, ridge=1e-8, max_inner=50, inner_tol=1e-6):
     e_zzT[np.ix_(obs, obs)] = second_oo
 
     if mis:
-        factor = _observed_block_inverse(sigma, obs, ridge)
         cross = sigma[np.ix_(mis, obs)]
         gain = cho_solve(factor, cross.T).T        # Sigma_MO Sigma_OO^{-1}
         mean_m = gain @ z_obs
@@ -412,7 +453,7 @@ def _loglik(sigma, constraints, ridge):
             total += -0.5 * (len(cols) * np.log(2.0 * np.pi) + logdet + quad)
         for j in sorted(con.intervals):
             lo, hi = con.intervals[j]
-            mass = norm.cdf(hi) - norm.cdf(lo)
+            mass = ndtr(hi) - ndtr(lo)
             total += float(np.log(max(mass, 1e-300)))
     return total
 
@@ -535,17 +576,18 @@ def impute(model, matrix):
         raise ValueError("model and matrix disagree on column count")
     out = matrix.copy()
     constraints = row_constraints(matrix, model.marginals)
+    latent = np.zeros(matrix.values.shape)
     degenerate = []
     for i, con in enumerate(constraints):
         if not con.missing:
             continue
         if not con.observed:
             degenerate.append(i)
-        e_z, _ = e_step(model.sigma, con)
-        for j in con.missing:
-            out.values[i, j] = float(
-                np.atleast_1d(model.marginals[j].from_latent(e_z[j]))[0])
-            out.mask[i, j] = True
+        latent[i], _ = e_step(model.sigma, con)
+    for j, marginal in enumerate(model.marginals):
+        rows = np.flatnonzero(~matrix.mask[:, j])
+        out.values[rows, j] = marginal.from_latent(latent[rows, j])
+    out.mask[:] = True
     if degenerate:
         out.metadata["degenerate_rows"] = degenerate
     out.metadata["imputed"] = True

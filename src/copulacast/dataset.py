@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr, ndtri
 
 from .errors import DataError
 from .rng import rng_for
@@ -354,10 +354,10 @@ class MarginalSpec:
         u = np.asarray(u, dtype=float)
         if self.kind == "normal":
             mu, sd = self.params
-            return mu + sd * norm.ppf(u)
+            return mu + sd * ndtri(u)
         if self.kind == "lognormal":
             mu, sd = self.params
-            return np.exp(mu + sd * norm.ppf(u))
+            return np.exp(mu + sd * ndtri(u))
         if self.kind == "uniform":
             lo, hi = self.params
             return lo + (hi - lo) * u
@@ -402,7 +402,7 @@ def gen_copula_sample(sigma, marginals, n, seed):
 
     rng = rng_for(seed, "gen_copula_sample")
     z = rng.standard_normal((n, q)) @ chol.T
-    u = norm.cdf(z)
+    u = ndtr(z)
     values = np.empty((n, q))
     ordinal_levels = {}
     for j, spec in enumerate(marginals):

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import norm, rankdata
+from scipy.special import ndtr
 
 from .errors import EvaluationError
 
@@ -63,6 +63,25 @@ def win_loss(ensemble_mape, baseline_mape):
     return wins, int(a.size - wins)
 
 
+def _average_ranks(x):
+    """Ranks 1..n of a 1-d array, ties sharing the mean of their ranks.
+
+    Matches scipy.stats.rankdata(x, method="average"): float64 ranks, exact
+    because each tie group's mean rank is a half-integer; any NaN makes every
+    rank NaN.
+    """
+    x = np.asarray(x)
+    if np.isnan(x).any():
+        return np.full(x.size, np.nan)
+    order = np.argsort(x, kind="mergesort")
+    ordered = x[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    stops = np.r_[starts[1:], x.size]
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat(0.5 * (starts + 1 + stops), stops - starts)
+    return ranks
+
+
 def friedman_rank(mape_grid):
     """Per-model average rank of per-period errors (rank 1 = most accurate).
 
@@ -76,7 +95,7 @@ def friedman_rank(mape_grid):
         raise EvaluationError("grid must be periods x models with >= 2 models")
     if np.any(~np.isfinite(grid)):
         raise EvaluationError("grid contains non-finite values")
-    ranks = np.vstack([rankdata(row, method="average") for row in grid])
+    ranks = np.vstack([_average_ranks(row) for row in grid])
     return ranks.mean(axis=0)
 
 
@@ -124,7 +143,7 @@ def wilcoxon_signed_rank(a, b):
     d = d[d != 0]
     if d.size == 0:
         return WilcoxonResult(statistic=0.0, p_value=1.0, all_zero=True)
-    ranks = rankdata(np.abs(d), method="average")
+    ranks = _average_ranks(np.abs(d))
     w_plus = float(ranks[d > 0].sum())
     w_minus = float(ranks[d < 0].sum())
     w = min(w_plus, w_minus)
@@ -139,7 +158,7 @@ def wilcoxon_signed_rank(a, b):
     tie_term = float(np.sum(tie_counts ** 3 - tie_counts)) / 48.0
     var = n * (n + 1) * (2 * n + 1) / 24.0 - tie_term
     z = (w - mean + 0.5) / math.sqrt(var)
-    p = min(1.0, 2.0 * float(norm.cdf(z)))
+    p = min(1.0, 2.0 * float(ndtr(z)))
     return WilcoxonResult(statistic=w, p_value=p)
 
 

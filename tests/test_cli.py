@@ -2,13 +2,18 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import copulacast
 from copulacast.cli import DEFAULT_CONFIG, main, resolve_config
-from copulacast.dataset import CONTINUOUS, Schema, load_csv
+from copulacast.dataset import (CONTINUOUS, MarginalSpec, Schema,
+                                gen_copula_sample, load_csv, save_csv)
 from copulacast.errors import ConfigError
+from copulacast.rng import rng_for
 
 
 def read_json(*parts):
@@ -58,6 +63,40 @@ def test_resolve_config_rejects_bad_values(tmp_path):
                                     name="b.json"))
     with pytest.raises(ConfigError):
         resolve_config(os.path.join(tmp_path, "missing.json"))
+
+
+@pytest.mark.parametrize("override", [
+    {"mask": 0.2},
+    {"copula": 3},
+    {"roster": ["gbt"]},
+    {"task": []},
+    {"data": {"synthetic": 5}},
+    {"data": {"csv": "panel.csv"}},
+    {"data": 5},
+], ids=["mask", "copula", "roster_entry", "task", "data_synthetic",
+        "data_csv", "data"])
+def test_config_section_of_wrong_type_reports_config_error(tmp_path, capsys,
+                                                           override):
+    cfg = write_config(tmp_path, override)
+    out = os.path.join(tmp_path, "out")
+    assert main(["run", "--config", cfg, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error[config]: ") and "must be a JSON object" in err
+    assert "Traceback" not in err
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about half a second of import time and a third of
+    # the peak memory; the package uses only scipy.linalg and scipy.special.
+    src = os.path.dirname(os.path.dirname(copulacast.__file__))
+    code = ("import sys, copulacast.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy.stats' or m.startswith('scipy.stats.')))")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 # ------------------------------------------------------------------- synth
@@ -127,6 +166,57 @@ def test_impute_csv_round_trip(tmp_path):
                                 for j in range(1, 13)}})
     completed = load_csv(os.path.join(out, "completed.csv"), schema)
     assert completed.mask.all()
+
+
+def ordinal_csv_config(tmp_path):
+    """A copula panel with ordinal columns written to CSV, and its config.
+
+    Built like the benchmark's impute_ordinal input (equiprobable ordinal
+    levels, lognormal(0, 0.5) continuous columns) at a smaller size.
+    """
+    q, n_ordinal, levels = 8, 3, (1.0, 2.0, 3.0, 4.0)
+    a = rng_for(23, "ordinal-csv").normal(size=(q, q))
+    sigma = a @ a.T + 0.5 * np.eye(q)
+    d = np.sqrt(np.diag(sigma))
+    specs = ([MarginalSpec("lognormal", (0.0, 0.5))] * (q - n_ordinal)
+             + [MarginalSpec("ordinal", levels=levels, probs=(0.25,) * 4)]
+             * n_ordinal)
+    panel = gen_copula_sample(sigma / np.outer(d, d), specs, 60, seed=23)
+    csv_path = os.path.join(tmp_path, "input.csv")
+    save_csv(panel, csv_path)
+    return write_config(tmp_path, {
+        "data": {"csv": {
+            "path": csv_path,
+            "columns": dict(zip(panel.column_names, panel.column_kinds)),
+            "ordinal_levels": {panel.column_names[j]: list(lv)
+                               for j, lv in panel.ordinal_levels.items()}}},
+        "mask": {"fraction": 0.2},
+        "copula": {"max_iters": 5}})
+
+
+def read_tree(root):
+    tree = {}
+    for name in sorted(os.listdir(root)):
+        with open(os.path.join(root, name), "rb") as fh:
+            tree[name] = fh.read()
+    return tree
+
+
+@pytest.mark.filterwarnings("ignore:copula EM did not converge")
+def test_impute_interval_path_is_byte_deterministic(tmp_path, monkeypatch):
+    # Two runs from different working directories with the same relative
+    # --out, so even config.json must match.
+    cfg = ordinal_csv_config(tmp_path)
+    trees = []
+    for run in ("first", "second"):
+        os.makedirs(os.path.join(tmp_path, run))
+        monkeypatch.chdir(os.path.join(tmp_path, run))
+        assert main(["impute", "--config", cfg, "--out", "out"]) == 0
+        trees.append(read_tree("out"))
+    assert trees[0] == trees[1]
+    assert {"completed.csv", "copula_model.json", "recovery.json"} <= set(trees[0])
+    model = json.loads(trees[0]["copula_model.json"])
+    assert any(m["kind"] == "ordinal" for m in model["marginals"])
 
 
 # --------------------------------------------------------------------- run

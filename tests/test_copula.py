@@ -122,6 +122,126 @@ def test_row_constraints_partition_columns():
         RowConstraint(exact={0: 1.0}, intervals={}, missing=(2,))
 
 
+def mixed_panel(n=40, seed=5):
+    """Masked copula sample: 3 lognormal columns, 2 ordinal columns."""
+    rng = rng_for(seed, "mixed-panel")
+    sigma = project_correlation(np.corrcoef(rng.normal(size=(5, 30))))
+    specs = ([MarginalSpec("lognormal", (0.0, 0.5))] * 3
+             + [MarginalSpec("ordinal", levels=(1.0, 2.0, 3.0, 4.0),
+                             probs=(0.25,) * 4)] * 2)
+    masked, _ = apply_mask(gen_copula_sample(sigma, specs, n, seed), 0.25,
+                           seed=seed + 1)
+    return masked
+
+
+def per_cell_constraints(matrix, marginals):
+    """Cell-by-cell build through to_latent / to_interval: the reference."""
+    out = []
+    for i in range(matrix.n_rows):
+        exact, intervals, missing = {}, {}, []
+        for j in range(matrix.n_cols):
+            if not matrix.mask[i, j]:
+                missing.append(j)
+            elif marginals[j].kind == CONTINUOUS:
+                exact[j] = float(marginals[j].to_latent(matrix.values[i, j]))
+            else:
+                intervals[j] = marginals[j].to_interval(matrix.values[i, j])
+        out.append((exact, intervals, tuple(missing)))
+    return out
+
+
+def test_row_constraints_equal_per_cell_build_bit_for_bit():
+    m = mixed_panel()
+    cons = row_constraints(m, fit_marginals(m))
+    ref = per_cell_constraints(m, fit_marginals(m))
+    # repr round-trips floats exactly and tells -0.0 from 0.0.
+    assert [repr((c.exact, c.intervals, c.missing)) for c in cons] == \
+        [repr(r) for r in ref]
+    assert sum(len(c.exact) for c in cons) > 0
+    assert sum(len(c.intervals) for c in cons) > 0
+    assert sum(len(c.missing) for c in cons) > 0
+
+
+def test_row_constraints_reject_level_the_marginals_never_saw():
+    m = mixed_panel()
+    seen = m.copy()
+    seen.values[:, 3] = np.where(seen.values[:, 3] == 4.0, 3.0, seen.values[:, 3])
+    marginals = fit_marginals(seen)               # column 3 never saw level 4
+    first_4 = np.flatnonzero(m.mask[:, 3] & (m.values[:, 3] == 4.0))[0]
+    # An earlier unseen cell in a later column: the first in row-major order
+    # is the one named.
+    r = np.flatnonzero(m.mask[:first_4, 4])[0]
+    m.values[r, 4] = 7.0
+    with pytest.raises(ValueError) as ref:
+        per_cell_constraints(m, marginals)
+    with pytest.raises(ValueError) as got:
+        row_constraints(m, marginals)
+    assert str(got.value) == str(ref.value)
+    assert "7.0" in str(got.value) and "is not an observed level" in str(got.value)
+
+
+def same_bits(x, y):
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    return x.shape == y.shape and np.array_equal(x.view(np.int64),
+                                                 y.view(np.int64))
+
+
+def scipy_truncated_normal_moments(lo, hi, mean=0.0, sd=1.0):
+    """truncated_normal_moments written with scipy.stats.norm.cdf."""
+    from scipy.stats import norm
+    a = (lo - mean) / sd
+    b = (hi - mean) / sd
+    mass = norm.cdf(b) - norm.cdf(a)
+    if mass < 1e-300:
+        anchor = lo if abs(a) < abs(b) else hi
+        if not np.isfinite(anchor):
+            anchor = hi if np.isfinite(hi) else lo
+        return float(anchor), 0.0
+    pa = np.exp(-0.5 * a * a) / np.sqrt(2.0 * np.pi) if np.isfinite(a) else 0.0
+    pb = np.exp(-0.5 * b * b) / np.sqrt(2.0 * np.pi) if np.isfinite(b) else 0.0
+    apa = a * pa if np.isfinite(a) else 0.0
+    bpb = b * pb if np.isfinite(b) else 0.0
+    ratio = (pa - pb) / mass
+    var = sd * sd * max(1.0 + (apa - bpb) / mass - ratio * ratio, 0.0)
+    return float(mean + sd * ratio), float(var)
+
+
+def test_truncated_normal_moments_equal_scipy_stats_formula_bit_for_bit():
+    bounds = (-np.inf, -9.0, -3.0, -0.5, 0.0, 0.7, 2.5, 8.5, 40.0, np.inf)
+    cases = 0
+    for lo in bounds:
+        for hi in bounds:
+            if not hi > lo:
+                continue
+            for mean in (0.0, -1.3, 2.2):
+                for sd in (1.0, 0.4, 2.5):
+                    got = truncated_normal_moments(lo, hi, mean, sd)
+                    ref = scipy_truncated_normal_moments(lo, hi, mean, sd)
+                    assert same_bits(got, ref), (lo, hi, mean, sd)
+                    cases += 1
+    assert cases == 45 * 9
+
+
+def test_marginal_maps_equal_scipy_stats_formulas_bit_for_bit():
+    from scipy.stats import norm
+    m = mixed_panel()
+    cont, ordi = fit_marginals(m)[0], fit_marginals(m)[3]
+    z = np.concatenate([np.linspace(-9.0, 9.0, 1001),
+                        [-np.inf, np.inf, 0.0, -0.0, -40.0, 40.0]])
+    assert same_bits(ordi.cut_points, norm.ppf(ordi.cum_probs))
+    x = np.concatenate([cont.support, np.linspace(0.0, 6.0, 301)])
+    assert same_bits(cont.to_latent(x),
+                     norm.ppf(np.interp(x, cont.support, cont.cum_probs)))
+    for v in x[::37]:
+        assert same_bits(cont.to_latent(v),
+                         norm.ppf(np.interp(v, cont.support, cont.cum_probs)))
+    assert same_bits(cont.from_latent(z),
+                     np.interp(norm.cdf(z), cont.cum_probs, cont.support))
+    assert same_bits(ordi.from_latent(z), ordi.support[
+        np.searchsorted(norm.ppf(ordi.cum_probs), z, side="left")])
+
+
 # ------------------------------------------------- truncated normal moments
 
 def test_truncated_normal_half_line_oracle():

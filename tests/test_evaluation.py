@@ -13,9 +13,11 @@ import os
 import numpy as np
 import pytest
 
+from copulacast import evaluation
 from copulacast.errors import EvaluationError
 from copulacast.evaluation import (
     EvaluationReport,
+    _average_ranks,
     build_report,
     friedman_rank,
     mape,
@@ -109,6 +111,59 @@ def test_win_loss_counts_ties_as_wins():
                             np.array([1.0, 3.0, 2.0]))
     assert (wins, losses) == (2, 1)
     assert win_loss(np.array([5.0]), np.array([5.0])) == (1, 0)
+
+
+# ------------------------------------------------------------ average ranks
+
+@pytest.mark.parametrize("values", [
+    [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0, 5.0, 3.0, 5.0],
+    [7.0, 7.0, 7.0, 7.0],
+    [42.0],
+    [-2.5, 0.0, -7.0, 3.0, -2.5, -0.0],
+    [1, 1, 2],
+], ids=["ties", "all_equal", "single", "negative", "integers"])
+def test_average_ranks_match_scipy_rankdata(values):
+    from scipy.stats import rankdata
+    ours = _average_ranks(np.asarray(values))
+    ref = rankdata(values, method="average")
+    assert ours.dtype == ref.dtype
+    assert np.array_equal(ours, ref)
+
+
+def test_average_ranks_propagate_nan_like_scipy():
+    from scipy.stats import rankdata
+    ref = rankdata([1.0, np.nan, 2.0], method="average")
+    ours = _average_ranks(np.array([1.0, np.nan, 2.0]))
+    assert np.isnan(ours).all() and np.isnan(ref).all()
+
+
+def with_scipy_kernels(monkeypatch, fn, *args):
+    """fn(*args) with evaluation's rank and normal-CDF kernels taken from scipy.stats."""
+    from scipy.stats import norm, rankdata
+    with monkeypatch.context() as m:
+        m.setattr(evaluation, "_average_ranks",
+                  lambda x: rankdata(x, method="average"))
+        m.setattr(evaluation, "ndtr", norm.cdf)
+        return fn(*args)
+
+
+def test_rank_statistics_unchanged_against_scipy_kernels(monkeypatch):
+    rng = rng_for(18, "rank-kernels")
+    grid = np.round(rng.uniform(0.0, 3.0, size=(30, 6)), 0)   # heavy ties
+    ours = friedman_rank(grid)
+    assert np.array_equal(ours, with_scipy_kernels(monkeypatch, friedman_rank, grid))
+    effective = []
+    for n in (8, 25, 40, 60):
+        a = rng.integers(0, 6, size=n).astype(float)
+        b = rng.integers(0, 6, size=n).astype(float)
+        d = np.abs(a - b)
+        assert len(np.unique(d[d != 0])) < np.count_nonzero(d)   # tied |d|
+        effective.append(np.count_nonzero(d))
+        ours = wilcoxon_signed_rank(a, b)
+        ref = with_scipy_kernels(monkeypatch, wilcoxon_signed_rank, a, b)
+        assert ours == ref
+    # Both the exact (n <= 25) and the normal-approximation branch ran.
+    assert min(effective) <= 25 < max(effective)
 
 
 # ----------------------------------------------------------------- friedman
