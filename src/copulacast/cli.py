@@ -97,14 +97,32 @@ def _require_object(value, name):
         raise ConfigError(f"{name} must be a JSON object, got {json.dumps(value)}")
 
 
+def _require_number(value, name, kind):
+    """value as kind (int or float, never truncated); else ConfigError."""
+    what = "an integer" if kind is int else "a number"
+    if not isinstance(value, bool):
+        try:
+            number = kind(value)
+            if not (kind is int and isinstance(value, float) and number != value):
+                return number
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ConfigError(f"{name} must be {what}, got {json.dumps(value)}")
+
+
 def _validate_config(config):
     for section in ("mask", "copula", "task", "data"):
         _require_object(config.get(section, {}), section)
     for source in ("synthetic", "csv"):
         if source in config["data"]:
             _require_object(config["data"][source], f"data.{source}")
+    _require_number(config.get("seed"), "seed", int)
+    _require_number(config.get("jobs", 1), "jobs", int)
+    for key, kind in (("max_iters", int), ("tol", float), ("ridge", float)):
+        if key in config.get("copula", {}):
+            _require_number(config["copula"][key], f"copula.{key}", kind)
     mask = config.get("mask", {})
-    fraction = float(mask.get("fraction", 0.0))
+    fraction = _require_number(mask.get("fraction", 0.0), "mask.fraction", float)
     if not 0.0 <= fraction <= 1.0:
         raise ConfigError(f"mask.fraction must lie in [0, 1], got {fraction}")
     roster = config.get("roster", [])
@@ -117,7 +135,10 @@ def _validate_config(config):
             raise ConfigError(f"unknown forecaster {name!r}; known: "
                               f"{sorted(FORECASTERS)}")
     task = config.get("task", {})
-    if int(task.get("horizon", 0)) < 1 or int(task.get("validation_periods", 0)) < 1:
+    horizon = _require_number(task.get("horizon", 0), "task.horizon", int)
+    n_val = _require_number(task.get("validation_periods", 0),
+                            "task.validation_periods", int)
+    if horizon < 1 or n_val < 1:
         raise ConfigError("task.horizon and task.validation_periods must be >= 1")
     data = config.get("data", {})
     if "csv" not in data and "synthetic" not in data:
@@ -125,9 +146,9 @@ def _validate_config(config):
                           "synthetic generator")
 
 
-def _write_config(config, out_dir):
-    with open(os.path.join(out_dir, "config.json"), "w") as fh:
-        json.dump(config, fh, indent=2, sort_keys=True)
+def _write_json(obj, path):
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -241,12 +262,6 @@ def _recovery_report(truth_values, masked, completed, record):
             "mean_imputation_mae": float(np.mean(err_mean))}
 
 
-def _write_models(models, out_dir):
-    with open(os.path.join(out_dir, "models.json"), "w") as fh:
-        json.dump([m.to_json() for m in models], fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _write_forecasts(out_dir, task, completed, actuals, models, ensemble_path):
     labels = [completed.time_index[t].isoformat() for t in task.holdout_indices]
     with open(os.path.join(out_dir, "forecasts.csv"), "w", newline="") as fh:
@@ -261,33 +276,40 @@ def _write_forecasts(out_dir, task, completed, actuals, models, ensemble_path):
     return labels
 
 
-def _pipeline(config, out_dir):
-    """Shared stages of run/ablate: synth/load, mask, impute, fit, ensemble."""
+def _complete(config, out_dir):
+    """Load, mask and complete the panel; write its artifacts and recovery.
+
+    Returns (truth, completed, recovery): the synthetic truth panel (None
+    for a CSV source), the completed panel, and the recovery report (None
+    when no cell was erased).
+    """
     matrix, truth = _load_input(config)
     masked, record = _mask_stage(config, matrix)
     completed, model = _impute_stage(config, masked)
     save_csv(masked, os.path.join(out_dir, "data.csv"))
-    if truth is not None:
-        save_csv(truth, os.path.join(out_dir, "truth.csv"))
     save_csv(completed, os.path.join(out_dir, "completed.csv"))
-    if record is not None:
-        mask_record_to_file(record, os.path.join(out_dir, "mask.json"))
     if model is not None:
         model.save(os.path.join(out_dir, "copula_model.json"))
+    recovery = None
     if record is not None:
+        mask_record_to_file(record, os.path.join(out_dir, "mask.json"))
         recovery = _recovery_report(matrix.values, masked, completed, record)
         if recovery is not None:
-            with open(os.path.join(out_dir, "recovery.json"), "w") as fh:
-                json.dump(recovery, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            _write_json(recovery, os.path.join(out_dir, "recovery.json"))
+    return truth, completed, recovery
 
+
+def _pipeline(config, out_dir):
+    """Shared stages of run/ablate: complete, write truth, fit, ensemble."""
+    truth, completed, _ = _complete(config, out_dir)
+    if truth is not None:
+        save_csv(truth, os.path.join(out_dir, "truth.csv"))
     task = _build_task(config, completed)
     models = _fit_roster(config, task, completed)
-    forecasts, state, trace = run_ensemble(models, task)
+    forecasts, _, trace = run_ensemble(models, task)
     actuals = _holdout_actuals(task, completed, truth)
-    return {"matrix": matrix, "truth": truth, "completed": completed,
-            "task": task, "models": models, "forecasts": forecasts,
-            "state": state, "trace": trace, "actuals": actuals}
+    return {"completed": completed, "task": task, "models": models,
+            "forecasts": forecasts, "trace": trace, "actuals": actuals}
 
 
 def cmd_synth(config, out_dir):
@@ -300,7 +322,7 @@ def cmd_synth(config, out_dir):
     save_csv(masked, os.path.join(out_dir, "data.csv"))
     if record is not None:
         mask_record_to_file(record, os.path.join(out_dir, "mask.json"))
-    _write_config(config, out_dir)
+    _write_json(config, os.path.join(out_dir, "config.json"))
     print(f"synth: wrote {masked.n_rows}x{masked.n_cols} panel to {out_dir} "
           f"({masked.observed_count()} observed cells)")
     return 0
@@ -308,24 +330,12 @@ def cmd_synth(config, out_dir):
 
 def cmd_impute(config, out_dir):
     """Complete a sparse panel and report recovery quality when truth exists."""
-    matrix, _ = _load_input(config)
-    masked, record = _mask_stage(config, matrix)
-    completed, model = _impute_stage(config, masked)
-    save_csv(masked, os.path.join(out_dir, "data.csv"))
-    save_csv(completed, os.path.join(out_dir, "completed.csv"))
-    if model is not None:
-        model.save(os.path.join(out_dir, "copula_model.json"))
-    if record is not None:
-        mask_record_to_file(record, os.path.join(out_dir, "mask.json"))
-        recovery = _recovery_report(matrix.values, masked, completed, record)
-        if recovery is not None:
-            with open(os.path.join(out_dir, "recovery.json"), "w") as fh:
-                json.dump(recovery, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            print(f"impute: copula MAE {recovery['copula_mae']:.4f} vs "
-                  f"mean-imputation MAE {recovery['mean_imputation_mae']:.4f} "
-                  f"over {recovery['cells']} erased cells")
-    _write_config(config, out_dir)
+    _, _, recovery = _complete(config, out_dir)
+    if recovery is not None:
+        print(f"impute: copula MAE {recovery['copula_mae']:.4f} vs "
+              f"mean-imputation MAE {recovery['mean_imputation_mae']:.4f} "
+              f"over {recovery['cells']} erased cells")
+    _write_json(config, os.path.join(out_dir, "config.json"))
     print(f"impute: wrote completed panel to {out_dir}")
     return 0
 
@@ -338,14 +348,15 @@ def cmd_run(config, out_dir):
     labels = _write_forecasts(out_dir, task, result["completed"], actuals,
                               models, result["forecasts"])
     result["trace"].to_csv(os.path.join(out_dir, "convergence_trace.csv"))
-    _write_models(models, out_dir)
+    _write_json([m.to_json() for m in models],
+                os.path.join(out_dir, "models.json"))
     columns = {m.name: m.holdout_forecast for m in models}
     columns["ensemble"] = result["forecasts"]
     report = build_report(actuals, columns, ensemble_name="ensemble",
                           period_labels=labels)
     report.save_json(os.path.join(out_dir, "report.json"))
     report.to_csv(os.path.join(out_dir, "report.csv"))
-    _write_config(config, out_dir)
+    _write_json(config, os.path.join(out_dir, "config.json"))
     ens_mean = report.mean_mape["ensemble"]
     ens_std = report.std_mape["ensemble"]
     print(f"run: ensemble Mean-MAPE {ens_mean:.2f}% +/-{ens_std:.2f}% over "
@@ -360,7 +371,7 @@ def cmd_ablate(config, out_dir):
     result = _pipeline(config, out_dir)
     rows = ablation(result["models"], result["task"], result["actuals"])
     ablation_to_csv(rows, os.path.join(out_dir, "ablation.csv"))
-    _write_config(config, out_dir)
+    _write_json(config, os.path.join(out_dir, "config.json"))
     first, last = rows[0][2], rows[-1][2]
     print(f"ablate: {len(rows)} prefixes; MAPE first {first:.3f}% -> "
           f"last {last:.3f}%; wrote {out_dir}/ablation.csv")

@@ -180,8 +180,9 @@ def row_constraints(matrix, marginals):
     a per-cell build from to_latent / to_interval bit for bit.
 
     Raises:
-        ValueError: an ordinal cell holds a level its marginal never saw
-            (the first such cell in row-major order is named).
+        ValueError: an ordinal cell holds a level its marginal never saw;
+            the message names the column and the 0-based row of the first
+            such cell in row-major order.
     """
     if len(marginals) != matrix.n_cols:
         raise ValueError("marginal count does not match column count")
@@ -200,8 +201,9 @@ def row_constraints(matrix, marginals):
             elif continuous[j]:
                 exact[j] = latent[j][i]
             elif latent[j][i] is None:
-                raise ValueError(f"value {matrix.values[i, j]!r} is not an "
-                                 "observed level")
+                raise ValueError(f"column {matrix.column_names[j]!r} row {i}: "
+                                 f"value {float(matrix.values[i, j])!r} is not "
+                                 "an observed level")
             else:
                 intervals[j] = latent[j][i]
         out.append(RowConstraint(exact=exact, intervals=intervals,

@@ -1,13 +1,14 @@
-"""Shared forecaster task description and trained-model container.
+"""Shared forecaster contract: the task, the trained model, the recursion.
 
 Every forecaster in the bank trains on the completed panel restricted to the
 task's training span, tracks a validation error per training round, and
 produces two forecast paths: the validation span forecast recursively from
 the end of training (final round), and the holdout span forecast recursively
-from the end of validation.  Multi-step paths feed model forecasts back in
-place of unseen actuals; covariate columns, where a model uses them, are
-read from the completed panel (they are realized by forecast time in the
-retrospective protocol).
+from the end of validation.  `recursive_path` is the one loop that feeds a
+model's forecasts back in place of unseen actuals; `lag_design` builds and
+checks the lagged-target design that ridge AR and GBT regress on.  Covariate
+columns enter at lag zero and are read from the completed panel (they are
+realized by forecast time in the retrospective protocol).
 """
 
 from dataclasses import dataclass, field
@@ -165,3 +166,54 @@ def pad_rounds(errors):
     while len(errors) < 2:
         errors.append(errors[-1])
     return np.asarray(errors, dtype=float)
+
+
+def recursive_path(history, start, steps, step_fn):
+    """Roll a one-step forecaster forward, feeding forecasts back as history.
+
+    step_fn(t, ext) forecasts row t from ext, which lists history[:start]
+    followed by the forecasts for rows start .. t-1.  Returns the `steps`
+    forecasts as a float array.
+    """
+    ext = list(history[:start])
+    out = []
+    for t in range(start, start + steps):
+        value = step_fn(t, ext)
+        out.append(value)
+        ext.append(value)
+    return np.asarray(out, dtype=float)
+
+
+def lag_design(task, matrix, lags, use_features, min_rows):
+    """Check a lagged-target design and build its training rows.
+
+    Row t holds the target at t - l for each lag l, then, with use_features,
+    the task's feature columns at t.  Raises ValueError for an empty lag set
+    or a lag < 1, and FitError when the panel does not fit the task, cannot
+    supply lag-zero features over the holdout span, or leaves fewer than
+    min_rows training rows after the longest lag.  Returns (lags, design_row,
+    x, target): the lags as ints, design_row(t, ext) reading the lags from
+    ext, the training design and its targets.
+    """
+    lags = tuple(int(l) for l in lags)
+    if not lags or min(lags) < 1:
+        raise ValueError("lags must be a non-empty tuple of positive ints")
+    task.check_matrix(matrix)
+    feats = tuple(task.feature_columns) if use_features else ()
+    if feats and matrix.n_rows < task.validation_stop + task.horizon:
+        raise FitError("panel must cover the holdout span to supply lag-zero "
+                       "feature columns")
+    t0, t1 = task.train_range
+    first = max(t0, max(lags))
+    if t1 - first < min_rows:
+        raise FitError("training span too short for the requested lags")
+
+    def design_row(t, ext):
+        row = [ext[t - l] for l in lags]
+        row.extend(matrix.values[t, j] for j in feats)
+        return row
+
+    y = matrix.values[:, task.target_column]
+    rows = np.arange(first, t1)
+    x = np.array([design_row(t, y) for t in rows])
+    return lags, design_row, x, y[rows]

@@ -7,18 +7,21 @@ twice so they plug into the round-indexed ensemble weighting.
 import numpy as np
 
 from ..errors import FitError
-from .base import TrainedForecaster, pad_rounds, validation_mape
+from .base import (TrainedForecaster, lag_design, pad_rounds, recursive_path,
+                   validation_mape)
 
 
-def _recursive_path(history, start, steps, step_fn):
-    """Roll a one-step forecaster forward, feeding forecasts back as history."""
-    ext = list(history[:start])
-    out = []
-    for t in range(start, start + steps):
-        value = step_fn(t, ext)
-        out.append(value)
-        ext.append(value)
-    return np.asarray(out, dtype=float)
+def _single_pass(name, task, y, step, hyper, params):
+    """Forecast both spans with a fitted one-step rule; one validation MAPE."""
+    val = recursive_path(y, task.train_stop, task.n_validation, step)
+    hold = recursive_path(y, task.validation_stop, task.horizon, step)
+    v_actual = y[task.validation_range[0]:task.validation_stop]
+    err = validation_mape(v_actual, val)
+    return TrainedForecaster(
+        name=name, round_errors=pad_rounds([err]),
+        validation_forecast=val, holdout_forecast=hold,
+        validation_start=task.validation_range[0],
+        holdout_start=task.validation_stop, hyper=hyper, params=params)
 
 
 def naive_seasonal(task, matrix, period=12):
@@ -47,16 +50,8 @@ def naive_seasonal(task, matrix, period=12):
     def step(t, ext):
         return ext[t - period]
 
-    val = _recursive_path(y, task.train_stop, task.n_validation, step)
-    hold = _recursive_path(y, task.validation_stop, task.horizon, step)
-    v_actual = y[task.validation_range[0]:task.validation_stop]
-    err = validation_mape(v_actual, val)
-    return TrainedForecaster(
-        name="naive_seasonal", round_errors=pad_rounds([err]),
-        validation_forecast=val, holdout_forecast=hold,
-        validation_start=task.validation_range[0],
-        holdout_start=task.validation_stop,
-        hyper={"period": int(period)}, params={})
+    return _single_pass("naive_seasonal", task, y, step,
+                        hyper={"period": int(period)}, params={})
 
 
 def fit_ridge_ar(task, matrix, lags=(1, 2, 3, 12), ridge=1e-4,
@@ -78,32 +73,11 @@ def fit_ridge_ar(task, matrix, lags=(1, 2, 3, 12), ridge=1e-4,
     Returns:
         TrainedForecaster named "ridge_ar".
     """
-    lags = tuple(int(l) for l in lags)
-    if not lags or min(lags) < 1:
-        raise ValueError("lags must be a non-empty tuple of positive ints")
     if ridge < 0:
         raise ValueError("ridge must be >= 0")
-    task.check_matrix(matrix)
-    feats = tuple(task.feature_columns) if use_features else ()
-    if feats and matrix.n_rows < task.validation_stop + task.horizon:
-        raise FitError("panel must cover the holdout span to supply lag-zero "
-                       "feature columns")
-    max_lag = max(lags)
-    t0, t1 = task.train_range
-    first = max(t0, max_lag)
-    if t1 - first < len(lags) + 1:
-        raise FitError("training span too short for the requested lags")
-
+    lags, design_row, x, target = lag_design(task, matrix, lags, use_features,
+                                             min_rows=len(lags) + 1)
     y = matrix.values[:, task.target_column]
-
-    def design_row(t, ext):
-        row = [ext[t - l] for l in lags]
-        row.extend(matrix.values[t, j] for j in feats)
-        return row
-
-    rows = np.arange(first, t1)
-    x = np.array([design_row(t, y) for t in rows])
-    target = y[rows]
     x_mean = x.mean(axis=0)
     y_mean = target.mean()
     xc = x - x_mean
@@ -118,15 +92,8 @@ def fit_ridge_ar(task, matrix, lags=(1, 2, 3, 12), ridge=1e-4,
     def step(t, ext):
         return float(np.asarray(design_row(t, ext)) @ coef) + intercept
 
-    val = _recursive_path(y, task.train_stop, task.n_validation, step)
-    hold = _recursive_path(y, task.validation_stop, task.horizon, step)
-    v_actual = y[task.validation_range[0]:task.validation_stop]
-    err = validation_mape(v_actual, val)
-    return TrainedForecaster(
-        name="ridge_ar", round_errors=pad_rounds([err]),
-        validation_forecast=val, holdout_forecast=hold,
-        validation_start=task.validation_range[0],
-        holdout_start=task.validation_stop,
+    return _single_pass(
+        "ridge_ar", task, y, step,
         hyper={"lags": list(lags), "ridge": float(ridge),
                "use_features": bool(use_features)},
         params={"coef": [float(c) for c in coef], "intercept": float(intercept)})

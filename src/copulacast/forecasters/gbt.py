@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import FitError
-from .base import TrainedForecaster, pad_rounds, validation_mape
+from .base import (TrainedForecaster, lag_design, pad_rounds, recursive_path,
+                   validation_mape)
 
 
 @dataclass
@@ -123,11 +124,7 @@ class GBTModel:
     train_losses: list = field(default_factory=list)
 
     def predict(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        out = np.full(x.shape[0], self.base_score)
-        for tree in self.trees:
-            out += self.learn_rate * np.array([tree.predict_row(r) for r in x])
-        return out
+        return self.predict_partial(x, len(self.trees))
 
     def predict_partial(self, x, n_trees):
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -197,42 +194,16 @@ def fit_gbt(task, matrix, lags=(1, 2, 3, 12), n_rounds=50, max_depth=3,
     Returns:
         TrainedForecaster named "gbt".
     """
-    lags = tuple(int(l) for l in lags)
-    if not lags or min(lags) < 1:
-        raise ValueError("lags must be a non-empty tuple of positive ints")
-    task.check_matrix(matrix)
-    feats = tuple(task.feature_columns) if use_features else ()
-    if feats and matrix.n_rows < task.validation_stop + task.horizon:
-        raise FitError("panel must cover the holdout span to supply lag-zero "
-                       "feature columns")
-    max_lag = max(lags)
-    t0, t1 = task.train_range
-    first = max(t0, max_lag)
-    if t1 - first < 2 * min_leaf:
-        raise FitError("training span too short for the requested lags")
-
-    y = matrix.values[:, task.target_column]
-
-    def design_row(t, ext):
-        row = [ext[t - l] for l in lags]
-        row.extend(matrix.values[t, j] for j in feats)
-        return row
-
-    rows = np.arange(first, t1)
-    x = np.array([design_row(t, y) for t in rows])
-    model = fit_gbt_arrays(x, y[rows], n_rounds=n_rounds, max_depth=max_depth,
+    lags, design_row, x, target = lag_design(task, matrix, lags, use_features,
+                                             min_rows=2 * min_leaf)
+    model = fit_gbt_arrays(x, target, n_rounds=n_rounds, max_depth=max_depth,
                            min_leaf=min_leaf, reg_alpha=reg_alpha,
                            reg_gamma=reg_gamma, learn_rate=learn_rate)
+    y = matrix.values[:, task.target_column]
 
     def forecast_path(origin, steps, n_trees):
-        ext = list(y[:origin])
-        out = []
-        for t in range(origin, origin + steps):
-            row = np.asarray(design_row(t, ext))
-            value = float(model.predict_partial(row, n_trees)[0])
-            out.append(value)
-            ext.append(value)
-        return np.asarray(out)
+        return recursive_path(y, origin, steps, lambda t, ext: float(
+            model.predict_partial(np.asarray(design_row(t, ext)), n_trees)[0]))
 
     v_actual = y[task.validation_range[0]:task.validation_stop]
     round_errors = []

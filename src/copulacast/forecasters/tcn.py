@@ -11,7 +11,7 @@ import numpy as np
 
 from ..errors import FitError
 from ..rng import rng_for
-from .base import TrainedForecaster, validation_mape
+from .base import TrainedForecaster, recursive_path, validation_mape
 
 
 def dilated_causal_conv(series, kernel, dilation=1):
@@ -152,16 +152,9 @@ def fit_tcn(task, matrix, layer_shapes=((3, 1), (3, 2), (3, 4)), epochs=150,
     dilations = [d for _, d in layer_shapes]
     params = _init_params(layer_shapes, seed)
 
-    def forecast_from(origin, steps):
-        ext = list(z[:origin])
-        out = []
-        for _ in range(steps):
-            window = np.asarray(ext[-(rf + 4):])
-            _, preds = _forward(params, window, dilations)
-            nxt = float(preds[-1])
-            out.append(mu + sd * nxt)
-            ext.append(nxt)
-        return np.asarray(out)
+    def step(t, ext):
+        _, preds = _forward(params, np.asarray(ext[-(rf + 4):]), dilations)
+        return float(preds[-1])
 
     v_actual = y[task.validation_range[0]:task.validation_stop]
     round_errors = []
@@ -175,10 +168,11 @@ def fit_tcn(task, matrix, layer_shapes=((3, 1), (3, 2), (3, 4)), epochs=150,
             params["biases"][li] -= learn_rate * grads["biases"][li]
         params["head_w"] -= learn_rate * grads["head_w"]
         params["head_b"] -= learn_rate * grads["head_b"]
-        val = forecast_from(task.train_stop, task.n_validation)
+        val = mu + sd * recursive_path(z, task.train_stop, task.n_validation,
+                                       step)
         round_errors.append(validation_mape(v_actual, val))
 
-    hold = forecast_from(task.validation_stop, task.horizon)
+    hold = mu + sd * recursive_path(z, task.validation_stop, task.horizon, step)
     return TrainedForecaster(
         name="tcn", round_errors=np.asarray(round_errors),
         validation_forecast=val, holdout_forecast=hold,

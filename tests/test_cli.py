@@ -85,6 +85,30 @@ def test_config_section_of_wrong_type_reports_config_error(tmp_path, capsys,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("key, override", [
+    ("seed", {"seed": "abc"}),
+    ("jobs", {"jobs": None}),
+    ("jobs", {"jobs": True}),
+    ("mask.fraction", {"mask": {"fraction": None}}),
+    ("copula.max_iters", {"copula": {"max_iters": "x"}}),
+    ("copula.max_iters", {"copula": {"max_iters": 2.7}}),
+    ("copula.tol", {"copula": {"tol": None}}),
+    ("copula.ridge", {"copula": {"ridge": [1e-8]}}),
+    ("task.horizon", {"task": {"horizon": None}}),
+    ("task.validation_periods", {"task": {"validation_periods": "twelve"}}),
+], ids=["seed", "jobs_null", "jobs_bool", "mask_fraction", "copula_max_iters",
+        "copula_max_iters_fraction", "copula_tol", "copula_ridge",
+        "task_horizon", "task_validation"])
+def test_config_scalar_of_wrong_type_reports_config_error(tmp_path, capsys,
+                                                          key, override):
+    cfg = write_config(tmp_path, override)
+    out = os.path.join(tmp_path, "out")
+    assert main(["impute", "--config", cfg, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error[config]: {key} must be ")
+    assert "Traceback" not in err
+
+
 def test_cli_import_leaves_scipy_stats_unloaded():
     # scipy.stats costs about half a second of import time and a third of
     # the peak memory; the package uses only scipy.linalg and scipy.special.
@@ -255,6 +279,24 @@ def test_run_seed_changes_and_reruns_reproduce(tmp_path):
     fc_c = open(os.path.join(out_c, "forecasts.csv")).read()
     assert fc_a == fc_b
     assert fc_a != fc_c
+
+
+def test_impute_and_run_share_the_completion_stage(tmp_path):
+    cfg = write_config(tmp_path, {"roster": [{"name": "naive_seasonal"},
+                                             {"name": "ridge_ar"}]})
+    outs = {}
+    for command in ("impute", "run"):
+        outs[command] = os.path.join(tmp_path, command)
+        assert main([command, "--config", cfg, "--seed", "5",
+                     "--out", outs[command]]) == 0
+    for name in ("data.csv", "completed.csv", "copula_model.json", "mask.json",
+                 "recovery.json"):
+        with open(os.path.join(outs["impute"], name), "rb") as fh:
+            written_by_impute = fh.read()
+        with open(os.path.join(outs["run"], name), "rb") as fh:
+            assert fh.read() == written_by_impute, name
+    assert os.path.exists(os.path.join(outs["run"], "truth.csv"))
+    assert not os.path.exists(os.path.join(outs["impute"], "truth.csv"))
 
 
 # ------------------------------------------------------------------ ablate

@@ -14,7 +14,7 @@ from copulacast.forecasters.base import (
     validation_mape,
 )
 from copulacast.forecasters.baselines import fit_ridge_ar, naive_seasonal
-from copulacast.forecasters.gbt import fit_gbt, fit_gbt_arrays
+from copulacast.forecasters.gbt import TreeNode, fit_gbt, fit_gbt_arrays
 from copulacast.forecasters.tcn import (
     _init_params,
     _loss_and_grads,
@@ -267,6 +267,42 @@ def test_fit_tcn_is_deterministic():
     assert np.array_equal(a.round_errors, b.round_errors)
 
 
+def test_fit_tcn_paths_match_hand_rolled_recursion():
+    # Rebuild the network from the stored parameters and roll each path
+    # forward by hand: direct causal sums in dilated_causal_conv's tap
+    # order, each step's window of rf + 4 standardized values fed back.
+    panel = benchmark_panel()
+    task = benchmark_task()
+    tf = fit_tcn(task, panel, epochs=12, seed=3)
+    p = tf.params
+    mu, sd = p["standardize"]["mean"], p["standardize"]["sd"]
+    shapes = [tuple(s) for s in tf.hyper["layer_shapes"]]
+    rf = receptive_field(shapes)
+    z = (panel.values[:, 0] - mu) / sd
+
+    def next_value(window):
+        h = np.asarray(window, dtype=float)
+        for kernel, bias, (_, dil) in zip(p["kernels"], p["biases"], shapes):
+            pre = np.zeros_like(h)
+            for s in range(h.size):
+                for i, tap in enumerate(kernel):
+                    if s - dil * i >= 0:
+                        pre[s] += tap * h[s - dil * i]
+            h = np.tanh(pre + bias)
+        return p["head_w"] * h[-1] + p["head_b"]
+
+    def roll(origin, steps):
+        series = list(z[:origin])
+        out = []
+        for _ in range(steps):
+            series.append(next_value(series[-(rf + 4):]))
+            out.append(mu + sd * series[-1])
+        return np.array(out)
+
+    assert np.array_equal(roll(84, 12), tf.validation_forecast)
+    assert np.array_equal(roll(96, 12), tf.holdout_forecast)
+
+
 # --------------------------------------------------------------------- gbt
 
 def test_gbt_stump_oracle_exact():
@@ -319,6 +355,40 @@ def test_fit_gbt_on_benchmark_panel():
     assert tf.holdout_forecast.shape == (12,)
     actual = panel.values[84:96, 0]
     assert validation_mape(actual, tf.validation_forecast) < 20.0
+
+
+@pytest.mark.parametrize("use_features", [True, False])
+def test_fit_gbt_paths_match_hand_rolled_recursion(use_features):
+    # Rebuild the trees from the stored parameters and roll each path
+    # forward by hand, feeding every forecast back as the next lag.  With
+    # features the trees split mostly on lag 12 (never fed back within a
+    # 12-step path) and on the lag-zero copies of the target, so the paths
+    # barely read the feedback; the lag-only design makes them depend on it.
+    panel = benchmark_panel()
+    task = benchmark_task()
+    tf = fit_gbt(task, panel, n_rounds=15, use_features=use_features)
+    trees = [TreeNode.from_json(t) for t in tf.params["trees"]]
+    base, rate = tf.params["base_score"], tf.params["learn_rate"]
+    lags = tf.hyper["lags"]
+    feats = task.feature_columns if use_features else ()
+
+    def roll(origin, steps, n_trees):
+        series = list(panel.values[:origin, 0])
+        for t in range(origin, origin + steps):
+            row = [series[t - l] for l in lags] + [panel.values[t, j]
+                                                   for j in feats]
+            value = base
+            for tree in trees[:n_trees]:
+                value += rate * tree.predict_row(row)
+            series.append(value)
+        return np.array(series[origin:])
+
+    assert len(trees) == tf.n_rounds
+    actual = panel.values[84:96, 0]
+    for r in range(1, len(trees) + 1):
+        assert tf.round_errors[r - 1] == validation_mape(actual, roll(84, 12, r))
+    assert np.array_equal(roll(84, 12, len(trees)), tf.validation_forecast)
+    assert np.array_equal(roll(96, 12, len(trees)), tf.holdout_forecast)
 
 
 # -------------------------------------------------------------------- trmf
