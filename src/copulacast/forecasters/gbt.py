@@ -7,6 +7,14 @@ Newton weight -G/(H + reg_alpha); a split is kept only when the gain
 is positive.  Trees are grown greedily over midpoint thresholds of each
 feature's sorted distinct values, with deterministic tie-breaking by
 (feature index, threshold).
+
+Split search is the exact greedy algorithm of XGBoost (Chen & Guestrin,
+KDD 2016) on arrays: the node's design is sorted once per feature, prefix
+sums of g and h give every threshold's gain in one elementwise pass over
+all features, and one arg-max picks the split.  Grown trees are kept as
+nested TreeNode objects, the form models.json stores; for prediction they
+are flattened into parallel node arrays (feature, threshold, left, right,
+value) and a whole design descends every tree at once.
 """
 
 from dataclasses import dataclass, field
@@ -63,44 +71,44 @@ def _score(g_sum, h_sum, reg_alpha):
 def _best_split(x, g, h, min_leaf, reg_alpha):
     """Best (gain_core, feature, threshold) over all admissible splits.
 
-    gain_core omits the reg_gamma subtraction; returns (None, False) when no
-    threshold satisfies the min_leaf constraint on any feature, with the
-    second element reporting whether any admissible threshold existed.
+    Row i of a feature's stable sort proposes the midpoint of sorted values
+    i and i + 1; it is admissible when both sides keep min_leaf rows and
+    the two values differ.  The pick equals a scan over (feature,
+    threshold) that keeps the first strictly larger gain: ties go to the
+    lower feature, then the lower threshold, and a NaN gain wins only as
+    the first candidate.  gain_core omits the reg_gamma subtraction.
+    Returns (split, True), or (None, False) when no row is admissible.
     """
-    n, n_feat = x.shape
+    n = x.shape[0]
+    if n < 2 * min_leaf:
+        return None, False
     g_total, h_total = g.sum(), h.sum()
     parent = _score(g_total, h_total, reg_alpha)
-    best = None
-    any_candidate = False
-    for j in range(n_feat):
-        order = np.argsort(x[:, j], kind="stable")
-        xs = x[order, j]
-        gs = np.cumsum(g[order])
-        hs = np.cumsum(h[order])
-        for i in range(n - 1):
-            if xs[i] == xs[i + 1]:
-                continue
-            n_left = i + 1
-            if n_left < min_leaf or n - n_left < min_leaf:
-                continue
-            any_candidate = True
-            gain = 0.5 * (_score(gs[i], hs[i], reg_alpha)
-                          + _score(g_total - gs[i], h_total - hs[i], reg_alpha)
-                          - parent)
-            threshold = 0.5 * (xs[i] + xs[i + 1])
-            key = (-gain, j, threshold)
-            if best is None or key < best[0]:
-                best = (key, gain, j, threshold)
-    if best is None:
-        return None, any_candidate
-    return best[1:], any_candidate
+    order = np.argsort(x, axis=0, kind="stable")
+    xs = x[order, np.arange(x.shape[1])]
+    rows = slice(min_leaf - 1, n - min_leaf)
+    gs = np.cumsum(g[order], axis=0)[rows]
+    hs = np.cumsum(h[order], axis=0)[rows]
+    lo, hi = xs[rows], xs[min_leaf:n - min_leaf + 1]
+    admissible = (lo != hi).T  # feature-major, the order of the scan
+    if not admissible.any():
+        return None, False
+    gain = 0.5 * (_score(gs, hs, reg_alpha)
+                  + _score(g_total - gs, h_total - hs, reg_alpha)
+                  - parent)
+    candidates = gain.T[admissible]
+    k = int(np.argmax(candidates))  # the first NaN, if there is one
+    if k and np.isnan(candidates[k]):
+        k = int(np.nanargmax(candidates))
+    j, i = np.argwhere(admissible)[k]
+    return (candidates[k], int(j), 0.5 * (lo[i, j] + hi[i, j])), True
 
 
 def _build_tree(x, g, h, depth, max_depth, min_leaf, reg_alpha, reg_gamma):
     """Grow one tree; returns (node, any_admissible_threshold_at_root)."""
     g_total, h_total = g.sum(), h.sum()
     leaf = TreeNode(value=_leaf_weight(g_total, h_total, reg_alpha))
-    if depth >= max_depth or x.shape[0] < 2 * min_leaf:
+    if depth >= max_depth:
         return leaf, False
     split, any_candidate = _best_split(x, g, h, min_leaf, reg_alpha)
     if split is None or split[0] - reg_gamma <= 0:
@@ -112,6 +120,50 @@ def _build_tree(x, g, h, depth, max_depth, min_leaf, reg_alpha, reg_gamma):
     right, _ = _build_tree(x[~go_left], g[~go_left], h[~go_left], depth + 1,
                            max_depth, min_leaf, reg_alpha, reg_gamma)
     return TreeNode(feature=j, threshold=threshold, left=left, right=right), any_candidate
+
+
+class _Forest:
+    """Trees flattened into parallel node arrays for vectorized descent.
+
+    Node k sends a row left when x[feature[k]] <= threshold[k], as
+    TreeNode.predict_row does; a leaf reads column 0 and points left and
+    right at itself, so `depth` steps from the roots land every row on its
+    leaf in every tree.
+    """
+
+    def __init__(self, trees):
+        feature, threshold, left, right, value = [], [], [], [], []
+        self.depth = 0
+
+        def add(node, depth):
+            k = len(value)
+            feature.append(max(node.feature, 0))
+            threshold.append(node.threshold)
+            value.append(node.value)
+            left.append(k)
+            right.append(k)
+            if node.is_leaf:
+                self.depth = max(self.depth, depth)
+            else:
+                left[k] = add(node.left, depth + 1)
+                right[k] = add(node.right, depth + 1)
+            return k
+
+        self.roots = np.array([add(tree, 0) for tree in trees], dtype=np.intp)
+        self.feature = np.array(feature, dtype=np.intp)
+        self.threshold = np.array(threshold, dtype=float)
+        self.left = np.array(left, dtype=np.intp)
+        self.right = np.array(right, dtype=np.intp)
+        self.value = np.array(value, dtype=float)
+
+    def leaf_values(self, x):
+        """(rows, trees) array of each tree's leaf weight for each row of x."""
+        node = np.broadcast_to(self.roots, (x.shape[0], self.roots.size))
+        rows = np.arange(x.shape[0])[:, None]
+        for _ in range(self.depth):
+            go_left = x[rows, self.feature[node]] <= self.threshold[node]
+            node = np.where(go_left, self.left[node], self.right[node])
+        return self.value[node]
 
 
 @dataclass
@@ -128,10 +180,16 @@ class GBTModel:
 
     def predict_partial(self, x, n_trees):
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        out = np.full(x.shape[0], self.base_score)
-        for tree in self.trees[:n_trees]:
-            out += self.learn_rate * np.array([tree.predict_row(r) for r in x])
-        return out
+        return self.running_sums(x, _Forest(self.trees[:n_trees]))[:, -1]
+
+    def running_sums(self, x, forest):
+        """Column r holds base_score + lr*v_1 + ... + lr*v_r for each row.
+
+        v_t is tree t's leaf weight; the terms are added in tree order.
+        """
+        steps = self.learn_rate * forest.leaf_values(x)
+        base = np.full((x.shape[0], 1), self.base_score)
+        return np.cumsum(np.hstack([base, steps]), axis=1)
 
     def to_json(self):
         return {"base_score": float(self.base_score),
@@ -177,7 +235,7 @@ def fit_gbt_arrays(x, y, n_rounds=50, max_depth=3, min_leaf=2, reg_alpha=0.0,
             leaf_step = model.learn_rate * tree.value
             if abs(leaf_step) < 1e-12:
                 break
-        pred = pred + model.learn_rate * np.array([tree.predict_row(r) for r in x])
+        pred = pred + model.learn_rate * _Forest([tree]).leaf_values(x)[:, 0]
         model.trees.append(tree)
         model.train_losses.append(float(np.mean((pred - y) ** 2)))
     return model
@@ -199,22 +257,29 @@ def fit_gbt(task, matrix, lags=(1, 2, 3, 12), n_rounds=50, max_depth=3,
     model = fit_gbt_arrays(x, target, n_rounds=n_rounds, max_depth=max_depth,
                            min_leaf=min_leaf, reg_alpha=reg_alpha,
                            reg_gamma=reg_gamma, learn_rate=learn_rate)
+    forest = _Forest(model.trees)
     y = matrix.values[:, task.target_column]
 
-    def forecast_path(origin, steps, n_trees):
-        return recursive_path(y, origin, steps, lambda t, ext: float(
-            model.predict_partial(np.asarray(design_row(t, ext)), n_trees)[0]))
+    def forecast_paths(origin, steps, rounds):
+        # Column k is the path forecast with the first rounds[k] trees; each
+        # step stacks every path's own design row and evaluates all trees.
+        rounds = np.asarray(rounds)
+        paths = np.arange(rounds.size)
 
+        def step(t, ext):
+            x = np.column_stack([np.broadcast_to(v, rounds.shape)
+                                 for v in design_row(t, ext)])
+            return model.running_sums(x, forest)[paths, rounds]
+
+        return recursive_path(y, origin, steps, step)
+
+    n_trees = len(model.trees)
     v_actual = y[task.validation_range[0]:task.validation_stop]
-    round_errors = []
-    val = None
-    for r in range(1, len(model.trees) + 1):
-        val = forecast_path(task.train_stop, task.n_validation, r)
-        round_errors.append(validation_mape(v_actual, val))
-    if val is None:
-        val = forecast_path(task.train_stop, task.n_validation, 0)
-        round_errors.append(validation_mape(v_actual, val))
-    hold = forecast_path(task.validation_stop, task.horizon, len(model.trees))
+    val_paths = forecast_paths(task.train_stop, task.n_validation,
+                               range(1, n_trees + 1) if n_trees else [0])
+    round_errors = [validation_mape(v_actual, path) for path in val_paths.T]
+    val = val_paths[:, -1]
+    hold = forecast_paths(task.validation_stop, task.horizon, [n_trees])[:, 0]
     return TrainedForecaster(
         name="gbt", round_errors=pad_rounds(round_errors),
         validation_forecast=val, holdout_forecast=hold,

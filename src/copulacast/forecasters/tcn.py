@@ -153,7 +153,8 @@ def fit_tcn(task, matrix, layer_shapes=((3, 1), (3, 2), (3, 4)), epochs=150,
     params = _init_params(layer_shapes, seed)
 
     def step(t, ext):
-        _, preds = _forward(params, np.asarray(ext[-(rf + 4):]), dilations)
+        # The last output reads exactly the last rf values.
+        _, preds = _forward(params, np.asarray(ext[-rf:]), dilations)
         return float(preds[-1])
 
     v_actual = y[task.validation_range[0]:task.validation_stop]

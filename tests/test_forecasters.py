@@ -14,8 +14,15 @@ from copulacast.forecasters.base import (
     validation_mape,
 )
 from copulacast.forecasters.baselines import fit_ridge_ar, naive_seasonal
-from copulacast.forecasters.gbt import TreeNode, fit_gbt, fit_gbt_arrays
+from copulacast.forecasters.gbt import (
+    TreeNode,
+    _best_split,
+    _score,
+    fit_gbt,
+    fit_gbt_arrays,
+)
 from copulacast.forecasters.tcn import (
+    _forward,
     _init_params,
     _loss_and_grads,
     dilated_causal_conv,
@@ -303,7 +310,115 @@ def test_fit_tcn_paths_match_hand_rolled_recursion():
     assert np.array_equal(roll(96, 12), tf.holdout_forecast)
 
 
+@pytest.mark.parametrize("layer_shapes", [
+    ((3, 1), (3, 2), (3, 4)),
+    ((2, 1), (2, 2), (2, 4), (2, 8)),
+    ((4, 1), (3, 3)),
+])
+def test_tcn_last_output_reads_only_the_receptive_field(layer_shapes):
+    # The recursive step feeds _forward only the last receptive_field
+    # values; its last prediction must equal the full series' bit for bit.
+    rng = rng_for(9, "tcn-window")
+    params = _init_params(layer_shapes, seed=2)
+    params["biases"] = list(rng.normal(0.0, 0.2, size=len(layer_shapes)))
+    dilations = [d for _, d in layer_shapes]
+    rf = receptive_field(layer_shapes)
+    series = rng.normal(size=60)
+    _, full = _forward(params, series, dilations)
+    _, window = _forward(params, series[-rf:], dilations)
+    assert window[-1] == full[-1]
+
+
 # --------------------------------------------------------------------- gbt
+
+def _best_split_reference(x, g, h, min_leaf, reg_alpha):
+    # The scalar scan _best_split replaced, kept as its oracle: every
+    # admissible threshold of every feature in (feature, threshold) order,
+    # keeping the first key (-gain, feature, threshold) that is smaller.
+    n, n_feat = x.shape
+    g_total, h_total = g.sum(), h.sum()
+    parent = _score(g_total, h_total, reg_alpha)
+    best = None
+    any_candidate = False
+    for j in range(n_feat):
+        order = np.argsort(x[:, j], kind="stable")
+        xs = x[order, j]
+        gs = np.cumsum(g[order])
+        hs = np.cumsum(h[order])
+        for i in range(n - 1):
+            if xs[i] == xs[i + 1]:
+                continue
+            n_left = i + 1
+            if n_left < min_leaf or n - n_left < min_leaf:
+                continue
+            any_candidate = True
+            gain = 0.5 * (_score(gs[i], hs[i], reg_alpha)
+                          + _score(g_total - gs[i], h_total - hs[i], reg_alpha)
+                          - parent)
+            threshold = 0.5 * (xs[i] + xs[i + 1])
+            key = (-gain, j, threshold)
+            if best is None or key < best[0]:
+                best = (key, gain, j, threshold)
+    if best is None:
+        return None, any_candidate
+    return best[1:], any_candidate
+
+
+def _split_designs():
+    rng = rng_for(10, "gbt-split")
+    cases = []
+    for n in (4, 9, 30):
+        ints = np.round(rng.normal(0.0, 1.5, size=(n, 4)))
+        cases.append(("rounded", ints))
+        cases.append(("duplicated", np.column_stack([ints, ints[:, ::-1]])))
+        mixed = rng.normal(size=(n, 3))
+        mixed[:, 1] = 2.5
+        cases.append(("constant column", mixed))
+    cases.append(("all constant", np.full((12, 3), -1.0)))
+    cases.append(("binary", (rng.random(size=(20, 5)) < 0.5).astype(float)))
+    return cases
+
+
+@pytest.mark.parametrize("min_leaf", [1, 2, 3, 5])
+@pytest.mark.parametrize("reg_alpha", [0.0, 1.5])
+def test_best_split_matches_scalar_reference(min_leaf, reg_alpha):
+    rng = rng_for(11, "gbt-split-g")
+    for label, x in _split_designs():
+        n = x.shape[0]
+        g = np.round(rng.normal(size=n), 1)  # ties among gains as well
+        h = np.ones(n)
+        got = _best_split(x, g, h, min_leaf, reg_alpha)
+        want = _best_split_reference(x, g, h, min_leaf, reg_alpha)
+        assert got[1] == want[1], label
+        if want[0] is None:
+            assert got[0] is None, label
+            continue
+        gain, j, threshold = got[0]
+        assert (gain, j, threshold) == want[0], label
+        assert type(j) is int
+    few = rng.normal(size=(2 * min_leaf - 1, 3))
+    g = rng.normal(size=few.shape[0])
+    assert _best_split(few, g, np.ones(few.shape[0]), min_leaf, reg_alpha) \
+        == (None, False)
+
+
+def test_best_split_nan_gain_rule_matches_scalar_reference():
+    # With zero Hessians some gains are 0/0: a NaN gain wins only as the
+    # first candidate of the scan, and is skipped anywhere else.
+    x = np.array([[0.0, 3.0], [1.0, 2.0], [2.0, 1.0], [3.0, 0.0]])
+    cases = [(np.array([0.0, 1.0, -1.0, 2.0]), np.array([0.0, 1.0, 1.0, 1.0])),
+             (np.array([1.0, 1.0, -1.0, 0.0]), np.array([1.0, 1.0, 1.0, 0.0])),
+             (np.array([0.0, 0.0, 3.0, 1.0]), np.array([0.0, 0.0, 1.0, 1.0]))]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for g, h in cases:
+            (gain, j, thr), found = _best_split(x, g, h, 1, 0.0)
+            (want_gain, want_j, want_thr), want_found = \
+                _best_split_reference(x, g, h, 1, 0.0)
+            assert found == want_found
+            assert (j, thr) == (want_j, want_thr)
+            assert gain == want_gain or (math.isnan(gain)
+                                         and math.isnan(want_gain))
+
 
 def test_gbt_stump_oracle_exact():
     x = np.array([[0.0], [0.0], [1.0], [1.0]])
@@ -355,6 +470,51 @@ def test_fit_gbt_on_benchmark_panel():
     assert tf.holdout_forecast.shape == (12,)
     actual = panel.values[84:96, 0]
     assert validation_mape(actual, tf.validation_forecast) < 20.0
+
+
+def test_gbt_flat_evaluator_matches_tree_node_oracle():
+    # predict and predict_partial run every tree as flat node arrays; each
+    # must equal the nested trees' predict_row sums accumulated in order,
+    # including rows sitting exactly on a stored threshold and NaN cells.
+    rng = rng_for(12, "gbt-flat")
+    x = np.round(rng.normal(size=(60, 4)), 1)
+    y = x[:, 0] - 2.0 * np.abs(x[:, 2]) + 0.1 * rng.normal(size=60)
+    model = fit_gbt_arrays(x, y, n_rounds=25, max_depth=3)
+    stored = model.to_json()["trees"]
+    trees = [TreeNode.from_json(t) for t in stored]
+    assert all("left" in t and "right" in t for t in stored)
+    assert [t.to_json() for t in trees] == stored
+
+    splits = []
+
+    def collect(node):
+        if not node.is_leaf:
+            splits.append((node.feature, node.threshold))
+            collect(node.left)
+            collect(node.right)
+
+    for tree in trees:
+        collect(tree)
+    on_threshold = x[np.arange(len(splits)) % len(x)].copy()
+    for row, (f, thr) in zip(on_threshold, splits):
+        row[f] = thr
+    with_nan = x[:5].copy()
+    with_nan[np.arange(5), np.arange(5) % 4] = np.nan
+    rows = np.vstack([x, on_threshold, with_nan])
+
+    def oracle(n_trees):
+        out = []
+        for row in rows:
+            value = model.base_score
+            for tree in trees[:n_trees]:
+                value += model.learn_rate * tree.predict_row(row)
+            out.append(value)
+        return np.array(out)
+
+    assert len(trees) == 25
+    for r in (0, 1, 2, 7, 24, 25):
+        assert np.array_equal(model.predict_partial(rows, r), oracle(r))
+    assert np.array_equal(model.predict(rows), oracle(len(trees)))
 
 
 @pytest.mark.parametrize("use_features", [True, False])
