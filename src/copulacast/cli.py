@@ -117,7 +117,9 @@ def _validate_config(config):
         if source in config["data"]:
             _require_object(config["data"][source], f"data.{source}")
     _require_number(config.get("seed"), "seed", int)
-    _require_number(config.get("jobs", 1), "jobs", int)
+    jobs = _require_number(config.get("jobs", 1), "jobs", int)
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     for key, kind in (("max_iters", int), ("tol", float), ("ridge", float)):
         if key in config.get("copula", {}):
             _require_number(config["copula"][key], f"copula.{key}", kind)
@@ -219,7 +221,7 @@ def _fit_roster(config, task, completed):
     """
     roster = config["roster"]
     seed = int(config["seed"])
-    jobs = max(1, int(config.get("jobs", 1)))
+    jobs = int(config.get("jobs", 1))
 
     def fit_one(entry):
         hyper = {k: v for k, v in entry.items() if k != "name"}

@@ -39,12 +39,23 @@ def dilated_causal_conv(series, kernel, dilation=1):
         raise ValueError("kernel must be non-empty")
     if dilation < 1:
         raise ValueError("dilation must be >= 1")
-    y = np.zeros_like(x)
-    for i in range(f.size):
-        shift = i * int(dilation)
-        if shift >= x.size:
+    return _causal_conv(x, f, int(dilation))
+
+
+def _causal_conv(x, f, dilation):
+    """dilated_causal_conv along the last axis, unchecked.
+
+    x is (..., n) and f is (..., k) with matching leading axes, so a stack
+    of series runs through a stack of kernels; each output element sees the
+    same taps, added in the same order, as a 1-d call.
+    """
+    n = x.shape[-1]
+    y = np.zeros(np.broadcast_shapes(x.shape, f.shape[:-1] + (1,)))
+    for i in range(f.shape[-1]):
+        shift = i * dilation
+        if shift >= n:
             break
-        y[shift:] += f[i] * x[:x.size - shift]
+        y[..., shift:] += f[..., i, None] * x[..., :n - shift]
     return y
 
 
@@ -64,10 +75,15 @@ def _init_params(layer_shapes, seed):
 
 
 def _forward(params, x, dilations):
-    """Hidden activations per layer plus one-step-ahead predictions."""
+    """Hidden activations per layer plus one-step-ahead predictions.
+
+    With 1-d kernels and scalar biases and head, x is one series.  Stacked
+    parameters (kernels (E, k), biases and head (E, 1)) run E networks over
+    an (E, n) block of series at once.
+    """
     hidden = [np.asarray(x, dtype=float)]
     for kernel, bias, dil in zip(params["kernels"], params["biases"], dilations):
-        pre = dilated_causal_conv(hidden[-1], kernel, dil) + bias
+        pre = _causal_conv(hidden[-1], kernel, dil) + bias
         hidden.append(np.tanh(pre))
     preds = params["head_w"] * hidden[-1] + params["head_b"]
     return hidden, preds
@@ -117,8 +133,10 @@ def fit_tcn(task, matrix, layer_shapes=((3, 1), (3, 2), (3, 4)), epochs=150,
     """Train the convolutional forecaster on the task's target series.
 
     The target is standardized with training-span moments.  One round is one
-    gradient-descent epoch; after each epoch the validation span is forecast
-    recursively and its MAPE recorded.
+    gradient-descent epoch.  Every epoch is trained first, keeping each
+    epoch's parameters; then one recursive roll forecasts the validation
+    span with all epochs' networks stacked, and each epoch's MAPE is
+    recorded.
 
     Args:
         task: ForecastTask.
@@ -152,14 +170,7 @@ def fit_tcn(task, matrix, layer_shapes=((3, 1), (3, 2), (3, 4)), epochs=150,
     dilations = [d for _, d in layer_shapes]
     params = _init_params(layer_shapes, seed)
 
-    def step(t, ext):
-        # The last output reads exactly the last rf values.
-        _, preds = _forward(params, np.asarray(ext[-rf:]), dilations)
-        return float(preds[-1])
-
-    v_actual = y[task.validation_range[0]:task.validation_stop]
-    round_errors = []
-    val = None
+    history = []
     for _ in range(epochs):
         loss, grads = _loss_and_grads(params, z[t0:t1], dilations)
         if not np.isfinite(loss):
@@ -169,11 +180,29 @@ def fit_tcn(task, matrix, layer_shapes=((3, 1), (3, 2), (3, 4)), epochs=150,
             params["biases"][li] -= learn_rate * grads["biases"][li]
         params["head_w"] -= learn_rate * grads["head_w"]
         params["head_b"] -= learn_rate * grads["head_b"]
-        val = mu + sd * recursive_path(z, task.train_stop, task.n_validation,
-                                       step)
-        round_errors.append(validation_mape(v_actual, val))
+        history.append({"kernels": list(params["kernels"]),
+                        "biases": list(params["biases"]),
+                        "head_w": params["head_w"], "head_b": params["head_b"]})
 
-    hold = mu + sd * recursive_path(z, task.validation_stop, task.horizon, step)
+    def forecast_paths(origin, steps, stack):
+        # Column e is the path of the network stacked at row e; each step
+        # stacks the last rf values of every path into one (E, rf) block.
+        shape = stack["head_w"].shape[:1]
+
+        def step(t, ext):
+            window = np.column_stack([np.broadcast_to(v, shape)
+                                      for v in ext[-rf:]])
+            return _forward(stack, window, dilations)[1][:, -1]
+
+        return mu + sd * recursive_path(z, origin, steps, step)
+
+    v_actual = y[task.validation_range[0]:task.validation_stop]
+    val_paths = forecast_paths(task.train_stop, task.n_validation,
+                               _stack(history))
+    round_errors = [validation_mape(v_actual, path) for path in val_paths.T]
+    val = val_paths[:, -1]
+    hold = forecast_paths(task.validation_stop, task.horizon,
+                          _stack(history[-1:]))[:, 0]
     return TrainedForecaster(
         name="tcn", round_errors=np.asarray(round_errors),
         validation_forecast=val, holdout_forecast=hold,
@@ -187,3 +216,17 @@ def fit_tcn(task, matrix, layer_shapes=((3, 1), (3, 2), (3, 4)), epochs=150,
                 "head_w": float(params["head_w"]),
                 "head_b": float(params["head_b"]),
                 "standardize": {"mean": mu, "sd": sd}})
+
+
+def _stack(history):
+    """E epochs' parameters as one network stack for _forward: kernels
+    (E, k) per layer; biases, head_w and head_b (E, 1)."""
+    def column(values):
+        return np.array(values, dtype=float)[:, None]
+
+    kernels = zip(*(p["kernels"] for p in history))
+    biases = zip(*(p["biases"] for p in history))
+    return {"kernels": [np.stack(ks) for ks in kernels],
+            "biases": [column(bs) for bs in biases],
+            "head_w": column([p["head_w"] for p in history]),
+            "head_b": column([p["head_b"] for p in history])}

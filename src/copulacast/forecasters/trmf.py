@@ -7,9 +7,12 @@ that ties each factor row to its own lagged values:
         + kappa_reg * sum_f sum_{t >= max_lag} (S[f,t] - sum_l w[f,l] S[f,t-l])^2
 
 Fitting alternates exact block minimizations (Lambda rows by ridge solve,
-S factor rows by a banded quadratic solve, AR weights by least squares), so
-the objective never increases.  Forecasts extrapolate each factor row with
-its AR recursion and read off Lambda @ S at the future columns.
+S factor rows by a dense m x m quadratic solve, AR weights by least
+squares), so the objective never increases.  The S-row system
+(c + lambda_reg) I + kappa_reg D^T D is banded with half-bandwidth max lag;
+solving it as banded is open work listed in ROADMAP.md.  Forecasts
+extrapolate each factor row with its AR recursion and read off Lambda @ S
+at the future columns.
 """
 
 from dataclasses import dataclass, field
@@ -74,12 +77,23 @@ def _objective(x, lam, s, w, lags, lambda_reg, kappa_reg):
 def _ar_operator(m, lags, weights):
     """Rows t >= max_lag of the AR difference operator as a dense matrix."""
     max_lag = max(lags)
+    rows = np.arange(m - max_lag)
     d = np.zeros((m - max_lag, m))
-    for r, t in enumerate(range(max_lag, m)):
-        d[r, t] = 1.0
-        for li, lag in enumerate(lags):
-            d[r, t - lag] -= weights[li]
+    d[rows, rows + max_lag] = 1.0
+    for li, lag in enumerate(lags):
+        d[rows, rows + max_lag - lag] -= weights[li]
     return d
+
+
+def _ar_predict(ext, t, ar_weights, lags):
+    """Every factor row's AR one-step prediction of column t of ext.
+
+    Sums 0 + w[:, l] * ext[:, t - lag_l] in lag order, one row per factor.
+    """
+    acc = np.zeros(ext.shape[0])
+    for li, lag in enumerate(lags):
+        acc = acc + ar_weights[:, li] * ext[:, t - lag]
+    return acc
 
 
 def fit_trmf(x, k=4, lags=(1, 12), lambda_reg=0.1, kappa_reg=0.1, sweeps=50,
@@ -178,9 +192,7 @@ def extrapolate_factors(factors, ar_weights, lags, horizon):
         raise ValueError("factor rows shorter than the maximum lag")
     ext = np.concatenate([factors, np.zeros((k, horizon))], axis=1)
     for t in range(m, m + horizon):
-        for f in range(k):
-            ext[f, t] = sum(ar_weights[f, li] * ext[f, t - lag]
-                            for li, lag in enumerate(lags))
+        ext[:, t] = _ar_predict(ext, t, ar_weights, lags)
     return ext[:, m:]
 
 
@@ -215,30 +227,28 @@ def track_factors(model, x_new, lambda_reg, kappa_reg):
         k x n_new factor block.
     """
     lam = model.loadings
-    k = model.rank
+    k, m = model.factors.shape
+    if m < max(model.lags):
+        raise ValueError("factor rows shorter than the maximum lag")
     gram = lam.T @ lam + (lambda_reg + kappa_reg) * np.eye(k)
-    hist = model.factors.copy()
-    out = []
-    for t in range(x_new.shape[1]):
-        prior = np.array([
-            sum(model.ar_weights[f, li] * hist[f, hist.shape[1] - lag]
-                for li, lag in enumerate(model.lags))
-            for f in range(k)])
-        rhs = lam.T @ x_new[:, t] + kappa_reg * prior
-        s_t = np.linalg.solve(gram, rhs)
-        out.append(s_t)
-        hist = np.concatenate([hist, s_t[:, None]], axis=1)
-    return np.asarray(out).T
+    hist = np.concatenate([model.factors, np.zeros((k, x_new.shape[1]))],
+                          axis=1)
+    for t in range(m, hist.shape[1]):
+        prior = _ar_predict(hist, t, model.ar_weights, model.lags)
+        rhs = lam.T @ x_new[:, t - m] + kappa_reg * prior
+        hist[:, t] = np.linalg.solve(gram, rhs)
+    return hist[:, m:]
 
 
 def fit_trmf_forecaster(task, matrix, k=4, lags=(1, 12), lambda_reg=0.1,
                         kappa_reg=0.1, sweeps=50, seed=0):
     """Wrap the factorization as a roster forecaster.
 
-    One round is one alternating sweep; after each sweep the validation span
-    is forecast by AR extrapolation and its MAPE recorded.  The holdout
-    forecast first tracks factors across the realized validation columns,
-    then extrapolates.
+    One round is one alternating sweep.  Every sweep is trained first,
+    keeping each sweep's loadings, factors and AR weights; then one AR
+    extrapolation steps all sweeps' factor rows over the validation span,
+    and each sweep's MAPE is recorded.  The holdout forecast first tracks
+    factors across the realized validation columns, then extrapolates.
 
     Returns:
         TrainedForecaster named "trmf".
@@ -249,18 +259,20 @@ def fit_trmf_forecaster(task, matrix, k=4, lags=(1, 12), lambda_reg=0.1,
     y = matrix.values[:, task.target_column]
     v_actual = y[task.validation_range[0]:task.validation_stop]
 
-    round_errors = []
-
-    def on_sweep(lam, s, w):
-        snapshot = TRMFModel(loadings=lam, factors=s, ar_weights=w,
-                             lags=tuple(sorted(int(l) for l in lags)))
-        path = forecast_trmf(snapshot, task.n_validation, row=task.target_column)
-        round_errors.append(validation_mape(v_actual, path))
-
+    sweeps_seen = []
     model = fit_trmf(x_train, k=k, lags=lags, lambda_reg=lambda_reg,
                      kappa_reg=kappa_reg, sweeps=sweeps, seed=seed,
-                     on_sweep=on_sweep)
-    val = forecast_trmf(model, task.n_validation, row=task.target_column)
+                     on_sweep=lambda lam, s, w: sweeps_seen.append(
+                         (lam, s.copy(), w.copy())))
+    # Sweep i's factor rows sit at rows i*k .. i*k+k-1 of one AR roll.
+    future = extrapolate_factors(
+        np.concatenate([s for _, s, _ in sweeps_seen]),
+        np.concatenate([w for _, _, w in sweeps_seen]),
+        model.lags, task.n_validation).reshape(len(sweeps_seen), model.rank, -1)
+    paths = [(lam @ f)[task.target_column]
+             for (lam, _, _), f in zip(sweeps_seen, future)]
+    round_errors = [validation_mape(v_actual, path) for path in paths]
+    val = paths[-1]
 
     x_val = matrix.values[task.validation_range[0]:task.validation_stop, :].T
     tracked = track_factors(model, x_val, lambda_reg, kappa_reg)

@@ -89,6 +89,8 @@ def test_config_section_of_wrong_type_reports_config_error(tmp_path, capsys,
     ("seed", {"seed": "abc"}),
     ("jobs", {"jobs": None}),
     ("jobs", {"jobs": True}),
+    ("jobs", {"jobs": 0}),
+    ("jobs", {"jobs": -2}),
     ("mask.fraction", {"mask": {"fraction": None}}),
     ("copula.max_iters", {"copula": {"max_iters": "x"}}),
     ("copula.max_iters", {"copula": {"max_iters": 2.7}}),
@@ -96,9 +98,9 @@ def test_config_section_of_wrong_type_reports_config_error(tmp_path, capsys,
     ("copula.ridge", {"copula": {"ridge": [1e-8]}}),
     ("task.horizon", {"task": {"horizon": None}}),
     ("task.validation_periods", {"task": {"validation_periods": "twelve"}}),
-], ids=["seed", "jobs_null", "jobs_bool", "mask_fraction", "copula_max_iters",
-        "copula_max_iters_fraction", "copula_tol", "copula_ridge",
-        "task_horizon", "task_validation"])
+], ids=["seed", "jobs_null", "jobs_bool", "jobs_zero", "jobs_negative",
+        "mask_fraction", "copula_max_iters", "copula_max_iters_fraction",
+        "copula_tol", "copula_ridge", "task_horizon", "task_validation"])
 def test_config_scalar_of_wrong_type_reports_config_error(tmp_path, capsys,
                                                           key, override):
     cfg = write_config(tmp_path, override)

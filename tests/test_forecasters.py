@@ -11,6 +11,7 @@ from copulacast.forecasters.base import (
     ForecastTask,
     TrainedForecaster,
     pad_rounds,
+    recursive_path,
     validation_mape,
 )
 from copulacast.forecasters.baselines import fit_ridge_ar, naive_seasonal
@@ -22,6 +23,7 @@ from copulacast.forecasters.gbt import (
     fit_gbt_arrays,
 )
 from copulacast.forecasters.tcn import (
+    _causal_conv,
     _forward,
     _init_params,
     _loss_and_grads,
@@ -30,6 +32,7 @@ from copulacast.forecasters.tcn import (
     receptive_field,
 )
 from copulacast.forecasters.trmf import (
+    TRMFModel,
     extrapolate_factors,
     fit_trmf,
     fit_trmf_forecaster,
@@ -193,6 +196,26 @@ def test_dilated_conv_matches_direct_sum():
     assert np.allclose(y, expected)
 
 
+@pytest.mark.parametrize("k, dilation", [(1, 1), (3, 1), (3, 4), (4, 3),
+                                         (2, 30)])
+def test_causal_conv_adds_taps_in_order_for_a_stack_or_a_series(k, dilation):
+    # Each output is 0 + f[0] x[s] + f[1] x[s-d] + ..., added in tap order;
+    # a stack of E series and E kernels gives each row's 1-d result.
+    rng = rng_for(15, "tcn-conv")
+    x = rng.normal(size=(6, 20))
+    f = rng.normal(size=(6, k))
+    stacked = _causal_conv(x, f, dilation)
+    for e in range(6):
+        direct = np.zeros(20)
+        for s in range(20):
+            for i in range(k):
+                if s - dilation * i >= 0:
+                    direct[s] += f[e, i] * x[e, s - dilation * i]
+        assert np.array_equal(dilated_causal_conv(x[e], f[e], dilation),
+                              direct)
+        assert np.array_equal(stacked[e], direct)
+
+
 @pytest.mark.parametrize("layer_shapes", [
     ((2, 1),),
     ((3, 1), (3, 2)),
@@ -327,6 +350,80 @@ def test_tcn_last_output_reads_only_the_receptive_field(layer_shapes):
     _, full = _forward(params, series, dilations)
     _, window = _forward(params, series[-rf:], dilations)
     assert window[-1] == full[-1]
+
+
+def _fit_tcn_reference(task, matrix, layer_shapes, epochs, learn_rate=0.05,
+                       seed=0):
+    # The per-epoch loop fit_tcn replaced, kept as its oracle: after every
+    # gradient step, roll the validation span with that epoch's network,
+    # one 1-d dilated_causal_conv per layer on the last rf values.
+    t0, t1 = task.train_range
+    rf = receptive_field(layer_shapes)
+    y = matrix.values[:, task.target_column]
+    mu = float(y[t0:t1].mean())
+    sd = max(float(y[t0:t1].std()), 1e-8)
+    z = (y - mu) / sd
+    dilations = [d for _, d in layer_shapes]
+    params = _init_params(layer_shapes, seed)
+
+    def step(t, ext):
+        h = np.asarray(ext[-rf:])
+        for kernel, bias, dil in zip(params["kernels"], params["biases"],
+                                     dilations):
+            h = np.tanh(dilated_causal_conv(h, kernel, dil) + bias)
+        return float((params["head_w"] * h + params["head_b"])[-1])
+
+    v_actual = y[task.validation_range[0]:task.validation_stop]
+    round_errors = []
+    for _ in range(epochs):
+        _, grads = _loss_and_grads(params, z[t0:t1], dilations)
+        for li in range(len(params["kernels"])):
+            params["kernels"][li] = params["kernels"][li] - learn_rate * grads["kernels"][li]
+            params["biases"][li] -= learn_rate * grads["biases"][li]
+        params["head_w"] -= learn_rate * grads["head_w"]
+        params["head_b"] -= learn_rate * grads["head_b"]
+        val = mu + sd * recursive_path(z, task.train_stop, task.n_validation,
+                                       step)
+        round_errors.append(validation_mape(v_actual, val))
+    hold = mu + sd * recursive_path(z, task.validation_stop, task.horizon, step)
+    return np.asarray(round_errors), val, hold, params
+
+
+@pytest.mark.parametrize("epochs", [2, 9])
+@pytest.mark.parametrize("layer_shapes", [
+    ((3, 1), (3, 2), (3, 4)),
+    ((2, 1), (2, 2), (2, 4), (2, 8)),
+    ((4, 1), (3, 3)),
+])
+def test_fit_tcn_epoch_roll_matches_per_epoch_reference(layer_shapes, epochs):
+    panel = benchmark_panel()
+    task = benchmark_task()
+    tf = fit_tcn(task, panel, layer_shapes=layer_shapes, epochs=epochs, seed=5)
+    errors, val, hold, params = _fit_tcn_reference(task, panel, layer_shapes,
+                                                   epochs, seed=5)
+    assert np.array_equal(tf.round_errors, errors)
+    assert np.array_equal(tf.validation_forecast, val)
+    assert np.array_equal(tf.holdout_forecast, hold)
+    assert tf.params["kernels"] == [[float(v) for v in k]
+                                    for k in params["kernels"]]
+    assert tf.params["biases"] == [float(b) for b in params["biases"]]
+    assert tf.params["head_w"] == params["head_w"]
+    assert tf.params["head_b"] == params["head_b"]
+
+
+def test_tanh_over_a_block_matches_per_row_calls_bit_for_bit():
+    # fit_tcn applies tanh to an (epochs, rf) block where the per-epoch
+    # loop applied it row by row.  Vectorized kernels handle array tails
+    # separately, so pin that both give the same bits for every width.
+    rng = rng_for(14, "tcn-tanh")
+    for width in range(1, 33):
+        block = rng.normal(0.0, 2.0, size=(150, width))
+        block[0, 0] = -0.0
+        block[1, -1] = 25.0
+        rows = np.stack([np.tanh(row) for row in block])
+        assert np.array_equal(np.tanh(block).view(np.uint64),
+                              rows.view(np.uint64))
+
 
 
 # --------------------------------------------------------------------- gbt
@@ -620,6 +717,27 @@ def test_trmf_rejects_bad_hyperparameters():
         fit_trmf(x, k=1, lags=(10,))
     with pytest.raises(ValueError):
         fit_trmf(x, k=1, lambda_reg=0.0)
+
+
+def test_fit_trmf_forecaster_rounds_match_per_sweep_forecasts():
+    # Every sweep's validation path, rolled after training from the kept
+    # sweep states, equals forecasting that sweep's model on the spot.
+    panel = benchmark_panel()
+    task = benchmark_task()
+    tf = fit_trmf_forecaster(task, panel, sweeps=12, seed=2)
+    x_train = panel.values[0:84, :].T
+    v_actual = panel.values[84:96, 0]
+    paths = []
+
+    def on_sweep(lam, s, w):
+        snapshot = TRMFModel(loadings=lam, factors=s, ar_weights=w,
+                             lags=(1, 12))
+        paths.append(forecast_trmf(snapshot, 12, row=0))
+
+    fit_trmf(x_train, sweeps=12, seed=2, on_sweep=on_sweep)
+    want = [validation_mape(v_actual, p) for p in paths]
+    assert np.array_equal(tf.round_errors, want)
+    assert np.array_equal(tf.validation_forecast, paths[-1])
 
 
 def test_fit_trmf_forecaster_on_benchmark():
