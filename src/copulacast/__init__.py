@@ -12,9 +12,8 @@ from .copula import (CopulaModel, MarginalTransform, RowConstraint, e_step,
 from .dataset import (MarginalSpec, MaskRecord, ObservationMatrix, Schema,
                       apply_mask, gen_copula_sample, gen_seasonal_load,
                       load_csv, save_csv)
-from .ensemble import (ConvergenceTrace, EnsembleState, ablation, aggregate,
-                       compute_lambda, cumulative_error, run_ensemble,
-                       update_weights)
+from .ensemble import (ConvergenceTrace, ablation, aggregate, compute_lambda,
+                       run_ensemble, update_weights)
 from .errors import (ConfigError, CopulacastError, DataError,
                      EvaluationError, FitError)
 from .evaluation import (EvaluationReport, WilcoxonResult, build_report,
@@ -29,12 +28,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConfigError", "ConvergenceTrace", "CopulaModel", "CopulacastError",
-    "DataError", "EnsembleState", "EvaluationError", "EvaluationReport",
+    "DataError", "EvaluationError", "EvaluationReport",
     "FORECASTERS", "FitError", "ForecastTask", "MarginalSpec",
     "MarginalTransform", "MaskRecord", "ObservationMatrix", "RowConstraint",
     "Schema", "TrainedForecaster", "WilcoxonResult", "ablation",
     "aggregate", "apply_mask", "build_report", "compute_lambda",
-    "cumulative_error", "dilated_causal_conv", "e_step", "em_fit",
+    "dilated_causal_conv", "e_step", "em_fit",
     "fit_gbt", "fit_marginals", "fit_ridge_ar", "fit_tcn", "fit_trmf",
     "fit_trmf_forecaster", "forecast_trmf", "friedman_rank",
     "gen_copula_sample", "gen_seasonal_load", "impute", "load_csv", "mape",

@@ -11,6 +11,7 @@ import argparse
 import concurrent.futures
 import copy
 import csv
+import inspect
 import json
 import os
 import sys
@@ -20,7 +21,7 @@ import numpy as np
 from . import __version__
 from .copula import em_fit, impute
 from .dataset import (Schema, apply_mask, gen_seasonal_load, load_csv,
-                      mask_record_to_file, save_csv)
+                      mask_record_to_file, save_csv, write_json)
 from .ensemble import ablation, ablation_to_csv, run_ensemble
 from .errors import ConfigError, CopulacastError, DataError
 from .evaluation import build_report
@@ -136,22 +137,35 @@ def _validate_config(config):
         if name not in FORECASTERS:
             raise ConfigError(f"unknown forecaster {name!r}; known: "
                               f"{sorted(FORECASTERS)}")
+        # Every fitter takes (task, matrix, **hyperparameters).
+        accepted = list(inspect.signature(FORECASTERS[name]).parameters)[2:]
+        for key in entry:
+            if key != "name" and key not in accepted:
+                raise ConfigError(f"roster entry {name!r} has unknown key "
+                                  f"{key!r}; accepted: {accepted}")
     task = config.get("task", {})
     horizon = _require_number(task.get("horizon", 0), "task.horizon", int)
     n_val = _require_number(task.get("validation_periods", 0),
                             "task.validation_periods", int)
     if horizon < 1 or n_val < 1:
         raise ConfigError("task.horizon and task.validation_periods must be >= 1")
+    features = task.get("features", "all")
+    if features != "all" and not (isinstance(features, list) and
+                                  all(isinstance(f, str) for f in features)):
+        raise ConfigError('task.features must be "all" or a list of column '
+                          f"names, got {json.dumps(features)}")
     data = config.get("data", {})
     if "csv" not in data and "synthetic" not in data:
         raise ConfigError("data must configure either a csv source or the "
                           "synthetic generator")
-
-
-def _write_json(obj, path):
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    if "csv" in data:
+        path = data["csv"].get("path")
+        if not isinstance(path, str):
+            raise ConfigError(f"data.csv.path must be a string, got "
+                              f"{json.dumps(path)}")
+        _require_object(data["csv"].get("columns"), "data.csv.columns")
+        _require_object(data["csv"].get("ordinal_levels", {}),
+                        "data.csv.ordinal_levels")
 
 
 def _load_input(config):
@@ -203,8 +217,6 @@ def _build_task(config, matrix):
     features = task_cfg.get("features", "all")
     if features == "all":
         feature_idx = tuple(j for j in range(matrix.n_cols) if j != target_idx)
-    elif not features:
-        feature_idx = ()
     else:
         feature_idx = tuple(matrix.column_index(f) for f in features)
     return ForecastTask(target_column=target_idx, horizon=horizon,
@@ -297,7 +309,7 @@ def _complete(config, out_dir):
         mask_record_to_file(record, os.path.join(out_dir, "mask.json"))
         recovery = _recovery_report(matrix.values, masked, completed, record)
         if recovery is not None:
-            _write_json(recovery, os.path.join(out_dir, "recovery.json"))
+            write_json(recovery, os.path.join(out_dir, "recovery.json"))
     return truth, completed, recovery
 
 
@@ -324,7 +336,7 @@ def cmd_synth(config, out_dir):
     save_csv(masked, os.path.join(out_dir, "data.csv"))
     if record is not None:
         mask_record_to_file(record, os.path.join(out_dir, "mask.json"))
-    _write_json(config, os.path.join(out_dir, "config.json"))
+    write_json(config, os.path.join(out_dir, "config.json"))
     print(f"synth: wrote {masked.n_rows}x{masked.n_cols} panel to {out_dir} "
           f"({masked.observed_count()} observed cells)")
     return 0
@@ -337,7 +349,7 @@ def cmd_impute(config, out_dir):
         print(f"impute: copula MAE {recovery['copula_mae']:.4f} vs "
               f"mean-imputation MAE {recovery['mean_imputation_mae']:.4f} "
               f"over {recovery['cells']} erased cells")
-    _write_json(config, os.path.join(out_dir, "config.json"))
+    write_json(config, os.path.join(out_dir, "config.json"))
     print(f"impute: wrote completed panel to {out_dir}")
     return 0
 
@@ -350,15 +362,15 @@ def cmd_run(config, out_dir):
     labels = _write_forecasts(out_dir, task, result["completed"], actuals,
                               models, result["forecasts"])
     result["trace"].to_csv(os.path.join(out_dir, "convergence_trace.csv"))
-    _write_json([m.to_json() for m in models],
-                os.path.join(out_dir, "models.json"))
+    write_json([m.to_json() for m in models],
+               os.path.join(out_dir, "models.json"))
     columns = {m.name: m.holdout_forecast for m in models}
     columns["ensemble"] = result["forecasts"]
     report = build_report(actuals, columns, ensemble_name="ensemble",
                           period_labels=labels)
     report.save_json(os.path.join(out_dir, "report.json"))
     report.to_csv(os.path.join(out_dir, "report.csv"))
-    _write_json(config, os.path.join(out_dir, "config.json"))
+    write_json(config, os.path.join(out_dir, "config.json"))
     ens_mean = report.mean_mape["ensemble"]
     ens_std = report.std_mape["ensemble"]
     print(f"run: ensemble Mean-MAPE {ens_mean:.2f}% +/-{ens_std:.2f}% over "
@@ -373,7 +385,7 @@ def cmd_ablate(config, out_dir):
     result = _pipeline(config, out_dir)
     rows = ablation(result["models"], result["task"], result["actuals"])
     ablation_to_csv(rows, os.path.join(out_dir, "ablation.csv"))
-    _write_json(config, os.path.join(out_dir, "config.json"))
+    write_json(config, os.path.join(out_dir, "config.json"))
     first, last = rows[0][2], rows[-1][2]
     print(f"ablate: {len(rows)} prefixes; MAPE first {first:.3f}% -> "
           f"last {last:.3f}%; wrote {out_dir}/ablation.csv")

@@ -17,7 +17,6 @@ manifold.  Missing cells are then imputed by pushing the conditional latent
 means back through the marginal inverses, again one call per column.
 """
 
-import json
 import warnings
 from dataclasses import dataclass, field
 
@@ -25,7 +24,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.special import ndtr, ndtri
 
-from .dataset import CONTINUOUS, ORDINAL, ObservationMatrix
+from .dataset import CONTINUOUS, ORDINAL, ObservationMatrix, write_json
 from .errors import FitError
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
@@ -81,10 +80,6 @@ class MarginalTransform:
             return np.interp(ndtr(z), self.cum_probs, self.support)
         idx = np.searchsorted(self.cut_points, z, side="left")
         return np.asarray(self.support)[idx]
-
-    @property
-    def median(self):
-        return float(np.atleast_1d(self.from_latent(0.0))[0])
 
     def to_json(self):
         return {"kind": self.kind,
@@ -414,23 +409,17 @@ class CopulaModel:
                    converged=bool(obj["converged"]))
 
     def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, path):
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
+        write_json(self.to_json(), path)
 
 
-def _loglik(sigma, constraints, ridge):
+def pseudo_loglik(sigma, constraints, ridge=1e-8):
     """Observed-data pseudo log likelihood under latent correlation sigma.
 
-    Exact continuous coordinates contribute their joint Gaussian log density
-    under the corresponding sigma block; ordinal coordinates contribute the
-    log of their univariate interval mass (a deliberate mean-field
-    simplification).  Singular blocks are ridge-repaired with a warning.
+    Additive over rows.  Exact continuous coordinates contribute their joint
+    Gaussian log density under the corresponding sigma block; ordinal
+    coordinates contribute the log of their univariate interval mass (a
+    deliberate mean-field simplification).  Singular blocks are
+    ridge-repaired with a warning.
     """
     cache = {}
     total = 0.0
@@ -458,11 +447,6 @@ def _loglik(sigma, constraints, ridge):
             mass = ndtr(hi) - ndtr(lo)
             total += float(np.log(max(mass, 1e-300)))
     return total
-
-
-def pseudo_loglik(model, constraints):
-    """Pseudo log likelihood of rows under a fitted CopulaModel; additive over rows."""
-    return _loglik(model.sigma, constraints, ridge=1e-8)
 
 
 def _estep_sum(sigma, constraints, ridge):
@@ -548,7 +532,7 @@ def em_fit(matrix, max_iters=100, tol=1e-4, ridge=1e-8):
         s = _estep_sum(sigma, constraints, ridge) / matrix.n_rows
         sigma_next = project_correlation(s)
         delta = float(np.linalg.norm(sigma_next - sigma) / np.linalg.norm(sigma))
-        loglik = _loglik(sigma_next, constraints, ridge)
+        loglik = pseudo_loglik(sigma_next, constraints, ridge)
         trace.append((it, delta, loglik))
         sigma = sigma_next
         if delta < tol:

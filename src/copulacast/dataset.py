@@ -278,13 +278,6 @@ def save_csv(matrix, path):
             writer.writerow(row)
 
 
-def schema_of(matrix):
-    """Schema describing a matrix's own columns, for reloading saved CSVs."""
-    columns = {n: k for n, k in zip(matrix.column_names, matrix.column_kinds)}
-    levels = {matrix.column_names[j]: lv for j, lv in matrix.ordinal_levels.items()}
-    return Schema(columns=columns, ordinal_levels=levels)
-
-
 def apply_mask(matrix, fraction, seed):
     """Erase a random fraction of the observed cells.
 
@@ -481,14 +474,16 @@ def gen_seasonal_load(n_periods=108, base=100.0, trend=0.5, seasonal_amp=20.0,
                              "n_features": n_features}})
 
 
-def mask_record_to_file(record, path):
-    """Write a MaskRecord as JSON."""
+def write_json(obj, path):
+    """Write obj as JSON: keys sorted, two-space indent, final newline.
+
+    Every JSON artifact is written here, so all of them share one format.
+    """
     with open(path, "w") as fh:
-        json.dump(record.to_json(), fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def mask_record_from_file(path):
-    """Read a MaskRecord written by mask_record_to_file."""
-    with open(path) as fh:
-        return MaskRecord.from_json(json.load(fh))
+def mask_record_to_file(record, path):
+    """Write a MaskRecord as JSON."""
+    write_json(record.to_json(), path)

@@ -13,26 +13,9 @@ CE^t(R_t) for the remaining rounds.
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-
-def cumulative_error(errs, r):
-    """Prefix sum CE(r) of the first r round errors (1-indexed).
-
-    Args:
-        errs: per-round errors, all >= 0.
-        r: round, 1 <= r <= len(errs).
-    """
-    errs = np.asarray(errs, dtype=float)
-    if errs.ndim != 1 or errs.size == 0:
-        raise ValueError("errs must be a non-empty 1-d sequence")
-    if np.any(errs < 0) or np.any(~np.isfinite(errs)):
-        raise ValueError("errors must be finite and non-negative")
-    if not 1 <= r <= errs.size:
-        raise ValueError(f"round {r} out of range 1..{errs.size}")
-    return float(errs[:r].sum())
 
 
 def compute_lambda(n_rounds):
@@ -85,41 +68,13 @@ def aggregate(preds, weights):
 
 
 @dataclass
-class EnsembleState:
-    """Full weighting history of one ensemble run.
-
-    err and ce hold each model's own stream (length R_t); weights holds one
-    simplex vector per aligned round 1..max_t R_t.
-    """
-
-    model_names: tuple
-    err: list
-    ce: list
-    lambdas: np.ndarray
-    weights: np.ndarray
-    final_weights: np.ndarray
-
-    def __post_init__(self):
-        n = len(self.model_names)
-        self.lambdas = np.asarray(self.lambdas, dtype=float)
-        self.weights = np.asarray(self.weights, dtype=float)
-        self.final_weights = np.asarray(self.final_weights, dtype=float)
-        if len(self.err) != n or len(self.ce) != n or self.lambdas.size != n:
-            raise ValueError("per-model fields disagree on model count")
-        if self.weights.ndim != 2 or self.weights.shape[1] != n:
-            raise ValueError("weights must be rounds x models")
-        sums = self.weights.sum(axis=1)
-        if np.any(self.weights < 0) or np.any(np.abs(sums - 1.0) > 1e-12):
-            raise ValueError("every weight vector must lie on the simplex")
-
-    @property
-    def n_rounds(self):
-        return self.weights.shape[0]
-
-
-@dataclass
 class ConvergenceTrace:
-    """Per-round errors, cumulative errors, and weights, aligned across models."""
+    """The weighting history of one ensemble run, aligned across models.
+
+    Row r - 1 holds round r: each model's error and cumulative error, frozen
+    at its last round once r passes R_t, and the weights computed from that
+    cumulative-error row.  weights[-1] combines the holdout forecasts.
+    """
 
     model_names: tuple
     rounds: np.ndarray
@@ -153,27 +108,20 @@ def run_ensemble(models, task):
         task: ForecastTask the models were fitted on.
 
     Returns:
-        (forecasts, EnsembleState, ConvergenceTrace) where forecasts is a
-        length-horizon array combining the models' holdout forecasts with
-        the final-round weights.
+        (forecasts, final_weights, ConvergenceTrace) where final_weights is
+        the trace's last weight row and forecasts is the length-horizon
+        combination of the models' holdout forecasts with those weights.
     """
     if not models:
         raise ValueError("model list must be non-empty")
-    names = tuple(m.name for m in models)
-    err_streams = [np.asarray(m.round_errors, dtype=float) for m in models]
-    lambdas = np.array([compute_lambda(e.size) for e in err_streams])
-    r_max = max(e.size for e in err_streams)
-
-    ce_streams = [np.cumsum(e) for e in err_streams]
-    err_rows = np.empty((r_max, len(models)))
-    ce_rows = np.empty((r_max, len(models)))
-    weight_rows = np.empty((r_max, len(models)))
-    for r in range(1, r_max + 1):
-        for t, (errs, ces) in enumerate(zip(err_streams, ce_streams)):
-            own_r = min(r, errs.size)
-            err_rows[r - 1, t] = errs[own_r - 1]
-            ce_rows[r - 1, t] = ces[own_r - 1]
-        weight_rows[r - 1] = update_weights(ce_rows[r - 1], lambdas)
+    errs = [np.asarray(m.round_errors, dtype=float) for m in models]
+    lambdas = np.array([compute_lambda(e.size) for e in errs])
+    rounds = np.arange(1, max(e.size for e in errs) + 1)
+    # Model t's own round index at each aligned round, frozen at R_t.
+    own = [np.minimum(rounds, e.size) - 1 for e in errs]
+    err_rows = np.column_stack([e[i] for e, i in zip(errs, own)])
+    ce_rows = np.column_stack([np.cumsum(e)[i] for e, i in zip(errs, own)])
+    weight_rows = np.array([update_weights(ce, lambdas) for ce in ce_rows])
 
     final_weights = weight_rows[-1]
     horizon = task.horizon
@@ -182,14 +130,10 @@ def run_ensemble(models, task):
     forecasts = np.array([
         aggregate(np.array([m.holdout_forecast[i] for m in models]), final_weights)
         for i in range(horizon)])
-
-    state = EnsembleState(model_names=names, err=err_streams, ce=ce_streams,
-                          lambdas=lambdas, weights=weight_rows,
-                          final_weights=final_weights)
-    trace = ConvergenceTrace(model_names=names,
-                             rounds=np.arange(1, r_max + 1),
-                             err=err_rows, ce=ce_rows, weights=weight_rows)
-    return forecasts, state, trace
+    trace = ConvergenceTrace(model_names=tuple(m.name for m in models),
+                             rounds=rounds, err=err_rows, ce=ce_rows,
+                             weights=weight_rows)
+    return forecasts, final_weights, trace
 
 
 def ablation_order(models, task):
@@ -198,10 +142,10 @@ def ablation_order(models, task):
     Ascending final validation MAPE; ties broken by larger final adaptive
     weight in the full ensemble, then by name.
     """
-    _, state, _ = run_ensemble(models, task)
+    _, weights, _ = run_ensemble(models, task)
     keyed = []
     for t, m in enumerate(models):
-        keyed.append((float(m.round_errors[-1]), -float(state.final_weights[t]),
+        keyed.append((float(m.round_errors[-1]), -float(weights[t]),
                       m.name, t))
     return [k[-1] for k in sorted(keyed)]
 

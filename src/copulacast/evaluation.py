@@ -8,13 +8,13 @@ Friedman average ranks over all columns.
 """
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtr
 
+from .dataset import write_json
 from .errors import EvaluationError
 
 
@@ -199,9 +199,7 @@ class EvaluationReport:
         }
 
     def save_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(self.to_json(), path)
 
     def to_csv(self, path):
         """Write the table: one row per period, summary rows appended."""

@@ -120,16 +120,6 @@ class TrainedForecaster:
     def n_rounds(self):
         return int(self.round_errors.size)
 
-    def predict(self, t):
-        """Forecast for absolute row index t within the validation or holdout span."""
-        v0 = self.validation_start
-        if v0 <= t < v0 + self.validation_forecast.size:
-            return float(self.validation_forecast[t - v0])
-        h0 = self.holdout_start
-        if h0 <= t < h0 + self.holdout_forecast.size:
-            return float(self.holdout_forecast[t - h0])
-        raise ValueError(f"no forecast stored for row {t}")
-
     def to_json(self):
         return {"name": self.name,
                 "round_errors": [float(v) for v in self.round_errors],
@@ -166,6 +156,23 @@ def pad_rounds(errors):
     while len(errors) < 2:
         errors.append(errors[-1])
     return np.asarray(errors, dtype=float)
+
+
+def score_round_paths(name, task, y, val_paths, holdout, hyper, params):
+    """Score each round's validation path and package the fitted model.
+
+    val_paths is steps x rounds: column r forecasts the validation span
+    after round r + 1, and the last column is the validation forecast.
+    Columns are scored in round order against y over the validation span;
+    a single round is repeated so the ensemble sees two.
+    """
+    v_actual = y[task.validation_range[0]:task.validation_stop]
+    errors = [validation_mape(v_actual, path) for path in val_paths.T]
+    return TrainedForecaster(
+        name=name, round_errors=pad_rounds(errors),
+        validation_forecast=val_paths[:, -1], holdout_forecast=holdout,
+        validation_start=task.validation_range[0],
+        holdout_start=task.validation_stop, hyper=hyper, params=params)
 
 
 def recursive_path(history, start, steps, step_fn):

@@ -7,21 +7,14 @@ twice so they plug into the round-indexed ensemble weighting.
 import numpy as np
 
 from ..errors import FitError
-from .base import (TrainedForecaster, lag_design, pad_rounds, recursive_path,
-                   validation_mape)
+from .base import lag_design, recursive_path, score_round_paths
 
 
 def _single_pass(name, task, y, step, hyper, params):
     """Forecast both spans with a fitted one-step rule; one validation MAPE."""
     val = recursive_path(y, task.train_stop, task.n_validation, step)
     hold = recursive_path(y, task.validation_stop, task.horizon, step)
-    v_actual = y[task.validation_range[0]:task.validation_stop]
-    err = validation_mape(v_actual, val)
-    return TrainedForecaster(
-        name=name, round_errors=pad_rounds([err]),
-        validation_forecast=val, holdout_forecast=hold,
-        validation_start=task.validation_range[0],
-        holdout_start=task.validation_stop, hyper=hyper, params=params)
+    return score_round_paths(name, task, y, val[:, None], hold, hyper, params)
 
 
 def naive_seasonal(task, matrix, period=12):

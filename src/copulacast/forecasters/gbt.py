@@ -22,8 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import FitError
-from .base import (TrainedForecaster, lag_design, pad_rounds, recursive_path,
-                   validation_mape)
+from .base import lag_design, recursive_path, score_round_paths
 
 
 @dataclass
@@ -41,6 +40,10 @@ class TreeNode:
         return self.left is None
 
     def predict_row(self, row):
+        """Leaf value for one row, walking the nested nodes.
+
+        The reference that _Forest's flat-array descent is tested against.
+        """
         node = self
         while not node.is_leaf:
             node = node.left if row[node.feature] <= node.threshold else node.right
@@ -274,17 +277,11 @@ def fit_gbt(task, matrix, lags=(1, 2, 3, 12), n_rounds=50, max_depth=3,
         return recursive_path(y, origin, steps, step)
 
     n_trees = len(model.trees)
-    v_actual = y[task.validation_range[0]:task.validation_stop]
     val_paths = forecast_paths(task.train_stop, task.n_validation,
                                range(1, n_trees + 1) if n_trees else [0])
-    round_errors = [validation_mape(v_actual, path) for path in val_paths.T]
-    val = val_paths[:, -1]
     hold = forecast_paths(task.validation_stop, task.horizon, [n_trees])[:, 0]
-    return TrainedForecaster(
-        name="gbt", round_errors=pad_rounds(round_errors),
-        validation_forecast=val, holdout_forecast=hold,
-        validation_start=task.validation_range[0],
-        holdout_start=task.validation_stop,
+    return score_round_paths(
+        "gbt", task, y, val_paths, hold,
         hyper={"lags": list(lags), "n_rounds": int(n_rounds),
                "max_depth": int(max_depth), "min_leaf": int(min_leaf),
                "reg_alpha": float(reg_alpha), "reg_gamma": float(reg_gamma),

@@ -11,7 +11,7 @@ import numpy as np
 
 from ..errors import FitError
 from ..rng import rng_for
-from .base import TrainedForecaster, recursive_path, validation_mape
+from .base import recursive_path, score_round_paths
 
 
 def dilated_causal_conv(series, kernel, dilation=1):
@@ -196,18 +196,12 @@ def fit_tcn(task, matrix, layer_shapes=((3, 1), (3, 2), (3, 4)), epochs=150,
 
         return mu + sd * recursive_path(z, origin, steps, step)
 
-    v_actual = y[task.validation_range[0]:task.validation_stop]
     val_paths = forecast_paths(task.train_stop, task.n_validation,
                                _stack(history))
-    round_errors = [validation_mape(v_actual, path) for path in val_paths.T]
-    val = val_paths[:, -1]
     hold = forecast_paths(task.validation_stop, task.horizon,
                           _stack(history[-1:]))[:, 0]
-    return TrainedForecaster(
-        name="tcn", round_errors=np.asarray(round_errors),
-        validation_forecast=val, holdout_forecast=hold,
-        validation_start=task.validation_range[0],
-        holdout_start=task.validation_stop,
+    return score_round_paths(
+        "tcn", task, y, val_paths, hold,
         hyper={"layer_shapes": [list(p) for p in layer_shapes],
                "epochs": int(epochs), "learn_rate": float(learn_rate),
                "seed": int(seed)},

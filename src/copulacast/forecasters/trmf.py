@@ -21,7 +21,7 @@ import numpy as np
 
 from ..errors import FitError
 from ..rng import rng_for
-from .base import TrainedForecaster, validation_mape
+from .base import score_round_paths
 
 
 @dataclass
@@ -47,9 +47,6 @@ class TRMFModel:
     @property
     def rank(self):
         return self.loadings.shape[1]
-
-    def reconstruct(self):
-        return self.loadings @ self.factors
 
     def to_json(self):
         return {"loadings": [[float(v) for v in r] for r in self.loadings],
@@ -256,8 +253,6 @@ def fit_trmf_forecaster(task, matrix, k=4, lags=(1, 12), lambda_reg=0.1,
     task.check_matrix(matrix)
     t0, t1 = task.train_range
     x_train = matrix.values[t0:t1, :].T
-    y = matrix.values[:, task.target_column]
-    v_actual = y[task.validation_range[0]:task.validation_stop]
 
     sweeps_seen = []
     model = fit_trmf(x_train, k=k, lags=lags, lambda_reg=lambda_reg,
@@ -269,10 +264,8 @@ def fit_trmf_forecaster(task, matrix, k=4, lags=(1, 12), lambda_reg=0.1,
         np.concatenate([s for _, s, _ in sweeps_seen]),
         np.concatenate([w for _, _, w in sweeps_seen]),
         model.lags, task.n_validation).reshape(len(sweeps_seen), model.rank, -1)
-    paths = [(lam @ f)[task.target_column]
-             for (lam, _, _), f in zip(sweeps_seen, future)]
-    round_errors = [validation_mape(v_actual, path) for path in paths]
-    val = paths[-1]
+    val_paths = np.column_stack([(lam @ f)[task.target_column]
+                                 for (lam, _, _), f in zip(sweeps_seen, future)])
 
     x_val = matrix.values[task.validation_range[0]:task.validation_stop, :].T
     tracked = track_factors(model, x_val, lambda_reg, kappa_reg)
@@ -282,9 +275,5 @@ def fit_trmf_forecaster(task, matrix, k=4, lags=(1, 12), lambda_reg=0.1,
         ar_weights=model.ar_weights, lags=model.lags)
     hold = forecast_trmf(extended, task.horizon, row=task.target_column)
 
-    return TrainedForecaster(
-        name="trmf", round_errors=np.asarray(round_errors),
-        validation_forecast=val, holdout_forecast=hold,
-        validation_start=task.validation_range[0],
-        holdout_start=task.validation_stop,
-        hyper=dict(model.hyper), params=model.to_json())
+    return score_round_paths("trmf", task, matrix.values[:, task.target_column],
+                             val_paths, hold, dict(model.hyper), model.to_json())

@@ -98,9 +98,21 @@ def test_config_section_of_wrong_type_reports_config_error(tmp_path, capsys,
     ("copula.ridge", {"copula": {"ridge": [1e-8]}}),
     ("task.horizon", {"task": {"horizon": None}}),
     ("task.validation_periods", {"task": {"validation_periods": "twelve"}}),
+    ("task.features", {"task": {"features": 5}}),
+    ("task.features", {"task": {"features": "none"}}),
+    ("task.features", {"task": {"features": ["feat_01", 2]}}),
+    ("data.csv.path", {"data": {"csv": {"columns": {"load": CONTINUOUS}}}}),
+    ("data.csv.path", {"data": {"csv": {"path": 3, "columns": {}}}}),
+    ("data.csv.columns", {"data": {"csv": {"path": "x.csv"}}}),
+    ("data.csv.columns", {"data": {"csv": {"path": "x.csv", "columns": []}}}),
+    ("data.csv.ordinal_levels", {"data": {"csv": {
+        "path": "x.csv", "columns": {}, "ordinal_levels": [1, 2]}}}),
 ], ids=["seed", "jobs_null", "jobs_bool", "jobs_zero", "jobs_negative",
         "mask_fraction", "copula_max_iters", "copula_max_iters_fraction",
-        "copula_tol", "copula_ridge", "task_horizon", "task_validation"])
+        "copula_tol", "copula_ridge", "task_horizon", "task_validation",
+        "task_features_int", "task_features_string", "task_features_mixed",
+        "data_csv_no_path", "data_csv_path_int", "data_csv_no_columns",
+        "data_csv_columns_list", "data_csv_ordinal_levels_list"])
 def test_config_scalar_of_wrong_type_reports_config_error(tmp_path, capsys,
                                                           key, override):
     cfg = write_config(tmp_path, override)
@@ -109,6 +121,23 @@ def test_config_scalar_of_wrong_type_reports_config_error(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith(f"error[config]: {key} must be ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("entry, key", [
+    ({"name": "gbt", "foo": 1}, "foo"),
+    ({"name": "naive_seasonal", "lags": [1, 2]}, "lags"),
+    ({"name": "tcn", "task": 1}, "task"),
+], ids=["gbt_foo", "naive_seasonal_lags", "tcn_task"])
+def test_roster_unknown_hyperparameter_reports_config_error(tmp_path, capsys,
+                                                            entry, key):
+    cfg = write_config(tmp_path, {"roster": [{"name": "ridge_ar"}, entry]})
+    out = os.path.join(tmp_path, "out")
+    assert main(["run", "--config", cfg, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error[config]: roster entry {entry['name']!r} "
+                          f"has unknown key {key!r}")
+    assert "Traceback" not in err
+    assert not os.path.exists(out)
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

@@ -1,6 +1,7 @@
 """Tests for data ingestion, masking, and synthetic generators."""
 
 import datetime
+import json
 import math
 import os
 
@@ -18,13 +19,19 @@ from copulacast.dataset import (
     gen_copula_sample,
     gen_seasonal_load,
     load_csv,
-    mask_record_from_file,
     mask_record_to_file,
     monthly_index,
     save_csv,
-    schema_of,
+    write_json,
 )
 from copulacast.errors import DataError
+
+
+def schema_of(matrix):
+    """Schema describing a matrix's own columns, for reloading saved CSVs."""
+    columns = {n: k for n, k in zip(matrix.column_names, matrix.column_kinds)}
+    levels = {matrix.column_names[j]: lv for j, lv in matrix.ordinal_levels.items()}
+    return Schema(columns=columns, ordinal_levels=levels)
 
 
 def small_matrix():
@@ -138,8 +145,16 @@ def test_mask_record_file_round_trip(tmp_path):
     rec = MaskRecord(erased_cells=((0, 1), (3, 2)), fraction=0.1, seed=9)
     path = os.path.join(tmp_path, "mask.json")
     mask_record_to_file(rec, path)
-    back = mask_record_from_file(path)
+    with open(path) as fh:
+        back = MaskRecord.from_json(json.load(fh))
     assert back == rec
+
+
+def test_write_json_sorts_keys_and_ends_with_newline(tmp_path):
+    path = os.path.join(tmp_path, "obj.json")
+    write_json({"b": 1, "a": [2.5]}, path)
+    with open(path) as fh:
+        assert fh.read() == '{\n  "a": [\n    2.5\n  ],\n  "b": 1\n}\n'
 
 
 def test_gen_seasonal_load_shape_and_names():

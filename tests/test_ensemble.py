@@ -12,7 +12,6 @@ from copulacast.ensemble import (
     ablation_to_csv,
     aggregate,
     compute_lambda,
-    cumulative_error,
     run_ensemble,
     update_weights,
 )
@@ -42,14 +41,12 @@ def toy_model(name, errors, level):
 # ------------------------------------------------------------- scalar math
 
 def test_cumulative_error_prefix_sums_and_freeze():
-    errs = np.array([3.0, 4.0, 5.0])
-    assert cumulative_error(errs, 1) == 3.0
-    assert cumulative_error(errs, 2) == 7.0
-    assert cumulative_error(errs, 3) == 12.0
-    with pytest.raises(ValueError):
-        cumulative_error(errs, 0)
-    with pytest.raises(ValueError):
-        cumulative_error(errs, 4)
+    models = [toy_model("three", [3.0, 4.0, 5.0], 1.0),
+              toy_model("five", [1.0] * 5, 1.0)]
+    _, _, trace = run_ensemble(models, toy_task())
+    assert trace.ce[:, 0].tolist() == [3.0, 7.0, 12.0, 12.0, 12.0]
+    assert trace.err[:, 0].tolist() == [3.0, 4.0, 5.0, 5.0, 5.0]
+    assert trace.ce[:, 1].tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
 
 
 def test_compute_lambda_oracles():
@@ -110,9 +107,9 @@ def test_aggregate_validates_shapes():
 def test_run_ensemble_concentrates_on_the_accurate_model():
     models = [toy_model("good", [1.0, 1.0], 1.0),
               toy_model("bad", [10.0, 10.0], 3.0)]
-    forecasts, state, trace = run_ensemble(models, toy_task())
-    assert state.model_names == ("good", "bad")
-    w = state.final_weights
+    forecasts, w, trace = run_ensemble(models, toy_task())
+    assert trace.model_names == ("good", "bad")
+    assert np.array_equal(w, trace.weights[-1])
     assert w[0] > 0.95
     assert abs(float(w.sum()) - 1.0) < 1e-12
     expected = w[0] * 1.0 + w[1] * 3.0
@@ -124,26 +121,27 @@ def test_run_ensemble_concentrates_on_the_accurate_model():
 def test_run_ensemble_weights_track_round_by_round():
     models = [toy_model("a", [1.0, 9.0], 1.0),
               toy_model("b", [5.0, 1.0], 2.0)]
-    _, state, trace = run_ensemble(models, toy_task())
+    _, final_weights, trace = run_ensemble(models, toy_task())
     lam = compute_lambda(2)
     w1 = update_weights(np.array([1.0, 5.0]), np.array([lam, lam]))
     w2 = update_weights(np.array([10.0, 6.0]), np.array([lam, lam]))
     assert np.allclose(trace.weights[0], w1, atol=1e-15)
     assert np.allclose(trace.weights[1], w2, atol=1e-15)
-    assert np.allclose(state.final_weights, w2, atol=1e-15)
+    assert np.allclose(final_weights, w2, atol=1e-15)
 
 
 def test_run_ensemble_pads_shorter_error_streams():
     models = [toy_model("two", [1.0, 1.0], 1.0),
               toy_model("four", [2.0, 2.0, 2.0, 2.0], 2.0)]
-    _, state, trace = run_ensemble(models, toy_task())
+    _, _, trace = run_ensemble(models, toy_task())
     assert trace.rounds.tolist() == [1, 2, 3, 4]
     # The short model's CE freezes at its final round while the long one grows.
     assert trace.ce[3, 0] == 2.0
     assert trace.ce[3, 1] == 8.0
     # Per-model lambda uses each model's own round count.
-    assert abs(state.lambdas[0] - compute_lambda(2)) < 1e-15
-    assert abs(state.lambdas[1] - compute_lambda(4)) < 1e-15
+    lambdas = [compute_lambda(2), compute_lambda(4)]
+    assert np.array_equal(trace.weights[-1],
+                          update_weights(trace.ce[-1], lambdas))
 
 
 def test_run_ensemble_rejects_horizon_mismatch():

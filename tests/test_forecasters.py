@@ -74,18 +74,12 @@ def test_check_matrix_rejects_incomplete_panel():
         benchmark_task().check_matrix(masked)
 
 
-def test_trained_forecaster_predict_spans_and_round_trip():
+def test_trained_forecaster_json_round_trip():
     tf = TrainedForecaster(name="toy",
                            round_errors=np.array([3.0, 2.0]),
                            validation_forecast=np.array([1.0, 2.0]),
                            holdout_forecast=np.array([5.0, 6.0, 7.0]),
                            validation_start=10, holdout_start=12)
-    assert tf.predict(10) == 1.0
-    assert tf.predict(11) == 2.0
-    assert tf.predict(12) == 5.0
-    assert tf.predict(14) == 7.0
-    with pytest.raises(ValueError):
-        tf.predict(15)
     back = TrainedForecaster.from_json(tf.to_json())
     assert back.name == tf.name
     assert np.array_equal(back.round_errors, tf.round_errors)
