@@ -111,6 +111,22 @@ def _require_number(value, name, kind):
     raise ConfigError(f"{name} must be {what}, got {json.dumps(value)}")
 
 
+def _require_like(value, default, name):
+    """value of the JSON type of a keyword default: an int default takes an
+    integer (not a boolean), a float default a number, a bool default a
+    boolean.  Other defaults (tuples, None) are not checked."""
+    if isinstance(default, bool):
+        ok, what = isinstance(value, bool), "a boolean"
+    elif isinstance(default, int):
+        ok, what = isinstance(value, int) and not isinstance(value, bool), "an integer"
+    elif isinstance(default, float):
+        ok, what = isinstance(value, (int, float)) and not isinstance(value, bool), "a number"
+    else:
+        return
+    if not ok:
+        raise ConfigError(f"{name} must be {what}, got {json.dumps(value)}")
+
+
 def _validate_config(config):
     for section in ("mask", "copula", "task", "data"):
         _require_object(config.get(section, {}), section)
@@ -138,11 +154,15 @@ def _validate_config(config):
             raise ConfigError(f"unknown forecaster {name!r}; known: "
                               f"{sorted(FORECASTERS)}")
         # Every fitter takes (task, matrix, **hyperparameters).
-        accepted = list(inspect.signature(FORECASTERS[name]).parameters)[2:]
-        for key in entry:
-            if key != "name" and key not in accepted:
+        params = inspect.signature(FORECASTERS[name]).parameters
+        accepted = list(params)[2:]
+        for key, value in entry.items():
+            if key == "name":
+                continue
+            if key not in accepted:
                 raise ConfigError(f"roster entry {name!r} has unknown key "
                                   f"{key!r}; accepted: {accepted}")
+            _require_like(value, params[key].default, f"roster.{name}.{key}")
     task = config.get("task", {})
     horizon = _require_number(task.get("horizon", 0), "task.horizon", int)
     n_val = _require_number(task.get("validation_periods", 0),
@@ -158,6 +178,15 @@ def _validate_config(config):
     if "csv" not in data and "synthetic" not in data:
         raise ConfigError("data must configure either a csv source or the "
                           "synthetic generator")
+    if "synthetic" in data:
+        # The CLI passes its own seed; every other keyword is configurable.
+        params = inspect.signature(gen_seasonal_load).parameters
+        accepted = [key for key in params if key != "seed"]
+        for key, value in data["synthetic"].items():
+            if key not in accepted:
+                raise ConfigError(f"data.synthetic.{key} must be a generator "
+                                  f"parameter; accepted: {accepted}")
+            _require_like(value, params[key].default, f"data.synthetic.{key}")
     if "csv" in data:
         path = data["csv"].get("path")
         if not isinstance(path, str):

@@ -15,19 +15,37 @@ of each row's latent vector given its constraints, the M-step averages
 E[z z^T] over rows and rescales the average back onto the correlation
 manifold.  Missing cells are then imputed by pushing the conditional latent
 means back through the marginal inverses, again one call per column.
+
+One conditioning kernel serves em_fit, impute, pseudo_loglik and e_step:
+
+- A plan (_Plan) is built once per em_fit or impute call from the row
+  constraints, which never change between iterations: observed/missing
+  index arrays per pattern, exact values and interval bounds as arrays,
+  the exact-only rows grouped by pattern, and stacked layouts of the rows
+  each E-step visits, grouped by observed-block size.
+- Factors and solves call LAPACK potrf/potrs (scipy.linalg.lapack) directly,
+  once per distinct pattern, with cho_factor/cho_solve's checks kept.
+- The ordinal mean-field sweep runs for all interval rows at once, one
+  array step per (pass, ordinal slot), with each row's coordinate order
+  and stopping test, array truncated moments and stacked np.matmul dot
+  products laid out with the strides of the scalar loop's operands.
+
+Every result equals the per-row scalar computation bit for bit, which
+tests/test_copula.py checks against a copy of that computation.
 """
 
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.special import ndtr, ndtri
 
 from .dataset import CONTINUOUS, ORDINAL, ObservationMatrix, write_json
 from .errors import FitError
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
+_LOG_2PI = np.log(2.0 * np.pi)
 
 
 @dataclass(frozen=True)
@@ -210,41 +228,372 @@ def _phi(x):
     return np.exp(-0.5 * x * x) / _SQRT_2PI
 
 
+def _truncated_moments(lo, hi, mean, sd):
+    """Elementwise truncated-normal moments, the scalar expressions on arrays.
+
+    Each element goes through the same IEEE operations as the scalar form,
+    so the results agree bit for bit; infinite bounds contribute zero
+    density, and elements whose interval mass underflows collapse to the
+    nearest finite endpoint with zero variance.
+    """
+    a = (lo - mean) / sd
+    b = (hi - mean) / sd
+    mass = ndtr(b) - ndtr(a)
+    finite_a, finite_b = np.isfinite(a), np.isfinite(b)
+    a0 = np.where(finite_a, a, 0.0)
+    b0 = np.where(finite_b, b, 0.0)
+    pa = np.where(finite_a, _phi(a0), 0.0)
+    pb = np.where(finite_b, _phi(b0), 0.0)
+    collapsed = mass < 1e-300
+    mass = np.where(collapsed, 1.0, mass)
+    ratio = (pa - pb) / mass
+    mu = mean + sd * ratio
+    spread = 1.0 + (a0 * pa - b0 * pb) / mass - ratio * ratio
+    var = sd * sd * np.where(0.0 > spread, 0.0, spread)
+    if collapsed.any():
+        anchor = np.where(np.abs(a) < np.abs(b), lo, hi)
+        anchor = np.where(np.isfinite(anchor), anchor,
+                          np.where(np.isfinite(hi), hi, lo))
+        mu = np.where(collapsed, anchor, mu)
+        var = np.where(collapsed, 0.0, var)
+    return mu, var
+
+
 def truncated_normal_moments(lo, hi, mean=0.0, sd=1.0):
     """Mean and variance of N(mean, sd^2) truncated to (lo, hi).
 
     Bounds may be infinite.  When the interval mass underflows, the moments
-    collapse to the nearest finite endpoint with zero variance.
+    collapse to the nearest finite endpoint with zero variance.  This is the
+    scalar view of the array kernel the E-step runs on.
     """
     if not hi > lo:
         raise ValueError("need hi > lo")
     if sd <= 0:
         raise ValueError("need sd > 0")
-    a = (lo - mean) / sd
-    b = (hi - mean) / sd
-    mass = ndtr(b) - ndtr(a)
-    if mass < 1e-300:
-        anchor = lo if abs(a) < abs(b) else hi
-        if not np.isfinite(anchor):
-            anchor = hi if np.isfinite(hi) else lo
-        return float(anchor), 0.0
-    pa = _phi(a) if np.isfinite(a) else 0.0
-    pb = _phi(b) if np.isfinite(b) else 0.0
-    apa = a * pa if np.isfinite(a) else 0.0
-    bpb = b * pb if np.isfinite(b) else 0.0
-    ratio = (pa - pb) / mass
-    mu = mean + sd * ratio
-    var = sd * sd * max(1.0 + (apa - bpb) / mass - ratio * ratio, 0.0)
+    mu, var = _truncated_moments(lo, hi, mean, sd)
     return float(mu), float(var)
 
 
-def _observed_block_inverse(sigma, obs, ridge):
-    """Cholesky factor of the ridge-stabilized observed-by-observed block."""
-    block = sigma[np.ix_(obs, obs)] + ridge * np.eye(len(obs))
-    try:
-        return cho_factor(block, lower=True)
-    except np.linalg.LinAlgError:
-        raise FitError("observed block of sigma is not positive definite") from None
+def _check_finite(a):
+    """The finiteness check cho_factor / cho_solve apply to their inputs."""
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+
+
+def _potrf(block):
+    """Lower Cholesky factor from LAPACK potrf, as cho_factor(lower=True) gives it."""
+    c, info = dpotrf(block, lower=1, clean=0)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"{info}-th leading minor of the array is not positive definite")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal potrf")
+    return c
+
+
+def _potrs(c, b):
+    """Solve with a _potrf factor through LAPACK potrs, as cho_solve does."""
+    x, info = dpotrs(c, b, lower=1)
+    if info != 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal potrs")
+    return x
+
+
+class _Plan:
+    """Per-row structure of a constraint list, built once per fit.
+
+    The constraints never change between EM iterations, so everything the
+    conditioning needs from them is gathered here once and reused by every
+    E-step, the log-likelihood and impute:
+
+    - patterns: each distinct observed-column set as (o, m), its observed
+      and missing index arrays; pid maps a row to its pattern;
+    - z0: each row's observed latent start (exact values, ordinal cells at
+      their standard truncated means); slots and bounds: the positions of
+      its ordinal cells in the observed block and their (lo, hi) bounds;
+    - groups: the exact-only rows by pattern, with their stacked exact
+      values z and sums z^T z;
+    - loglik_rows / log_mass: each row's exact block and values, and the
+      log masses of its intervals;
+    - layout(rows): the stacked arrangement of a row set, cached.
+    """
+
+    def __init__(self, constraints, q):
+        self.q = q
+        self.patterns, self.pid, self.slots, self.bounds = [], [], [], []
+        self.interval_rows, self.loglik_rows, self.loglik_blocks = [], [], []
+        index, loglik_index, groups = {}, {}, {}
+        values, exact_values, cells, lo, hi = [], [], [], [], []
+        for r, con in enumerate(constraints):
+            obs = con.observed
+            if obs not in index:
+                index[obs] = len(self.patterns)
+                seen = set(obs)
+                self.patterns.append((np.array(obs, dtype=np.intp),
+                                      np.array([j for j in range(q) if j not in seen],
+                                               dtype=np.intp)))
+            self.pid.append(index[obs])
+            exact, ordinal = con.exact, sorted(con.intervals)
+            slots = [obs.index(j) for j in ordinal]
+            self.slots.append(slots)
+            self.bounds.append(([con.intervals[j][0] for j in ordinal],
+                                [con.intervals[j][1] for j in ordinal]))
+            cells += [len(values) + k for k in slots]
+            lo += self.bounds[-1][0]
+            hi += self.bounds[-1][1]
+            values += [exact.get(j, 0.0) for j in obs]
+            if ordinal:
+                self.interval_rows.append(r)
+            else:
+                groups.setdefault(obs, []).append(r)
+            cols = tuple(sorted(exact))
+            if cols and cols not in loglik_index:
+                loglik_index[cols] = len(self.loglik_blocks)
+                c = np.array(cols, dtype=np.intp)
+                self.loglik_blocks.append((c[:, None], c[None, :]))
+            self.loglik_rows.append((loglik_index.get(cols), len(exact_values),
+                                     len(exact_values) + len(cols)))
+            exact_values += [exact[j] for j in cols]
+        flat = np.array(values)
+        exact_values = np.array(exact_values)
+        self.exact_finite = bool(np.isfinite(exact_values).all())
+        self.loglik_rows = [(block, exact_values[a:b]) for block, a, b in self.loglik_rows]
+        lo, hi = np.array(lo), np.array(hi)
+        flat[cells], _ = _truncated_moments(lo, hi, 0.0, 1.0)
+        self.n_obs = [len(self.patterns[pid][0]) for pid in self.pid]
+        ends = np.cumsum(self.n_obs).tolist()
+        self.z0 = [flat[end - n:end] for end, n in zip(ends, self.n_obs)]
+        mass = ndtr(hi) - ndtr(lo)
+        terms = np.log(np.where(1e-300 > mass, 1e-300, mass)).tolist()
+        self.log_mass, at = [], 0
+        for slots in self.slots:
+            self.log_mass.append(terms[at:at + len(slots)])
+            at += len(slots)
+        self.groups = []
+        for obs, rows in sorted(groups.items()):
+            z = np.array([self.z0[r] for r in rows]) if obs else None
+            self.groups.append((index[obs], len(rows), z, None if z is None else z.T @ z))
+        self.group_rows = [rows[0] for obs, rows in sorted(groups.items())
+                           if obs and len(obs) < q]
+        self._layouts = {}
+
+    def layout(self, rows):
+        """The _Layout of a row set, built on first use."""
+        key = tuple(rows)
+        if key not in self._layouts:
+            self._layouts[key] = _Layout(self, rows)
+        return self._layouts[key]
+
+
+def _ragged(lengths):
+    """(row, position) index pairs of a ragged array with these row lengths."""
+    lengths = np.asarray(lengths, dtype=np.intp)
+    row = np.repeat(np.arange(lengths.size), lengths)
+    return row, np.arange(row.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+
+
+class _Layout:
+    """A row set arranged for stacked work.
+
+    Rows are ordered by observed-block size n, interval rows first within a
+    size, and split into blocks (n, start, mid, stop, pids, o, m): rows
+    start:mid of the order carry interval cells, mid:stop do not, and o and
+    m stack the rows' observed and missing column indices.  z0 pads the
+    rows' observed latent starts to a common width; at, lo, hi and has hold
+    each row's t-th ordinal slot (its position in the observed block, its
+    bounds, whether it exists) in row t.
+    """
+
+    def __init__(self, plan, rows):
+        self.rows = sorted(rows, key=lambda r: (plan.n_obs[r], not plan.slots[r]))
+        self.row_order = np.argsort(self.rows, kind="stable")
+        count = len(self.rows)
+        sizes = [plan.n_obs[r] for r in self.rows]
+        depths = [len(plan.slots[r]) for r in self.rows]
+        self.depth = max(depths, default=0)
+        self.z0 = np.zeros((count, max(sizes, default=0)))
+        if count:
+            self.z0[_ragged(sizes)] = np.concatenate([plan.z0[r] for r in self.rows])
+        self.at = np.zeros((self.depth, count), dtype=np.intp)
+        self.lo = np.full((self.depth, count), -np.inf)
+        self.hi = np.full((self.depth, count), np.inf)
+        self.has = np.zeros((self.depth, count), dtype=bool)
+        row, t = _ragged(depths)
+        self.at[t, row] = [k for r in self.rows for k in plan.slots[r]]
+        self.lo[t, row] = [b for r in self.rows for b in plan.bounds[r][0]]
+        self.hi[t, row] = [b for r in self.rows for b in plan.bounds[r][1]]
+        self.has[t, row] = True
+        self.good_intervals = bool((self.hi > self.lo).all())
+        self.blocks = []
+        start = 0
+        while start < count:
+            n = sizes[start]
+            stop = start + sizes.count(n)
+            pids = [plan.pid[r] for r in self.rows[start:stop]]
+            mid = start + sum(1 for d in depths[start:stop] if d)
+            o = np.array([plan.patterns[p][0] for p in pids])
+            m = np.array([plan.patterns[p][1] for p in pids]).reshape(len(pids), plan.q - n)
+            self.blocks.append((n, start, mid, stop, pids, o, m))
+            start = stop
+
+
+class _Conditioning:
+    """The conditional-Gaussian algebra of one sigma over a layout's rows.
+
+    Each block of the layout is conditioned in stacked form: one fancy index
+    gathers its rows' ridged observed submatrices, one their cross blocks
+    Sigma_MO and one their missing blocks, and one np.matmul forms every
+    conditional covariance Sigma_MM - gain Sigma_OM.  LAPACK potrf/potrs run
+    once per distinct pattern, called directly, with the checks cho_factor
+    and cho_solve make: a non-finite input is a ValueError, and a block that
+    is not positive definite a FitError.  A row with nothing missing and no
+    interval cell needs no factor and gets none.
+    """
+
+    def __init__(self, sigma, plan, layout, ridge):
+        self.plan, self.layout = plan, layout
+        # Finite entries that cannot overflow when the ridge is added pass
+        # every finiteness check, so the checks are skipped.
+        finite = float(np.abs(sigma).max(initial=0.0)) + abs(ridge) < np.inf
+        factors, gains = {}, {}
+        self.precs, self.gains, self.conds = [], [], []
+        self.gain, self.cond = {}, {}
+        for n, start, mid, stop, pids, o, m in layout.blocks:
+            eye = np.eye(n)
+            blocks = sigma[o[:, :, None], o[:, None, :]] + ridge * eye
+            if not finite:
+                _check_finite(blocks)
+            for block, pid in zip(blocks, pids if m.size else pids[:mid - start]):
+                if pid not in factors:
+                    try:
+                        factors[pid] = _potrf(block)
+                    except np.linalg.LinAlgError:
+                        raise FitError("observed block of sigma is not positive "
+                                       "definite") from None
+            del blocks
+            prec = np.empty((mid - start, n, n))
+            for i, pid in enumerate(pids[:mid - start]):
+                prec[i] = _potrs(factors[pid], eye)
+            self.precs.append(prec)
+            if not m.size:
+                self.gains.append(None)
+                self.conds.append(None)
+                continue
+            cross = sigma[m[:, :, None], o[:, None, :]]
+            if not finite:
+                _check_finite(cross)
+            for c, pid in zip(cross, pids):
+                if pid not in gains:
+                    gains[pid] = _potrs(factors[pid], c.T).T
+            gain = np.array([gains[pid] for pid in pids])
+            cond = (sigma[m[:, :, None], m[:, None, :]]
+                    - np.matmul(gain, cross.transpose(0, 2, 1)))
+            self.gains.append(gain)
+            self.conds.append(cond)
+            for i, pid in enumerate(pids):
+                self.gain[pid], self.cond[pid] = gain[i], cond[i]
+
+    def observed_moments(self, max_inner=50, inner_tol=1e-6):
+        """Observed latent means and variances of the layout's rows.
+
+        Returns (z, v), padded (rows, width) arrays in layout order: exact
+        values with zero variance, and for interval cells the ordinal
+        mean-field fixed point.  The sweep runs for all interval rows at
+        once, one array step per (pass, ordinal slot): slot t is each row's
+        t-th ordinal column, so every row keeps the scalar loop's coordinate
+        order, and each row stops after the first pass whose relative change
+        falls below inner_tol.  A block's dot products prec[k] @ z run as one
+        stacked np.matmul whose operands keep the scalar loop's strides (a
+        precision row strided by n, a contiguous latent vector), so BLAS
+        runs the same kernel and the sums agree bit for bit.
+        """
+        layout = self.layout
+        count, depth = len(layout.rows), layout.depth
+        z = layout.z0.copy()
+        v = np.zeros_like(z)
+        if not depth:
+            return z, v
+        if not layout.good_intervals:
+            raise ValueError("need hi > lo")
+        diag = np.ones((depth, count))
+        dots = np.zeros(count)
+        out = dots.reshape(count, 1, 1)
+        products = [[] for _ in range(depth)]
+        for (n, start, mid, _, _, _, _), prec in zip(layout.blocks, self.precs):
+            if mid == start:
+                continue
+            s = min(depth, n)
+            k = layout.at[:s, start:mid].T[:, :, None]
+            picked = np.take_along_axis(prec, k, axis=1)    # [b, t] = prec_b[k_bt]
+            diag[:s, start:mid] = np.take_along_axis(picked, k, axis=2)[:, :, 0].T
+            rows = np.zeros((mid - start, n, n))
+            rows[:, :, :s] = picked.transpose(0, 2, 1)      # [b, :, t], strided by n
+            for t in range(s):
+                products[t].append((rows[:, None, :, t], z[start:mid, :n, None],
+                                    out[start:mid]))
+        has = layout.has
+        cond_var = np.where(has, 1.0 / diag, 1.0)
+        sd = np.sqrt(cond_var)
+        if max_inner > 0 and (has & (sd <= 0)).any():
+            raise ValueError("need sd > 0")
+        index = np.arange(count)
+        active = np.ones(count, dtype=bool)
+        for _ in range(max_inner):
+            delta = np.zeros(count)
+            scale = np.ones(count)
+            for t in range(depth):
+                for prec_rows, latent, dot in products[t]:
+                    np.matmul(prec_rows, latent, out=dot)
+                k = layout.at[t]
+                zk = z[index, k]
+                mu, var = _truncated_moments(layout.lo[t], layout.hi[t],
+                                             zk - cond_var[t] * dots, sd[t])
+                step = active & has[t]
+                # the scalar loop's max(delta, |mu - z|) and
+                # max(scale, |mu|, |z|, 1.0), one comparison at a time
+                change = np.abs(mu - zk)
+                delta = np.where(step & (change > delta), change, delta)
+                for size in (np.abs(mu), np.abs(zk)):
+                    scale = np.where(step & (size > scale), size, scale)
+                z[index, k] = np.where(step, mu, zk)
+                v[index, k] = np.where(step, var, v[index, k])
+            active &= ~(delta / scale < inner_tol)
+            if not active.any():
+                break
+        return z, v
+
+    def missing_means(self, z, latent):
+        """Write each layout row's conditional missing mean gain @ z_obs into
+        its row of latent."""
+        rows = np.array(self.layout.rows)[:, None]
+        for (n, start, _, stop, _, _, m), gain in zip(self.layout.blocks, self.gains):
+            if gain is not None:
+                latent[rows[start:stop], m] = np.matmul(gain, z[start:stop, :n, None])[:, :, 0]
+
+    def second_moments(self, z, v):
+        """Each layout row's symmetrized E[z z^T], stacked in layout order."""
+        q = self.plan.q
+        out = np.empty((len(self.layout.rows), q, q))
+        for (n, start, _, stop, _, o, m), gain, cond in zip(
+                self.layout.blocks, self.gains, self.conds):
+            zb, vb = z[start:stop, :n], v[start:stop, :n]
+            batch = np.arange(stop - start)[:, None, None]
+            diag = np.zeros((stop - start, n, n))
+            diag[:, np.arange(n), np.arange(n)] = vb
+            e_zzT = out[start:stop]
+            e_zzT[:] = 0.0
+            e_zzT[batch, o[:, :, None], o[:, None, :]] = zb[:, :, None] * zb[:, None, :] + diag
+            if gain is not None:
+                mean_m = np.matmul(gain, zb[:, :, None])              # (b, |m|, 1)
+                spread = gain * vb[:, None, :]
+                e_zzT[batch, m[:, :, None], m[:, None, :]] = (
+                    cond + np.matmul(spread, gain.transpose(0, 2, 1))
+                    + mean_m * mean_m.transpose(0, 2, 1))
+                cross_mo = mean_m * zb[:, None, :] + spread
+                e_zzT[batch, m[:, :, None], o[:, None, :]] = cross_mo
+                e_zzT[batch, o[:, :, None], m[:, None, :]] = cross_mo.transpose(0, 2, 1)
+            np.multiply(e_zzT + e_zzT.transpose(0, 2, 1), 0.5, out=e_zzT)
+        return out
 
 
 def e_step(sigma, constraint, ridge=1e-8, max_inner=50, inner_tol=1e-6):
@@ -254,7 +603,8 @@ def e_step(sigma, constraint, ridge=1e-8, max_inner=50, inner_tol=1e-6):
     are approximated by a truncated-normal mean-field fixed point (iterate
     until the relative change falls below inner_tol, at most max_inner
     passes); missing coordinates get their Gaussian conditional moments given
-    the others.  Ordinal posterior variance propagates into E[z z^T].
+    the others.  Ordinal posterior variance propagates into E[z z^T].  This
+    is a one-row call into the kernel em_fit and impute use.
 
     Args:
         sigma: q x q latent correlation matrix.
@@ -269,64 +619,15 @@ def e_step(sigma, constraint, ridge=1e-8, max_inner=50, inner_tol=1e-6):
     q = sigma.shape[0]
     if constraint.n_cols != q:
         raise ValueError("constraint arity does not match sigma")
-    obs = list(constraint.observed)
-    obs_set = set(obs)
-    mis = [j for j in range(q) if j not in obs_set]
-
-    if not obs:
+    if not constraint.observed:
         return np.zeros(q), sigma.copy()
-
-    z_obs = np.zeros(len(obs))
-    v_obs = np.zeros(len(obs))
-    pos = {j: k for k, j in enumerate(obs)}
-    for j, val in constraint.exact.items():
-        z_obs[pos[j]] = val
-
-    ord_cols = sorted(constraint.intervals)
-    if ord_cols or mis:
-        factor = _observed_block_inverse(sigma, obs, ridge)
-    if ord_cols:
-        prec = cho_solve(factor, np.eye(len(obs)))
-        for j in ord_cols:
-            lo, hi = constraint.intervals[j]
-            z_obs[pos[j]], _ = truncated_normal_moments(lo, hi)
-        for _ in range(max_inner):
-            delta = 0.0
-            scale = 0.0
-            for j in ord_cols:
-                k = pos[j]
-                cond_var = 1.0 / prec[k, k]
-                cond_mean = z_obs[k] - cond_var * (prec[k] @ z_obs)
-                lo, hi = constraint.intervals[j]
-                mu, var = truncated_normal_moments(lo, hi, cond_mean,
-                                                   np.sqrt(cond_var))
-                delta = max(delta, abs(mu - z_obs[k]))
-                scale = max(scale, abs(mu), abs(z_obs[k]), 1.0)
-                z_obs[k] = mu
-                v_obs[k] = var
-            if delta / scale < inner_tol:
-                break
-
-    e_z = np.zeros(q)
-    e_zzT = np.zeros((q, q))
-    obs_idx = np.asarray(obs, dtype=int)
-    e_z[obs_idx] = z_obs
-    second_oo = np.outer(z_obs, z_obs) + np.diag(v_obs)
-    e_zzT[np.ix_(obs, obs)] = second_oo
-
-    if mis:
-        cross = sigma[np.ix_(mis, obs)]
-        gain = cho_solve(factor, cross.T).T        # Sigma_MO Sigma_OO^{-1}
-        mean_m = gain @ z_obs
-        cond_mm = sigma[np.ix_(mis, mis)] - gain @ cross.T
-        cov_mm = cond_mm + (gain * v_obs) @ gain.T
-        e_z[mis] = mean_m
-        e_zzT[np.ix_(mis, mis)] = cov_mm + np.outer(mean_m, mean_m)
-        cross_mo = np.outer(mean_m, z_obs) + gain * v_obs
-        e_zzT[np.ix_(mis, obs)] = cross_mo
-        e_zzT[np.ix_(obs, mis)] = cross_mo.T
-
-    return e_z, 0.5 * (e_zzT + e_zzT.T)
+    plan = _Plan([constraint], q)
+    kernel = _Conditioning(sigma, plan, plan.layout([0]), ridge)
+    z, v = kernel.observed_moments(max_inner, inner_tol)
+    e_z = np.zeros((1, q))
+    e_z[0, plan.patterns[0][0]] = z[0]
+    kernel.missing_means(z, e_z)
+    return e_z[0], kernel.second_moments(z, v)[0]
 
 
 def project_correlation(s):
@@ -412,6 +713,34 @@ class CopulaModel:
         write_json(self.to_json(), path)
 
 
+def _loglik(sigma, plan, ridge):
+    """pseudo_loglik over a plan: one factor per exact pattern, rows in order."""
+    finite = float(np.abs(sigma).max(initial=0.0)) + abs(ridge) < np.inf
+    factors = {}
+    total = 0.0
+    for (block_id, z), terms in zip(plan.loglik_rows, plan.log_mass):
+        if block_id is not None:
+            if block_id not in factors:
+                block = sigma[plan.loglik_blocks[block_id]]
+                if not finite:
+                    _check_finite(block)
+                try:
+                    c = _potrf(block)
+                except np.linalg.LinAlgError:
+                    warnings.warn("singular observed block in pseudo_loglik; "
+                                  "applying ridge repair")
+                    c = _potrf(block + ridge * np.eye(z.size))
+                factors[block_id] = (c, 2.0 * np.sum(np.log(np.diag(c))))
+            c, logdet = factors[block_id]
+            if not plan.exact_finite:
+                _check_finite(z)
+            quad = float(z @ _potrs(c, z))
+            total += -0.5 * (z.size * _LOG_2PI + logdet + quad)
+        for term in terms:
+            total += term
+    return total
+
+
 def pseudo_loglik(sigma, constraints, ridge=1e-8):
     """Observed-data pseudo log likelihood under latent correlation sigma.
 
@@ -421,77 +750,41 @@ def pseudo_loglik(sigma, constraints, ridge=1e-8):
     deliberate mean-field simplification).  Singular blocks are
     ridge-repaired with a warning.
     """
-    cache = {}
-    total = 0.0
-    for con in constraints:
-        cols = tuple(sorted(con.exact))
-        if cols:
-            key = cols
-            if key not in cache:
-                block = sigma[np.ix_(cols, cols)]
-                try:
-                    factor = cho_factor(block, lower=True)
-                except np.linalg.LinAlgError:
-                    warnings.warn("singular observed block in pseudo_loglik; "
-                                  "applying ridge repair")
-                    factor = cho_factor(block + ridge * np.eye(len(cols)),
-                                        lower=True)
-                logdet = 2.0 * np.sum(np.log(np.diag(factor[0])))
-                cache[key] = (factor, logdet)
-            factor, logdet = cache[key]
-            z = np.array([con.exact[j] for j in cols])
-            quad = float(z @ cho_solve(factor, z))
-            total += -0.5 * (len(cols) * np.log(2.0 * np.pi) + logdet + quad)
-        for j in sorted(con.intervals):
-            lo, hi = con.intervals[j]
-            mass = ndtr(hi) - ndtr(lo)
-            total += float(np.log(max(mass, 1e-300)))
-    return total
+    sigma = np.asarray(sigma, dtype=float)
+    return _loglik(sigma, _Plan(constraints, sigma.shape[0]), ridge)
 
 
-def _estep_sum(sigma, constraints, ridge):
-    """Sum of E[z z^T] over rows, batching rows that share a missing pattern.
+def _estep_sum(sigma, plan, ridge):
+    """Sum of E[z z^T] over a plan's rows.
 
     Rows whose observed coordinates are all exact (continuous) share the
     conditional algebra, so they are processed per pattern with one solve;
-    rows with interval constraints fall back to the scalar e_step.  Both
-    paths produce the same moments as e_step up to floating-point roundoff.
+    rows with interval constraints get their e_step moments from the
+    batched kernel and are added one at a time, in row order.
     """
-    q = sigma.shape[0]
-    groups = {}
-    singles = []
-    for i, con in enumerate(constraints):
-        if con.intervals:
-            singles.append(i)
-        else:
-            groups.setdefault(tuple(sorted(con.exact)), []).append(i)
-
+    q = plan.q
+    exact = _Conditioning(sigma, plan, plan.layout(plan.group_rows), ridge)
     total = np.zeros((q, q))
-    for obs, rows in sorted(groups.items()):
-        if not obs:
-            total += len(rows) * sigma
+    for pid, count, z, sum_oo in plan.groups:
+        o, m = plan.patterns[pid]
+        if z is None:
+            total += count * sigma
             continue
-        z = np.array([[constraints[i].exact[j] for j in obs] for i in rows])
-        mis = [j for j in range(q) if j not in set(obs)]
-        sum_oo = z.T @ z
-        if not mis:
+        if not m.size:
             total += sum_oo
             continue
-        factor = _observed_block_inverse(sigma, list(obs), ridge)
-        cross = sigma[np.ix_(mis, list(obs))]
-        gain = cho_solve(factor, cross.T).T
-        mean_m = z @ gain.T                       # rows x |mis|
-        cond_mm = sigma[np.ix_(mis, mis)] - gain @ cross.T
+        mean_m = z @ exact.gain[pid].T            # rows x |mis|
         block = np.zeros((q, q))
-        block[np.ix_(list(obs), list(obs))] = sum_oo
-        block[np.ix_(mis, mis)] = len(rows) * cond_mm + mean_m.T @ mean_m
+        block[o[:, None], o] = sum_oo
+        block[m[:, None], m] = count * exact.cond[pid] + mean_m.T @ mean_m
         cross_mo = mean_m.T @ z
-        block[np.ix_(mis, list(obs))] = cross_mo
-        block[np.ix_(list(obs), mis)] = cross_mo.T
+        block[m[:, None], o] = cross_mo
+        block[o[:, None], m] = cross_mo.T
         total += block
-    for i in singles:
-        _, e_zzT = e_step(sigma, constraints[i], ridge=ridge)
-        total += e_zzT
+    kernel = _Conditioning(sigma, plan, plan.layout(plan.interval_rows), ridge)
+    second = kernel.second_moments(*kernel.observed_moments())
+    for i in kernel.layout.row_order:
+        total += second[i]
     return 0.5 * (total + total.T)
 
 
@@ -522,17 +815,17 @@ def em_fit(matrix, max_iters=100, tol=1e-4, ridge=1e-8):
     if rows_with_obs < 2:
         raise FitError("need at least two rows with observed cells")
     marginals = fit_marginals(matrix)
-    constraints = row_constraints(matrix, marginals)
-
     q = matrix.n_cols
+    plan = _Plan(row_constraints(matrix, marginals), q)
+
     sigma = np.eye(q)
     trace = []
     converged = False
     for it in range(1, max_iters + 1):
-        s = _estep_sum(sigma, constraints, ridge) / matrix.n_rows
+        s = _estep_sum(sigma, plan, ridge) / matrix.n_rows
         sigma_next = project_correlation(s)
         delta = float(np.linalg.norm(sigma_next - sigma) / np.linalg.norm(sigma))
-        loglik = pseudo_loglik(sigma_next, constraints, ridge)
+        loglik = _loglik(sigma_next, plan, ridge)
         trace.append((it, delta, loglik))
         sigma = sigma_next
         if delta < tol:
@@ -561,15 +854,14 @@ def impute(model, matrix):
     if model.n_cols != matrix.n_cols:
         raise ValueError("model and matrix disagree on column count")
     out = matrix.copy()
-    constraints = row_constraints(matrix, model.marginals)
+    plan = _Plan(row_constraints(matrix, model.marginals), matrix.n_cols)
+    rows, degenerate = [], []
+    for r, (o, m) in enumerate(plan.patterns[pid] for pid in plan.pid):
+        if m.size:
+            (rows if o.size else degenerate).append(r)
+    kernel = _Conditioning(model.sigma, plan, plan.layout(rows), 1e-8)
     latent = np.zeros(matrix.values.shape)
-    degenerate = []
-    for i, con in enumerate(constraints):
-        if not con.missing:
-            continue
-        if not con.observed:
-            degenerate.append(i)
-        latent[i], _ = e_step(model.sigma, con)
+    kernel.missing_means(kernel.observed_moments()[0], latent)
     for j, marginal in enumerate(model.marginals):
         rows = np.flatnonzero(~matrix.mask[:, j])
         out.values[rows, j] = marginal.from_latent(latent[rows, j])

@@ -107,12 +107,24 @@ def test_config_section_of_wrong_type_reports_config_error(tmp_path, capsys,
     ("data.csv.columns", {"data": {"csv": {"path": "x.csv", "columns": []}}}),
     ("data.csv.ordinal_levels", {"data": {"csv": {
         "path": "x.csv", "columns": {}, "ordinal_levels": [1, 2]}}}),
+    ("roster.tcn.epochs", {"roster": [{"name": "tcn", "epochs": "x"}]}),
+    ("roster.tcn.epochs", {"roster": [{"name": "tcn", "epochs": True}]}),
+    ("roster.gbt.learn_rate", {"roster": [{"name": "gbt", "learn_rate": None}]}),
+    ("roster.ridge_ar.use_features", {"roster": [
+        {"name": "ridge_ar", "use_features": 1}]}),
+    ("data.synthetic.foo", {"data": {"synthetic": {"foo": 1}}}),
+    ("data.synthetic.seed", {"data": {"synthetic": {"seed": 3}}}),
+    ("data.synthetic.n_periods", {"data": {"synthetic": {"n_periods": 108.5}}}),
+    ("data.synthetic.noise_sd", {"data": {"synthetic": {"noise_sd": "2"}}}),
 ], ids=["seed", "jobs_null", "jobs_bool", "jobs_zero", "jobs_negative",
         "mask_fraction", "copula_max_iters", "copula_max_iters_fraction",
         "copula_tol", "copula_ridge", "task_horizon", "task_validation",
         "task_features_int", "task_features_string", "task_features_mixed",
         "data_csv_no_path", "data_csv_path_int", "data_csv_no_columns",
-        "data_csv_columns_list", "data_csv_ordinal_levels_list"])
+        "data_csv_columns_list", "data_csv_ordinal_levels_list",
+        "roster_epochs_string", "roster_epochs_bool", "roster_learn_rate_null",
+        "roster_use_features_int", "synthetic_unknown_key", "synthetic_seed",
+        "synthetic_n_periods_fraction", "synthetic_noise_sd_string"])
 def test_config_scalar_of_wrong_type_reports_config_error(tmp_path, capsys,
                                                           key, override):
     cfg = write_config(tmp_path, override)
@@ -121,6 +133,7 @@ def test_config_scalar_of_wrong_type_reports_config_error(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith(f"error[config]: {key} must be ")
     assert "Traceback" not in err
+    assert not os.path.exists(out)
 
 
 @pytest.mark.parametrize("entry, key", [

@@ -4,6 +4,7 @@ import datetime
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from copulacast.copula import (
     MarginalTransform,
     RowConstraint,
     _estep_sum,
+    _Plan,
+    _truncated_moments,
     e_step,
     em_fit,
     fit_marginals,
@@ -29,6 +32,7 @@ from copulacast.dataset import (
     ObservationMatrix,
     apply_mask,
     gen_copula_sample,
+    gen_seasonal_load,
     monthly_index,
 )
 from copulacast.errors import FitError
@@ -327,7 +331,7 @@ def test_e_step_batched_sum_matches_scalar_rows():
         exact = {j: float(rng.normal()) for j in range(5) if parts[j]}
         missing = tuple(j for j in range(5) if not parts[j])
         cons.append(RowConstraint(exact=exact, intervals={}, missing=missing))
-    batched = _estep_sum(sigma, cons, 1e-8)
+    batched = _estep_sum(sigma, _Plan(cons, 5), 1e-8)
     scalar = np.zeros_like(batched)
     for con in cons:
         _, e_zz = e_step(sigma, con, ridge=1e-8)
@@ -488,3 +492,332 @@ def test_copula_model_save_load_round_trip(tmp_path):
     assert back.converged == model.converged
     assert back.em_trace == model.em_trace
     assert len(back.marginals) == 2
+
+
+# ----------------------------------------------- scalar reference kernel
+# The per-row conditioning code the batched kernel replaced, kept here as
+# the reference it must match bit for bit: e_step's scalar mean-field loop,
+# _estep_sum's per-row pass over interval rows and pseudo_loglik's per-row
+# solves, all through scipy's cho_factor / cho_solve.
+
+def _truncated_normal_moments_reference(lo, hi, mean=0.0, sd=1.0):
+    from scipy.special import ndtr
+    if not hi > lo:
+        raise ValueError("need hi > lo")
+    if sd <= 0:
+        raise ValueError("need sd > 0")
+    a = (lo - mean) / sd
+    b = (hi - mean) / sd
+    mass = ndtr(b) - ndtr(a)
+    if mass < 1e-300:
+        anchor = lo if abs(a) < abs(b) else hi
+        if not np.isfinite(anchor):
+            anchor = hi if np.isfinite(hi) else lo
+        return float(anchor), 0.0
+    pa = np.exp(-0.5 * a * a) / np.sqrt(2.0 * np.pi) if np.isfinite(a) else 0.0
+    pb = np.exp(-0.5 * b * b) / np.sqrt(2.0 * np.pi) if np.isfinite(b) else 0.0
+    apa = a * pa if np.isfinite(a) else 0.0
+    bpb = b * pb if np.isfinite(b) else 0.0
+    ratio = (pa - pb) / mass
+    mu = mean + sd * ratio
+    var = sd * sd * max(1.0 + (apa - bpb) / mass - ratio * ratio, 0.0)
+    return float(mu), float(var)
+
+
+def _e_step_reference(sigma, constraint, ridge=1e-8, max_inner=50,
+                      inner_tol=1e-6, passes=None):
+    """The scalar e_step; appends each interval row's pass count to passes."""
+    from scipy.linalg import cho_factor, cho_solve
+    sigma = np.asarray(sigma, dtype=float)
+    q = sigma.shape[0]
+    obs = list(constraint.observed)
+    mis = [j for j in range(q) if j not in set(obs)]
+    if not obs:
+        return np.zeros(q), sigma.copy()
+    z_obs = np.zeros(len(obs))
+    v_obs = np.zeros(len(obs))
+    pos = {j: k for k, j in enumerate(obs)}
+    for j, val in constraint.exact.items():
+        z_obs[pos[j]] = val
+    ord_cols = sorted(constraint.intervals)
+    if ord_cols or mis:
+        block = sigma[np.ix_(obs, obs)] + ridge * np.eye(len(obs))
+        try:
+            factor = cho_factor(block, lower=True)
+        except np.linalg.LinAlgError:
+            raise FitError("observed block of sigma is not positive definite") from None
+    if ord_cols:
+        prec = cho_solve(factor, np.eye(len(obs)))
+        for j in ord_cols:
+            lo, hi = constraint.intervals[j]
+            z_obs[pos[j]], _ = _truncated_normal_moments_reference(lo, hi)
+        used = max_inner
+        for sweep in range(max_inner):
+            delta = 0.0
+            scale = 0.0
+            for j in ord_cols:
+                k = pos[j]
+                cond_var = 1.0 / prec[k, k]
+                cond_mean = z_obs[k] - cond_var * (prec[k] @ z_obs)
+                lo, hi = constraint.intervals[j]
+                mu, var = _truncated_normal_moments_reference(
+                    lo, hi, cond_mean, np.sqrt(cond_var))
+                delta = max(delta, abs(mu - z_obs[k]))
+                scale = max(scale, abs(mu), abs(z_obs[k]), 1.0)
+                z_obs[k] = mu
+                v_obs[k] = var
+            if delta / scale < inner_tol:
+                used = sweep + 1
+                break
+        if passes is not None:
+            passes.append(used)
+    e_z = np.zeros(q)
+    e_zzT = np.zeros((q, q))
+    e_z[np.asarray(obs, dtype=int)] = z_obs
+    e_zzT[np.ix_(obs, obs)] = np.outer(z_obs, z_obs) + np.diag(v_obs)
+    if mis:
+        cross = sigma[np.ix_(mis, obs)]
+        gain = cho_solve(factor, cross.T).T
+        mean_m = gain @ z_obs
+        cond_mm = sigma[np.ix_(mis, mis)] - gain @ cross.T
+        cov_mm = cond_mm + (gain * v_obs) @ gain.T
+        e_z[mis] = mean_m
+        e_zzT[np.ix_(mis, mis)] = cov_mm + np.outer(mean_m, mean_m)
+        cross_mo = np.outer(mean_m, z_obs) + gain * v_obs
+        e_zzT[np.ix_(mis, obs)] = cross_mo
+        e_zzT[np.ix_(obs, mis)] = cross_mo.T
+    return e_z, 0.5 * (e_zzT + e_zzT.T)
+
+
+def _estep_sum_reference(sigma, constraints, ridge, passes=None):
+    from scipy.linalg import cho_factor, cho_solve
+    q = sigma.shape[0]
+    groups = {}
+    singles = []
+    for i, con in enumerate(constraints):
+        if con.intervals:
+            singles.append(i)
+        else:
+            groups.setdefault(tuple(sorted(con.exact)), []).append(i)
+    total = np.zeros((q, q))
+    for obs, rows in sorted(groups.items()):
+        if not obs:
+            total += len(rows) * sigma
+            continue
+        z = np.array([[constraints[i].exact[j] for j in obs] for i in rows])
+        mis = [j for j in range(q) if j not in set(obs)]
+        sum_oo = z.T @ z
+        if not mis:
+            total += sum_oo
+            continue
+        block = sigma[np.ix_(obs, obs)] + ridge * np.eye(len(obs))
+        factor = cho_factor(block, lower=True)
+        cross = sigma[np.ix_(mis, list(obs))]
+        gain = cho_solve(factor, cross.T).T
+        mean_m = z @ gain.T
+        cond_mm = sigma[np.ix_(mis, mis)] - gain @ cross.T
+        block = np.zeros((q, q))
+        block[np.ix_(list(obs), list(obs))] = sum_oo
+        block[np.ix_(mis, mis)] = len(rows) * cond_mm + mean_m.T @ mean_m
+        cross_mo = mean_m.T @ z
+        block[np.ix_(mis, list(obs))] = cross_mo
+        block[np.ix_(list(obs), mis)] = cross_mo.T
+        total += block
+    for i in singles:
+        _, e_zzT = _e_step_reference(sigma, constraints[i], ridge=ridge,
+                                     passes=passes)
+        total += e_zzT
+    return 0.5 * (total + total.T)
+
+
+def _pseudo_loglik_reference(sigma, constraints, ridge=1e-8):
+    from scipy.linalg import cho_factor, cho_solve
+    from scipy.special import ndtr
+    cache = {}
+    total = 0.0
+    for con in constraints:
+        cols = tuple(sorted(con.exact))
+        if cols:
+            if cols not in cache:
+                block = sigma[np.ix_(cols, cols)]
+                try:
+                    factor = cho_factor(block, lower=True)
+                except np.linalg.LinAlgError:
+                    warnings.warn("singular observed block in pseudo_loglik; "
+                                  "applying ridge repair")
+                    factor = cho_factor(block + ridge * np.eye(len(cols)),
+                                        lower=True)
+                logdet = 2.0 * np.sum(np.log(np.diag(factor[0])))
+                cache[cols] = (factor, logdet)
+            factor, logdet = cache[cols]
+            z = np.array([con.exact[j] for j in cols])
+            quad = float(z @ cho_solve(factor, z))
+            total += -0.5 * (len(cols) * np.log(2.0 * np.pi) + logdet + quad)
+        for j in sorted(con.intervals):
+            lo, hi = con.intervals[j]
+            mass = ndtr(hi) - ndtr(lo)
+            total += float(np.log(max(mass, 1e-300)))
+    return total
+
+
+def _em_reference(matrix, max_iters, tol=1e-4, ridge=1e-8, passes=None):
+    """em_fit's loop over the reference E-step and log-likelihood."""
+    constraints = row_constraints(matrix, fit_marginals(matrix))
+    sigma = np.eye(matrix.n_cols)
+    trace = []
+    for it in range(1, max_iters + 1):
+        s = _estep_sum_reference(sigma, constraints, ridge, passes) / matrix.n_rows
+        sigma_next = project_correlation(s)
+        delta = float(np.linalg.norm(sigma_next - sigma) / np.linalg.norm(sigma))
+        trace.append((it, delta, _pseudo_loglik_reference(sigma_next, constraints,
+                                                          ridge)))
+        sigma = sigma_next
+        if delta < tol:
+            break
+    return sigma, trace
+
+
+def _impute_reference(model, matrix, passes=None):
+    constraints = row_constraints(matrix, model.marginals)
+    latent = np.zeros(matrix.values.shape)
+    for i, con in enumerate(constraints):
+        if con.missing:
+            latent[i], _ = _e_step_reference(model.sigma, con, passes=passes)
+    values = matrix.values.copy()
+    for j, marginal in enumerate(model.marginals):
+        rows = np.flatnonzero(~matrix.mask[:, j])
+        values[rows, j] = marginal.from_latent(latent[rows, j])
+    return values
+
+
+def _assert_em_and_impute_match_reference(masked, max_iters):
+    passes = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        model = em_fit(masked, max_iters=max_iters)
+        sigma, trace = _em_reference(masked, max_iters, passes=passes)
+    assert same_bits(model.sigma, sigma)
+    assert model.em_trace == trace
+    assert all(same_bits(a, b) for a, b in zip(model.em_trace, trace))
+    assert same_bits(impute(model, masked).values,
+                     _impute_reference(model, masked, passes))
+    return model, passes
+
+
+def ordinal_benchmark_panel(seed=11, rows=150, continuous=12, ordinal=4):
+    """A 150x16 copula panel with 4 four-level ordinal columns, mask 0.2."""
+    rng = rng_for(seed, "ordinal-benchmark-panel")
+    q = continuous + ordinal
+    a = rng.normal(size=(q, q))
+    sigma = a @ a.T + 0.5 * np.eye(q)
+    d = np.sqrt(np.diag(sigma))
+    specs = ([MarginalSpec("lognormal", (0.0, 0.5))] * continuous
+             + [MarginalSpec("ordinal", levels=(1.0, 2.0, 3.0, 4.0),
+                             probs=(0.25,) * 4)] * ordinal)
+    full = gen_copula_sample(sigma / np.outer(d, d), specs, rows, seed)
+    return apply_mask(full, 0.2, seed + 1)[0]
+
+
+def mixed_edge_panel():
+    """Mixed 40x6 panel (2 continuous, 2 binary and 2 four-level ordinal
+    columns) whose first rows are edge cases: row 0 fully missing, row 1
+    fully observed, row 2 holding one ordinal cell and nothing else, row 3
+    holding only the two binary cells, at their upper level."""
+    rng = rng_for(9, "mixed-edge-panel")
+    sigma = project_correlation(np.corrcoef(rng.normal(size=(6, 12))) + np.eye(6))
+    specs = ([MarginalSpec("lognormal", (0.0, 0.5))] * 2
+             + [MarginalSpec("ordinal", levels=(0.0, 1.0), probs=(0.5, 0.5))] * 2
+             + [MarginalSpec("ordinal", levels=(1.0, 2.0, 3.0, 4.0),
+                             probs=(0.25,) * 4)] * 2)
+    full = gen_copula_sample(sigma, specs, 40, 9)
+    masked, _ = apply_mask(full, 0.25, 10)
+    keep = np.zeros((4, 6), dtype=bool)
+    keep[1] = True
+    keep[2, 4] = True
+    keep[3, 2:4] = True
+    masked.mask[:4] = keep
+    masked.values[:4] = np.where(keep, full.values[:4], np.nan)
+    masked.values[3, 2:4] = 1.0
+    return masked
+
+
+def test_em_and_impute_equal_scalar_reference_on_default_panel():
+    masked, _ = apply_mask(gen_seasonal_load(seed=11), 0.1, 11)
+    model, _ = _assert_em_and_impute_match_reference(masked, 100)
+    assert model.converged and len(model.em_trace) > 3
+
+
+def test_em_and_impute_equal_scalar_reference_on_ordinal_panel():
+    masked = ordinal_benchmark_panel()
+    assert masked.values.shape == (150, 16)
+    _, passes = _assert_em_and_impute_match_reference(masked, 4)
+    # Rows stop after different numbers of passes, so a shared stopping
+    # rule would show.
+    assert len(set(passes)) > 3
+
+
+def test_em_impute_and_e_step_equal_scalar_reference_on_mixed_edge_panel():
+    masked = mixed_edge_panel()
+    model, _ = _assert_em_and_impute_match_reference(masked, 12)
+    constraints = row_constraints(masked, model.marginals)
+    assert not constraints[0].observed and not constraints[1].missing
+    assert list(constraints[2].intervals) == [4] and not constraints[2].exact
+    # At a strongly correlated sigma, row 3's two upper-level binary cells
+    # need far more than max_inner passes; the other rows stop early.
+    strong = np.full((6, 6), 0.99) + 0.01 * np.eye(6)
+    passes = []
+    ref = _estep_sum_reference(strong, constraints, 1e-8, passes)
+    assert same_bits(_estep_sum(strong, _Plan(constraints, 6), 1e-8), ref)
+    assert max(passes) == 50 and min(passes) < 50
+    assert same_bits(pseudo_loglik(strong, constraints),
+                     _pseudo_loglik_reference(strong, constraints))
+    strong_model = CopulaModel(sigma=strong, marginals=model.marginals)
+    assert same_bits(impute(strong_model, masked).values,
+                     _impute_reference(strong_model, masked))
+    for sigma in (model.sigma, strong):
+        for con in constraints:
+            for max_inner, tol in ((50, 1e-6), (2, 1e-12), (0, 1e-6)):
+                got = e_step(sigma, con, max_inner=max_inner, inner_tol=tol)
+                want = _e_step_reference(sigma, con, max_inner=max_inner,
+                                         inner_tol=tol)
+                assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+
+
+def test_truncated_moments_array_kernel_equals_scalar_reference_bit_for_bit():
+    bounds = (-np.inf, -9.0, -3.0, -0.5, 0.0, 0.7, 2.5, 8.5, 40.0, np.inf)
+    grid = [(lo, hi, mean, sd) for lo in bounds for hi in bounds if hi > lo
+            for mean in (0.0, -1.3, 2.2) for sd in (1.0, 0.4, 2.5)]
+    assert len(grid) == 405
+    mu, var = _truncated_moments(*(np.array(col) for col in zip(*grid)))
+    collapsed = 0
+    for i, case in enumerate(grid):
+        want = _truncated_normal_moments_reference(*case)
+        assert same_bits((mu[i], var[i]), want), case
+        assert same_bits(truncated_normal_moments(*case), want), case
+        collapsed += want[1] == 0.0 and want[0] in case[:2]
+    assert collapsed > 0          # the underflow collapse is in the grid
+
+
+def test_kernel_errors_match_scalar_reference():
+    con = RowConstraint(exact={0: 0.3}, intervals={1: (0.0, np.inf)}, missing=(2,))
+    not_pd = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    for fn in (e_step, _e_step_reference):
+        with pytest.raises(FitError):
+            fn(not_pd, con)
+    with pytest.raises(FitError):
+        _estep_sum(not_pd, _Plan([con], 3), 1e-8)
+    with_nan = np.eye(3)
+    with_nan[0, 1] = with_nan[1, 0] = np.nan
+    for fn in (e_step, _e_step_reference):
+        with pytest.raises(ValueError):
+            fn(with_nan, con)
+    exact = RowConstraint(exact={0: 0.3, 1: -0.2}, intervals={}, missing=(2,))
+    for fn in (pseudo_loglik, _pseudo_loglik_reference):
+        with pytest.raises(ValueError):
+            fn(with_nan, [exact])
+    singular = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    with pytest.warns(UserWarning, match="ridge repair"):
+        got = pseudo_loglik(singular, [exact, exact])
+    with pytest.warns(UserWarning, match="ridge repair"):
+        want = _pseudo_loglik_reference(singular, [exact, exact])
+    assert same_bits(got, want) and np.isfinite(got)
