@@ -19,9 +19,10 @@ import sys
 import numpy as np
 
 from . import __version__
-from .copula import em_fit, impute
+from .copula import complete
 from .dataset import (Schema, apply_mask, gen_seasonal_load, load_csv,
-                      mask_record_to_file, save_csv, write_json)
+                      mask_record_to_file, save_csv, write_float_csv,
+                      write_json)
 from .ensemble import ablation, ablation_to_csv, run_ensemble
 from .errors import ConfigError, CopulacastError, DataError
 from .evaluation import build_report
@@ -111,16 +112,31 @@ def _require_number(value, name, kind):
     raise ConfigError(f"{name} must be {what}, got {json.dumps(value)}")
 
 
+def _is_positive_int(value):
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
 def _require_like(value, default, name):
     """value of the JSON type of a keyword default: an int default takes an
     integer (not a boolean), a float default a number, a bool default a
-    boolean.  Other defaults (tuples, None) are not checked."""
+    boolean, a tuple of ints (lags) a non-empty list of positive integers
+    and a tuple of pairs (layer shapes) a non-empty list of [int, int]
+    pairs of positive integers.  Other defaults (None) are not checked."""
     if isinstance(default, bool):
         ok, what = isinstance(value, bool), "a boolean"
     elif isinstance(default, int):
         ok, what = isinstance(value, int) and not isinstance(value, bool), "an integer"
     elif isinstance(default, float):
         ok, what = isinstance(value, (int, float)) and not isinstance(value, bool), "a number"
+    elif isinstance(default, tuple) and all(isinstance(d, tuple) for d in default):
+        ok = (isinstance(value, list) and bool(value)
+              and all(isinstance(pair, list) and len(pair) == 2
+                      and all(map(_is_positive_int, pair)) for pair in value))
+        what = "a non-empty list of [int, int] pairs of positive integers"
+    elif isinstance(default, tuple):
+        ok = (isinstance(value, list) and bool(value)
+              and all(map(_is_positive_int, value)))
+        what = "a non-empty list of positive integers"
     else:
         return
     if not ok:
@@ -225,11 +241,11 @@ def _impute_stage(config, matrix):
         completed.metadata["imputed"] = False
         return completed, None
     copula_cfg = config.get("copula", {})
-    model = em_fit(matrix,
-                   max_iters=int(copula_cfg.get("max_iters", 100)),
-                   tol=float(copula_cfg.get("tol", 1e-4)),
-                   ridge=float(copula_cfg.get("ridge", 1e-8)))
-    return impute(model, matrix), model
+    model, completed = complete(matrix,
+                                max_iters=int(copula_cfg.get("max_iters", 100)),
+                                tol=float(copula_cfg.get("tol", 1e-4)),
+                                ridge=float(copula_cfg.get("ridge", 1e-8)))
+    return completed, model
 
 
 def _build_task(config, matrix):
@@ -288,34 +304,29 @@ def _holdout_actuals(task, completed, truth):
 
 def _recovery_report(truth_values, masked, completed, record):
     """MAE over the erased cells: copula reconstruction vs column means."""
-    cells = record.erased_cells
-    if not cells:
+    if not record.erased_cells:
         return None
     col_means = np.array([
         masked.values[masked.mask[:, j], j].mean() if masked.mask[:, j].any()
         else np.nan
         for j in range(masked.n_cols)])
-    err_copula, err_mean = [], []
-    for r, c in cells:
-        true_value = truth_values[r, c]
-        err_copula.append(abs(completed.values[r, c] - true_value))
-        err_mean.append(abs(col_means[c] - true_value))
-    return {"cells": len(cells),
-            "copula_mae": float(np.mean(err_copula)),
-            "mean_imputation_mae": float(np.mean(err_mean))}
+    rows, cols = np.array(record.erased_cells).T
+    true_values = truth_values[rows, cols]
+    return {"cells": len(record.erased_cells),
+            "copula_mae": float(np.mean(np.abs(completed.values[rows, cols]
+                                               - true_values))),
+            "mean_imputation_mae": float(np.mean(np.abs(col_means[cols]
+                                                        - true_values)))}
 
 
 def _write_forecasts(out_dir, task, completed, actuals, models, ensemble_path):
     labels = [completed.time_index[t].isoformat() for t in task.holdout_indices]
-    with open(os.path.join(out_dir, "forecasts.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time", "actual"] + [m.name for m in models]
-                        + ["ensemble"])
-        for i, label in enumerate(labels):
-            row = [label, repr(float(actuals[i]))]
-            row.extend(repr(float(m.holdout_forecast[i])) for m in models)
-            row.append(repr(float(ensemble_path[i])))
-            writer.writerow(row)
+    write_float_csv(os.path.join(out_dir, "forecasts.csv"),
+                    ["time", "actual"] + [m.name for m in models] + ["ensemble"],
+                    labels,
+                    np.column_stack([actuals]
+                                    + [m.holdout_forecast for m in models]
+                                    + [ensemble_path]))
     return labels
 
 

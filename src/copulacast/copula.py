@@ -18,8 +18,9 @@ means back through the marginal inverses, again one call per column.
 
 One conditioning kernel serves em_fit, impute, pseudo_loglik and e_step:
 
-- A plan (_Plan) is built once per em_fit or impute call from the row
-  constraints, which never change between iterations: observed/missing
+- A plan (_Plan) is built once per em_fit, impute or complete call from
+  the row constraints, which never change between iterations (complete
+  fits and fills one matrix on one plan): observed/missing
   index arrays per pattern, exact values and interval bounds as arrays,
   the exact-only rows grouped by pattern, and stacked layouts of the rows
   each E-step visits, grouped by observed-block size.
@@ -101,8 +102,8 @@ class MarginalTransform:
 
     def to_json(self):
         return {"kind": self.kind,
-                "support": [float(v) for v in np.atleast_1d(self.support)],
-                "cum_probs": [float(v) for v in np.atleast_1d(self.cum_probs)]}
+                "support": np.atleast_1d(self.support).astype(float).tolist(),
+                "cum_probs": np.atleast_1d(self.cum_probs).astype(float).tolist()}
 
     @classmethod
     def from_json(cls, obj):
@@ -694,7 +695,7 @@ class CopulaModel:
         return self.sigma.shape[0]
 
     def to_json(self):
-        return {"sigma": [[float(v) for v in row] for row in self.sigma],
+        return {"sigma": self.sigma.tolist(),
                 "marginals": [m.to_json() for m in self.marginals],
                 "em_trace": [[int(t), float(d), float(l)]
                              for t, d, l in self.em_trace],
@@ -807,6 +808,13 @@ def em_fit(matrix, max_iters=100, tol=1e-4, ridge=1e-8):
     Returns:
         CopulaModel with an em_trace of (iteration, delta, pseudo_loglik).
     """
+    marginals, plan = _plan_fit(matrix, max_iters, tol)
+    return _em(matrix, marginals, plan, max_iters, tol, ridge)
+
+
+def _plan_fit(matrix, max_iters, tol):
+    """Check em_fit's arguments; return the marginals and the plan of the
+    matrix's row constraints under them."""
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     if tol <= 0:
@@ -815,10 +823,12 @@ def em_fit(matrix, max_iters=100, tol=1e-4, ridge=1e-8):
     if rows_with_obs < 2:
         raise FitError("need at least two rows with observed cells")
     marginals = fit_marginals(matrix)
-    q = matrix.n_cols
-    plan = _Plan(row_constraints(matrix, marginals), q)
+    return marginals, _Plan(row_constraints(matrix, marginals), matrix.n_cols)
 
-    sigma = np.eye(q)
+
+def _em(matrix, marginals, plan, max_iters, tol, ridge):
+    """EM on a plan of the matrix's constraints under marginals."""
+    sigma = np.eye(plan.q)
     trace = []
     converged = False
     for it in range(1, max_iters + 1):
@@ -853,8 +863,13 @@ def impute(model, matrix):
     """
     if model.n_cols != matrix.n_cols:
         raise ValueError("model and matrix disagree on column count")
+    return _fill(model, matrix,
+                 _Plan(row_constraints(matrix, model.marginals), matrix.n_cols))
+
+
+def _fill(model, matrix, plan):
+    """impute on a plan of the matrix's constraints under model.marginals."""
     out = matrix.copy()
-    plan = _Plan(row_constraints(matrix, model.marginals), matrix.n_cols)
     rows, degenerate = [], []
     for r, (o, m) in enumerate(plan.patterns[pid] for pid in plan.pid):
         if m.size:
@@ -870,3 +885,18 @@ def impute(model, matrix):
         out.metadata["degenerate_rows"] = degenerate
     out.metadata["imputed"] = True
     return out
+
+
+def complete(matrix, max_iters=100, tol=1e-4, ridge=1e-8):
+    """Fit the copula to a matrix and impute that same matrix.
+
+    Equals em_fit(matrix, max_iters, tol, ridge) followed by impute(model,
+    matrix) bit for bit, but builds the row constraints and their plan once:
+    impute's constraints under the fitted marginals are the ones EM ran on.
+
+    Returns:
+        (CopulaModel, fully observed ObservationMatrix).
+    """
+    marginals, plan = _plan_fit(matrix, max_iters, tol)
+    model = _em(matrix, marginals, plan, max_iters, tol, ridge)
+    return model, _fill(model, matrix, plan)

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import write_float_csv
+
 
 def compute_lambda(n_rounds):
     """Equilibrium factor sqrt(1 / ln R) for a model with R training rounds.
@@ -89,15 +91,8 @@ class ConvergenceTrace:
                   + [f"err_{n}" for n in names]
                   + [f"ce_{n}" for n in names]
                   + [f"w_{n}" for n in names])
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for i, r in enumerate(self.rounds):
-                row = [int(r)]
-                row.extend(repr(float(v)) for v in self.err[i])
-                row.extend(repr(float(v)) for v in self.ce[i])
-                row.extend(repr(float(v)) for v in self.weights[i])
-                writer.writerow(row)
+        write_float_csv(path, header, [int(r) for r in self.rounds],
+                        np.hstack([self.err, self.ce, self.weights]))
 
 
 def run_ensemble(models, task):

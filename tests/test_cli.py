@@ -1,5 +1,7 @@
 """End-to-end tests of the argparse CLI and its artifacts."""
 
+import csv
+import io
 import json
 import os
 import subprocess
@@ -9,9 +11,11 @@ import numpy as np
 import pytest
 
 import copulacast
+from copulacast import copula
 from copulacast.cli import DEFAULT_CONFIG, main, resolve_config
 from copulacast.dataset import (CONTINUOUS, MarginalSpec, Schema,
-                                gen_copula_sample, load_csv, save_csv)
+                                gen_copula_sample, gen_seasonal_load, load_csv,
+                                save_csv)
 from copulacast.errors import ConfigError
 from copulacast.rng import rng_for
 
@@ -40,6 +44,10 @@ def test_resolve_config_defaults_and_overrides(tmp_path):
     assert config["out"] == "elsewhere"
     # Untouched defaults survive the merge.
     assert config["task"]["horizon"] == 12
+    roster = [{"name": "gbt", "lags": [1, 12]},
+              {"name": "tcn", "layer_shapes": [[2, 1], [2, 2]]}]
+    path = write_config(tmp_path, {"roster": roster}, name="roster.json")
+    assert resolve_config(path)["roster"] == roster
 
 
 def csv_source(path):
@@ -116,6 +124,18 @@ def test_config_section_of_wrong_type_reports_config_error(tmp_path, capsys,
     ("data.synthetic.seed", {"data": {"synthetic": {"seed": 3}}}),
     ("data.synthetic.n_periods", {"data": {"synthetic": {"n_periods": 108.5}}}),
     ("data.synthetic.noise_sd", {"data": {"synthetic": {"noise_sd": "2"}}}),
+    ("roster.gbt.lags", {"roster": [{"name": "ridge_ar"}, {"name": "gbt", "lags": 3}]}),
+    ("roster.gbt.lags", {"roster": [{"name": "gbt", "lags": "x"}]}),
+    ("roster.ridge_ar.lags", {"roster": [{"name": "ridge_ar", "lags": []}]}),
+    ("roster.trmf.lags", {"roster": [{"name": "trmf", "lags": [1, 0]}]}),
+    ("roster.trmf.lags", {"roster": [{"name": "trmf", "lags": [1, True]}]}),
+    ("roster.ridge_ar.lags", {"roster": [{"name": "ridge_ar", "lags": [1.5]}]}),
+    ("roster.tcn.layer_shapes", {"roster": [{"name": "tcn", "layer_shapes": [3, 1]}]}),
+    ("roster.tcn.layer_shapes", {"roster": [{"name": "tcn", "layer_shapes": []}]}),
+    ("roster.tcn.layer_shapes", {"roster": [
+        {"name": "tcn", "layer_shapes": [[3, 1, 2]]}]}),
+    ("roster.tcn.layer_shapes", {"roster": [
+        {"name": "tcn", "layer_shapes": [[3, 1], [3, 0]]}]}),
 ], ids=["seed", "jobs_null", "jobs_bool", "jobs_zero", "jobs_negative",
         "mask_fraction", "copula_max_iters", "copula_max_iters_fraction",
         "copula_tol", "copula_ridge", "task_horizon", "task_validation",
@@ -124,7 +144,11 @@ def test_config_section_of_wrong_type_reports_config_error(tmp_path, capsys,
         "data_csv_columns_list", "data_csv_ordinal_levels_list",
         "roster_epochs_string", "roster_epochs_bool", "roster_learn_rate_null",
         "roster_use_features_int", "synthetic_unknown_key", "synthetic_seed",
-        "synthetic_n_periods_fraction", "synthetic_noise_sd_string"])
+        "synthetic_n_periods_fraction", "synthetic_noise_sd_string",
+        "roster_lags_int", "roster_lags_string", "roster_lags_empty",
+        "roster_lags_zero", "roster_lags_bool", "roster_lags_float",
+        "roster_layer_shapes_flat", "roster_layer_shapes_empty",
+        "roster_layer_shapes_triple", "roster_layer_shapes_zero"])
 def test_config_scalar_of_wrong_type_reports_config_error(tmp_path, capsys,
                                                           key, override):
     cfg = write_config(tmp_path, override)
@@ -217,6 +241,16 @@ def test_impute_completes_panel_and_reports_recovery(tmp_path, capsys):
     assert recovery["cells"] == 140
     assert recovery["copula_mae"] < recovery["mean_imputation_mae"]
     assert os.path.exists(os.path.join(out, "copula_model.json"))
+    # Both MAEs equal the per-cell loop over the erased cells.
+    truth = gen_seasonal_load(seed=DEFAULT_CONFIG["seed"],
+                              **DEFAULT_CONFIG["data"]["synthetic"]).values
+    masked = load_csv(os.path.join(out, "data.csv"), schema)
+    means = [masked.values[masked.mask[:, j], j].mean() for j in range(13)]
+    cells = read_json(out, "mask.json")["erased_cells"]
+    assert recovery["copula_mae"] == float(np.mean(
+        [abs(completed.values[r, c] - truth[r, c]) for r, c in cells]))
+    assert recovery["mean_imputation_mae"] == float(np.mean(
+        [abs(means[c] - truth[r, c]) for r, c in cells]))
 
 
 def test_impute_csv_round_trip(tmp_path):
@@ -285,6 +319,60 @@ def test_impute_interval_path_is_byte_deterministic(tmp_path, monkeypatch):
     assert {"completed.csv", "copula_model.json", "recovery.json"} <= set(trees[0])
     model = json.loads(trees[0]["copula_model.json"])
     assert any(m["kind"] == "ordinal" for m in model["marginals"])
+
+
+def test_cli_completion_builds_one_plan(tmp_path, monkeypatch):
+    # EM and the fill share the row constraints' plan: one build per command.
+    built = []
+
+    class CountingPlan(copula._Plan):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(copula, "_Plan", CountingPlan)
+    cfg = write_config(tmp_path, {"roster": [{"name": "naive_seasonal"},
+                                             {"name": "ridge_ar"}]})
+    for command in ("impute", "run"):
+        built.clear()
+        assert main([command, "--config", cfg,
+                     "--out", os.path.join(tmp_path, command)]) == 0
+        assert len(built) == 1, command
+
+
+@pytest.mark.filterwarnings("ignore:copula EM did not converge")
+def test_artifacts_keep_the_stdlib_formats(tmp_path):
+    # Every JSON file is the stdlib's indent=2, sort_keys=True text of its
+    # own content plus a newline; every float field of a CSV table is its
+    # repr.  report.csv is the fixed-decimal summary table and is exempt.
+    outs = {"run": os.path.join(tmp_path, "run"),
+            "impute": os.path.join(tmp_path, "impute")}
+    assert main(["run", "--seed", "11", "--out", outs["run"]]) == 0
+    assert main(["impute", "--config", ordinal_csv_config(tmp_path),
+                 "--seed", "11", "--out", outs["impute"]]) == 0
+    checked = []
+    for command, out in outs.items():
+        for name in sorted(os.listdir(out)):
+            with open(os.path.join(out, name), newline="") as fh:
+                text = fh.read()
+            if name.endswith(".json"):
+                want = json.dumps(json.loads(text), indent=2, sort_keys=True)
+                assert text == want + "\n", name
+            elif name != "report.csv":
+                rows = list(csv.reader(io.StringIO(text)))
+                assert len(rows) > 1, name
+                for row in rows[1:]:
+                    for field in row[1:]:
+                        assert field == "" or repr(float(field)) == field, (name, field)
+            checked.append(f"{command}/{name}")
+    assert checked == [
+        "run/completed.csv", "run/config.json", "run/convergence_trace.csv",
+        "run/copula_model.json", "run/data.csv", "run/forecasts.csv",
+        "run/mask.json", "run/models.json", "run/recovery.json",
+        "run/report.csv", "run/report.json", "run/truth.csv",
+        "impute/completed.csv", "impute/config.json",
+        "impute/copula_model.json", "impute/data.csv", "impute/mask.json",
+        "impute/recovery.json"]
 
 
 # --------------------------------------------------------------------- run

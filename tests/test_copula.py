@@ -16,6 +16,7 @@ from copulacast.copula import (
     _estep_sum,
     _Plan,
     _truncated_moments,
+    complete,
     e_step,
     em_fit,
     fit_marginals,
@@ -781,6 +782,27 @@ def test_em_impute_and_e_step_equal_scalar_reference_on_mixed_edge_panel():
                 want = _e_step_reference(sigma, con, max_inner=max_inner,
                                          inner_tol=tol)
                 assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+
+
+@pytest.mark.parametrize("panel, max_iters", [
+    (lambda: apply_mask(gen_seasonal_load(seed=11), 0.1, 11)[0], 100),
+    (mixed_edge_panel, 12),
+], ids=["continuous", "ordinal_with_empty_row"])
+def test_complete_equals_em_fit_then_impute_bit_for_bit(panel, max_iters):
+    masked = panel()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        model, completed = complete(masked, max_iters=max_iters)
+        want_model = em_fit(masked, max_iters=max_iters)
+    want = impute(want_model, masked)
+    assert same_bits(model.sigma, want_model.sigma)
+    assert model.em_trace == want_model.em_trace
+    assert all(same_bits(a, b) for a, b in zip(model.em_trace, want_model.em_trace))
+    assert model.converged == want_model.converged
+    assert same_bits(completed.values, want.values) and completed.mask.all()
+    assert completed.metadata == want.metadata
+    assert completed.metadata.get("degenerate_rows") == (
+        [0] if panel is mixed_edge_panel else None)
 
 
 def test_truncated_moments_array_kernel_equals_scalar_reference_bit_for_bit():

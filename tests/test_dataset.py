@@ -157,6 +157,27 @@ def test_write_json_sorts_keys_and_ends_with_newline(tmp_path):
         assert fh.read() == '{\n  "a": [\n    2.5\n  ],\n  "b": 1\n}\n'
 
 
+def test_write_json_defers_to_stdlib_beyond_its_rules(tmp_path):
+    # Nesting past the renderer's depth, non-string keys, and the errors
+    # json raises for circular and unsupported values.
+    path = os.path.join(tmp_path, "obj.json")
+    deep = [1.5]
+    for k in range(100):
+        deep = {"k": [deep, k]}
+    for obj in (deep, {"a": {2: [1.0], 1: None}}):
+        write_json(obj, path)
+        with open(path) as fh:
+            assert fh.read() == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    loop = []
+    loop.append(loop)
+    for obj, error in ((loop, ValueError), ({"x": object()}, TypeError)):
+        with pytest.raises(error) as want:
+            json.dumps(obj, indent=2, sort_keys=True)
+        with pytest.raises(error) as got:
+            write_json(obj, path)
+        assert str(got.value) == str(want.value)
+
+
 def test_gen_seasonal_load_shape_and_names():
     m = gen_seasonal_load()
     assert m.values.shape == (108, 13)
