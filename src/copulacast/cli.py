@@ -28,22 +28,27 @@ from .errors import ConfigError, CopulacastError, DataError
 from .evaluation import build_report
 from .forecasters import FORECASTERS, ForecastTask
 
+
+def _keywords(fn):
+    """fn's keyword defaults by name, in signature order."""
+    return {name: p.default
+            for name, p in inspect.signature(fn).parameters.items()
+            if p.default is not p.empty}
+
+
+# The schema of the config: every key a run accepts, with its default.
+# The copula section is complete's keywords and the synthetic source is
+# the generator's, less the seed, which the CLI passes itself.
 DEFAULT_CONFIG = {
     "seed": 11,
     "jobs": 1,
     "out": "out",
     "data": {
-        "synthetic": {
-            "n_periods": 108,
-            "base": 100.0,
-            "trend": 0.5,
-            "seasonal_amp": 20.0,
-            "noise_sd": 2.0,
-            "n_features": 12,
-        },
+        "synthetic": {key: value for key, value
+                      in _keywords(gen_seasonal_load).items() if key != "seed"},
     },
     "mask": {"fraction": 0.1},
-    "copula": {"max_iters": 100, "tol": 1e-4, "ridge": 1e-8},
+    "copula": _keywords(complete),
     "task": {
         "target": "load",
         "horizon": 12,
@@ -70,8 +75,22 @@ def _deep_merge(base, override):
     return out
 
 
+# None marks a setting that _validate_config checks by its own code.
+_SCHEMA = _deep_merge(DEFAULT_CONFIG, {
+    "data": {"csv": {"path": None, "columns": None, "ordinal_levels": None}},
+    "task": {"features": None},
+    "roster": None,
+})
+
+
 def resolve_config(path, seed=None, out=None):
-    """Merge the default config with a JSON file and flag overrides."""
+    """Merge the default config with a JSON file and flag overrides.
+
+    Raises ConfigError unless every key is a known setting holding a value
+    of its default's JSON type, and the few ranged or free-form settings
+    (jobs, mask.fraction, the task span and features, data.csv, roster)
+    pass their own checks.
+    """
     config = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
         try:
@@ -99,35 +118,37 @@ def _require_object(value, name):
         raise ConfigError(f"{name} must be a JSON object, got {json.dumps(value)}")
 
 
-def _require_number(value, name, kind):
-    """value as kind (int or float, never truncated); else ConfigError."""
-    what = "an integer" if kind is int else "a number"
-    if not isinstance(value, bool):
-        try:
-            number = kind(value)
-            if not (kind is int and isinstance(value, float) and number != value):
-                return number
-        except (TypeError, ValueError, OverflowError):
-            pass
-    raise ConfigError(f"{name} must be {what}, got {json.dumps(value)}")
-
-
 def _is_positive_int(value):
     return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
 def _require_like(value, default, name):
-    """value of the JSON type of a keyword default: an int default takes an
-    integer (not a boolean), a float default a number, a bool default a
-    boolean, a tuple of ints (lags) a non-empty list of positive integers
-    and a tuple of pairs (layer shapes) a non-empty list of [int, int]
-    pairs of positive integers.  Other defaults (None) are not checked."""
+    """value of the JSON shape of its default.
+
+    A dict default takes an object holding only the dict's keys, each
+    checked against its own default.  An int default takes an integer (not
+    a boolean), a float default a number, a bool default a boolean, a str
+    default a string, a tuple of ints (lags) a non-empty list of positive
+    integers and a tuple of pairs (layer shapes) a non-empty list of
+    [int, int] pairs of positive integers.  A None default is not checked.
+    """
+    if isinstance(default, dict):
+        _require_object(value, name)
+        for key, item in value.items():
+            dotted = f"{name}.{key}" if name else key
+            if key not in default:
+                raise ConfigError(f"{dotted} must be a known setting; "
+                                  f"accepted: {list(default)}")
+            _require_like(item, default[key], dotted)
+        return
     if isinstance(default, bool):
         ok, what = isinstance(value, bool), "a boolean"
     elif isinstance(default, int):
         ok, what = isinstance(value, int) and not isinstance(value, bool), "an integer"
     elif isinstance(default, float):
         ok, what = isinstance(value, (int, float)) and not isinstance(value, bool), "a number"
+    elif isinstance(default, str):
+        ok, what = isinstance(value, str), "a string"
     elif isinstance(default, tuple) and all(isinstance(d, tuple) for d in default):
         ok = (isinstance(value, list) and bool(value)
               and all(isinstance(pair, list) and len(pair) == 2
@@ -144,72 +165,49 @@ def _require_like(value, default, name):
 
 
 def _validate_config(config):
-    for section in ("mask", "copula", "task", "data"):
-        _require_object(config.get(section, {}), section)
-    for source in ("synthetic", "csv"):
-        if source in config["data"]:
-            _require_object(config["data"][source], f"data.{source}")
-    _require_number(config.get("seed"), "seed", int)
-    jobs = _require_number(config.get("jobs", 1), "jobs", int)
-    if jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
-    for key, kind in (("max_iters", int), ("tol", float), ("ridge", float)):
-        if key in config.get("copula", {}):
-            _require_number(config["copula"][key], f"copula.{key}", kind)
-    mask = config.get("mask", {})
-    fraction = _require_number(mask.get("fraction", 0.0), "mask.fraction", float)
+    _require_like(config, _SCHEMA, "")
+    if config["jobs"] < 1:
+        raise ConfigError(f"jobs must be >= 1, got {config['jobs']}")
+    fraction = config["mask"]["fraction"]
     if not 0.0 <= fraction <= 1.0:
         raise ConfigError(f"mask.fraction must lie in [0, 1], got {fraction}")
-    roster = config.get("roster", [])
+    task = config["task"]
+    if task["horizon"] < 1 or task["validation_periods"] < 1:
+        raise ConfigError("task.horizon and task.validation_periods must be >= 1")
+    features = task["features"]
+    if features != "all" and not (isinstance(features, list) and
+                                  all(isinstance(f, str) for f in features)):
+        raise ConfigError('task.features must be "all" or a list of column '
+                          f"names, got {json.dumps(features)}")
+    roster = config["roster"]
     if not isinstance(roster, list) or not roster:
         raise ConfigError("roster must be a non-empty list")
     for entry in roster:
         _require_object(entry, "each roster entry")
         name = entry.get("name")
-        if name not in FORECASTERS:
+        if not isinstance(name, str) or name not in FORECASTERS:
             raise ConfigError(f"unknown forecaster {name!r}; known: "
                               f"{sorted(FORECASTERS)}")
         # Every fitter takes (task, matrix, **hyperparameters).
-        params = inspect.signature(FORECASTERS[name]).parameters
-        accepted = list(params)[2:]
+        params = _keywords(FORECASTERS[name])
         for key, value in entry.items():
             if key == "name":
                 continue
-            if key not in accepted:
+            if key not in params:
                 raise ConfigError(f"roster entry {name!r} has unknown key "
-                                  f"{key!r}; accepted: {accepted}")
-            _require_like(value, params[key].default, f"roster.{name}.{key}")
-    task = config.get("task", {})
-    horizon = _require_number(task.get("horizon", 0), "task.horizon", int)
-    n_val = _require_number(task.get("validation_periods", 0),
-                            "task.validation_periods", int)
-    if horizon < 1 or n_val < 1:
-        raise ConfigError("task.horizon and task.validation_periods must be >= 1")
-    features = task.get("features", "all")
-    if features != "all" and not (isinstance(features, list) and
-                                  all(isinstance(f, str) for f in features)):
-        raise ConfigError('task.features must be "all" or a list of column '
-                          f"names, got {json.dumps(features)}")
-    data = config.get("data", {})
-    if "csv" not in data and "synthetic" not in data:
-        raise ConfigError("data must configure either a csv source or the "
-                          "synthetic generator")
-    if "synthetic" in data:
-        # The CLI passes its own seed; every other keyword is configurable.
-        params = inspect.signature(gen_seasonal_load).parameters
-        accepted = [key for key in params if key != "seed"]
-        for key, value in data["synthetic"].items():
-            if key not in accepted:
-                raise ConfigError(f"data.synthetic.{key} must be a generator "
-                                  f"parameter; accepted: {accepted}")
-            _require_like(value, params[key].default, f"data.synthetic.{key}")
-    if "csv" in data:
-        path = data["csv"].get("path")
+                                  f"{key!r}; accepted: {list(params)}")
+            _require_like(value, params[key], f"roster.{name}.{key}")
+    if "csv" in config["data"]:
+        if "synthetic" in config["data"]:
+            raise ConfigError("data must be either a csv source or the "
+                              "synthetic generator, not both")
+        source = config["data"]["csv"]
+        path = source.get("path")
         if not isinstance(path, str):
             raise ConfigError(f"data.csv.path must be a string, got "
                               f"{json.dumps(path)}")
-        _require_object(data["csv"].get("columns"), "data.csv.columns")
-        _require_object(data["csv"].get("ordinal_levels", {}),
+        _require_object(source.get("columns"), "data.csv.columns")
+        _require_object(source.get("ordinal_levels", {}),
                         "data.csv.ordinal_levels")
 
 
@@ -222,16 +220,15 @@ def _load_input(config):
                         ordinal_levels={k: tuple(v) for k, v in
                                         source.get("ordinal_levels", {}).items()})
         return load_csv(source["path"], schema), None
-    params = dict(data["synthetic"])
-    truth = gen_seasonal_load(seed=int(config["seed"]), **params)
+    truth = gen_seasonal_load(seed=config["seed"], **data["synthetic"])
     return truth.copy(), truth
 
 
 def _mask_stage(config, matrix):
-    fraction = float(config.get("mask", {}).get("fraction", 0.0))
+    fraction = config["mask"]["fraction"]
     if fraction <= 0.0:
         return matrix, None
-    return apply_mask(matrix, fraction, int(config["seed"]))
+    return apply_mask(matrix, fraction, config["seed"])
 
 
 def _impute_stage(config, matrix):
@@ -240,11 +237,7 @@ def _impute_stage(config, matrix):
         completed = matrix.copy()
         completed.metadata["imputed"] = False
         return completed, None
-    copula_cfg = config.get("copula", {})
-    model, completed = complete(matrix,
-                                max_iters=int(copula_cfg.get("max_iters", 100)),
-                                tol=float(copula_cfg.get("tol", 1e-4)),
-                                ridge=float(copula_cfg.get("ridge", 1e-8)))
+    model, completed = complete(matrix, **config["copula"])
     return completed, model
 
 
@@ -252,14 +245,14 @@ def _build_task(config, matrix):
     task_cfg = config["task"]
     target = task_cfg["target"]
     target_idx = matrix.column_index(target)
-    horizon = int(task_cfg["horizon"])
-    n_val = int(task_cfg["validation_periods"])
+    horizon = task_cfg["horizon"]
+    n_val = task_cfg["validation_periods"]
     n = matrix.n_rows
     train_stop = n - horizon - n_val
     if train_stop < 2:
         raise ConfigError("panel too short for the configured horizon and "
                           "validation span")
-    features = task_cfg.get("features", "all")
+    features = task_cfg["features"]
     if features == "all":
         feature_idx = tuple(j for j in range(matrix.n_cols) if j != target_idx)
     else:
@@ -277,21 +270,17 @@ def _fit_roster(config, task, completed):
     completion timing.
     """
     roster = config["roster"]
-    seed = int(config["seed"])
-    jobs = int(config.get("jobs", 1))
 
     def fit_one(entry):
-        hyper = {k: v for k, v in entry.items() if k != "name"}
         fit = FORECASTERS[entry["name"]]
-        if entry["name"] in ("tcn", "trmf") and "seed" not in hyper:
-            hyper["seed"] = seed
-        hyper = {k: (tuple(v) if isinstance(v, list) else v)
-                 for k, v in hyper.items()}
+        hyper = {k: v for k, v in entry.items() if k != "name"}
+        if "seed" in _keywords(fit):
+            hyper.setdefault("seed", config["seed"])
         return fit(task, completed, **hyper)
 
-    if jobs == 1:
+    if config["jobs"] == 1:
         return [fit_one(entry) for entry in roster]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
+    with concurrent.futures.ThreadPoolExecutor(max_workers=config["jobs"]) as pool:
         futures = [pool.submit(fit_one, entry) for entry in roster]
         return [f.result() for f in futures]
 
@@ -330,14 +319,12 @@ def _write_forecasts(out_dir, task, completed, actuals, models, ensemble_path):
     return labels
 
 
-def _complete(config, out_dir):
-    """Load, mask and complete the panel; write its artifacts and recovery.
+def _complete(config, out_dir, matrix):
+    """Mask and complete the loaded panel; write its artifacts and recovery.
 
-    Returns (truth, completed, recovery): the synthetic truth panel (None
-    for a CSV source), the completed panel, and the recovery report (None
-    when no cell was erased).
+    Returns (completed, recovery): the completed panel and the recovery
+    report (None when no cell was erased).
     """
-    matrix, truth = _load_input(config)
     masked, record = _mask_stage(config, matrix)
     completed, model = _impute_stage(config, masked)
     save_csv(masked, os.path.join(out_dir, "data.csv"))
@@ -350,15 +337,20 @@ def _complete(config, out_dir):
         recovery = _recovery_report(matrix.values, masked, completed, record)
         if recovery is not None:
             write_json(recovery, os.path.join(out_dir, "recovery.json"))
-    return truth, completed, recovery
+    return completed, recovery
 
 
 def _pipeline(config, out_dir):
-    """Shared stages of run/ablate: complete, write truth, fit, ensemble."""
-    truth, completed, _ = _complete(config, out_dir)
+    """Shared stages of run/ablate: load, build the task, complete, write
+    truth, fit, ensemble."""
+    matrix, truth = _load_input(config)
+    # Completion keeps the panel's rows and columns, so the task built from
+    # the loaded panel is the completed one's, and a bad task fails before
+    # any artifact is written.
+    task = _build_task(config, matrix)
+    completed, _ = _complete(config, out_dir, matrix)
     if truth is not None:
         save_csv(truth, os.path.join(out_dir, "truth.csv"))
-    task = _build_task(config, completed)
     models = _fit_roster(config, task, completed)
     forecasts, _, trace = run_ensemble(models, task)
     actuals = _holdout_actuals(task, completed, truth)
@@ -376,22 +368,18 @@ def cmd_synth(config, out_dir):
     save_csv(masked, os.path.join(out_dir, "data.csv"))
     if record is not None:
         mask_record_to_file(record, os.path.join(out_dir, "mask.json"))
-    write_json(config, os.path.join(out_dir, "config.json"))
     print(f"synth: wrote {masked.n_rows}x{masked.n_cols} panel to {out_dir} "
           f"({masked.observed_count()} observed cells)")
-    return 0
 
 
 def cmd_impute(config, out_dir):
     """Complete a sparse panel and report recovery quality when truth exists."""
-    _, _, recovery = _complete(config, out_dir)
+    _, recovery = _complete(config, out_dir, _load_input(config)[0])
     if recovery is not None:
         print(f"impute: copula MAE {recovery['copula_mae']:.4f} vs "
               f"mean-imputation MAE {recovery['mean_imputation_mae']:.4f} "
               f"over {recovery['cells']} erased cells")
-    write_json(config, os.path.join(out_dir, "config.json"))
     print(f"impute: wrote completed panel to {out_dir}")
-    return 0
 
 
 def cmd_run(config, out_dir):
@@ -410,12 +398,10 @@ def cmd_run(config, out_dir):
                           period_labels=labels)
     report.save_json(os.path.join(out_dir, "report.json"))
     report.to_csv(os.path.join(out_dir, "report.csv"))
-    write_json(config, os.path.join(out_dir, "config.json"))
     ens_mean = report.mean_mape["ensemble"]
     ens_std = report.std_mape["ensemble"]
     print(f"run: ensemble Mean-MAPE {ens_mean:.2f}% +/-{ens_std:.2f}% over "
           f"{len(labels)} periods; artifacts in {out_dir}")
-    return 0
 
 
 def cmd_ablate(config, out_dir):
@@ -425,11 +411,9 @@ def cmd_ablate(config, out_dir):
     result = _pipeline(config, out_dir)
     rows = ablation(result["models"], result["task"], result["actuals"])
     ablation_to_csv(rows, os.path.join(out_dir, "ablation.csv"))
-    write_json(config, os.path.join(out_dir, "config.json"))
     first, last = rows[0][2], rows[-1][2]
     print(f"ablate: {len(rows)} prefixes; MAPE first {first:.3f}% -> "
           f"last {last:.3f}%; wrote {out_dir}/ablation.csv")
-    return 0
 
 
 def _read_table(path):
@@ -518,7 +502,9 @@ def main(argv=None):
         os.makedirs(out_dir, exist_ok=True)
         handler = {"synth": cmd_synth, "impute": cmd_impute,
                    "run": cmd_run, "ablate": cmd_ablate}[args.command]
-        return handler(config, out_dir)
+        handler(config, out_dir)
+        write_json(config, os.path.join(out_dir, "config.json"))
+        return 0
     except CopulacastError as exc:
         print(f"error[{exc.category}]: {exc}", file=sys.stderr)
         return 1

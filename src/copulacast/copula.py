@@ -856,7 +856,8 @@ def impute(model, matrix):
     inverse (continuous: interpolated empirical quantile clamped to the
     observed range; ordinal: binned to a level).  Observed cells pass through
     bit-exact.  Rows with no observed cells fall back to column medians and
-    are listed under metadata["degenerate_rows"].
+    are listed under metadata["degenerate_rows"].  The observed blocks are
+    conditioned with the fixed ridge 1e-8, em_fit's default.
 
     Returns:
         Fully observed ObservationMatrix.
@@ -864,17 +865,19 @@ def impute(model, matrix):
     if model.n_cols != matrix.n_cols:
         raise ValueError("model and matrix disagree on column count")
     return _fill(model, matrix,
-                 _Plan(row_constraints(matrix, model.marginals), matrix.n_cols))
+                 _Plan(row_constraints(matrix, model.marginals), matrix.n_cols),
+                 1e-8)
 
 
-def _fill(model, matrix, plan):
-    """impute on a plan of the matrix's constraints under model.marginals."""
+def _fill(model, matrix, plan, ridge):
+    """impute on a plan of the matrix's constraints under model.marginals,
+    conditioning the observed blocks with the given ridge."""
     out = matrix.copy()
     rows, degenerate = [], []
     for r, (o, m) in enumerate(plan.patterns[pid] for pid in plan.pid):
         if m.size:
             (rows if o.size else degenerate).append(r)
-    kernel = _Conditioning(model.sigma, plan, plan.layout(rows), 1e-8)
+    kernel = _Conditioning(model.sigma, plan, plan.layout(rows), ridge)
     latent = np.zeros(matrix.values.shape)
     kernel.missing_means(kernel.observed_moments()[0], latent)
     for j, marginal in enumerate(model.marginals):
@@ -890,13 +893,15 @@ def _fill(model, matrix, plan):
 def complete(matrix, max_iters=100, tol=1e-4, ridge=1e-8):
     """Fit the copula to a matrix and impute that same matrix.
 
-    Equals em_fit(matrix, max_iters, tol, ridge) followed by impute(model,
-    matrix) bit for bit, but builds the row constraints and their plan once:
+    Equals em_fit(matrix, max_iters, tol, ridge) followed by impute's fill
+    bit for bit, but builds the row constraints and their plan once:
     impute's constraints under the fitted marginals are the ones EM ran on.
+    The fill conditions with the fit's ridge, where impute always uses
+    1e-8, so the two agree at the default ridge only.
 
     Returns:
         (CopulaModel, fully observed ObservationMatrix).
     """
     marginals, plan = _plan_fit(matrix, max_iters, tol)
     model = _em(matrix, marginals, plan, max_iters, tol, ridge)
-    return model, _fill(model, matrix, plan)
+    return model, _fill(model, matrix, plan, ridge)

@@ -12,11 +12,12 @@ import pytest
 
 import copulacast
 from copulacast import copula
-from copulacast.cli import DEFAULT_CONFIG, main, resolve_config
+from copulacast.cli import DEFAULT_CONFIG, _fit_roster, main, resolve_config
 from copulacast.dataset import (CONTINUOUS, MarginalSpec, Schema,
                                 gen_copula_sample, gen_seasonal_load, load_csv,
                                 save_csv)
 from copulacast.errors import ConfigError
+from copulacast.forecasters import FORECASTERS
 from copulacast.rng import rng_for
 
 
@@ -37,6 +38,11 @@ def write_config(tmp_path, obj, name="config.json"):
 def test_resolve_config_defaults_and_overrides(tmp_path):
     config = resolve_config(None)
     assert config["seed"] == DEFAULT_CONFIG["seed"]
+    # Taken from complete's and gen_seasonal_load's keyword defaults.
+    assert config["copula"] == {"max_iters": 100, "tol": 1e-4, "ridge": 1e-8}
+    assert config["data"]["synthetic"] == {
+        "n_periods": 108, "base": 100.0, "trend": 0.5, "seasonal_amp": 20.0,
+        "noise_sd": 2.0, "n_features": 12}
     path = write_config(tmp_path, {"seed": 3, "mask": {"fraction": 0.2}})
     config = resolve_config(path, out="elsewhere")
     assert config["seed"] == 3
@@ -71,6 +77,9 @@ def test_resolve_config_rejects_bad_values(tmp_path):
                                     name="b.json"))
     with pytest.raises(ConfigError):
         resolve_config(os.path.join(tmp_path, "missing.json"))
+    with pytest.raises(ConfigError):
+        resolve_config(write_config(tmp_path, {"roster": [{"name": ["gbt"]}]},
+                                    name="c.json"))
 
 
 @pytest.mark.parametrize("override", [
@@ -136,6 +145,21 @@ def test_config_section_of_wrong_type_reports_config_error(tmp_path, capsys,
         {"name": "tcn", "layer_shapes": [[3, 1, 2]]}]}),
     ("roster.tcn.layer_shapes", {"roster": [
         {"name": "tcn", "layer_shapes": [[3, 1], [3, 0]]}]}),
+    ("sede", {"sede": 3}),
+    ("mask.fractoin", {"mask": {"fractoin": 0.5}}),
+    ("copula.max_iter", {"copula": {"max_iter": 2}}),
+    ("task.horizn", {"task": {"horizn": 6}}),
+    ("data.sythetic", {"data": {"sythetic": {}}}),
+    ("data.csv.pth", {"data": {"csv": {"path": "x.csv", "columns": {},
+                                       "pth": "y.csv"}}}),
+    ("mask.fractoin", {"copula": {"max_iter": 2}, "mask": {"fractoin": 0.5},
+                       "sede": 3}),
+    ("data", {"data": {"csv": {"path": "x.csv", "columns": {}},
+                       "synthetic": {"n_periods": 48}}}),
+    ("seed", {"seed": "5"}),
+    ("mask.fraction", {"mask": {"fraction": "0.3"}}),
+    ("copula.max_iters", {"copula": {"max_iters": 3.0}}),
+    ("task.target", {"task": {"target": 3}}),
 ], ids=["seed", "jobs_null", "jobs_bool", "jobs_zero", "jobs_negative",
         "mask_fraction", "copula_max_iters", "copula_max_iters_fraction",
         "copula_tol", "copula_ridge", "task_horizon", "task_validation",
@@ -148,7 +172,12 @@ def test_config_section_of_wrong_type_reports_config_error(tmp_path, capsys,
         "roster_lags_int", "roster_lags_string", "roster_lags_empty",
         "roster_lags_zero", "roster_lags_bool", "roster_lags_float",
         "roster_layer_shapes_flat", "roster_layer_shapes_empty",
-        "roster_layer_shapes_triple", "roster_layer_shapes_zero"])
+        "roster_layer_shapes_triple", "roster_layer_shapes_zero",
+        "unknown_top", "unknown_mask", "unknown_copula", "unknown_task",
+        "unknown_data", "unknown_data_csv", "first_of_three_unknown",
+        "data_csv_and_synthetic",
+        "seed_numeric_string", "mask_fraction_numeric_string",
+        "copula_max_iters_integral_float", "task_target_int"])
 def test_config_scalar_of_wrong_type_reports_config_error(tmp_path, capsys,
                                                           key, override):
     cfg = write_config(tmp_path, override)
@@ -158,6 +187,34 @@ def test_config_scalar_of_wrong_type_reports_config_error(tmp_path, capsys,
     assert err.startswith(f"error[config]: {key} must be ")
     assert "Traceback" not in err
     assert not os.path.exists(out)
+
+
+def test_config_out_of_wrong_type_reports_config_error(tmp_path, capsys,
+                                                      monkeypatch):
+    cfg = write_config(tmp_path, {"out": 5})
+    monkeypatch.chdir(tmp_path)
+    assert main(["impute", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error[config]: out must be a string, got 5")
+    assert os.listdir(tmp_path) == ["config.json"]
+
+
+def test_cli_seed_reaches_exactly_the_fitters_that_take_one(tmp_path,
+                                                            monkeypatch):
+    calls = []
+
+    def seeded(task, matrix, seed=0):
+        calls.append(("seeded", seed))
+
+    def unseeded(task, matrix, period=12):
+        calls.append(("unseeded", period))
+
+    monkeypatch.setitem(FORECASTERS, "seeded", seeded)
+    monkeypatch.setitem(FORECASTERS, "unseeded", unseeded)
+    cfg = write_config(tmp_path, {"roster": [
+        {"name": "seeded"}, {"name": "seeded", "seed": 3}, {"name": "unseeded"}]})
+    _fit_roster(resolve_config(cfg, seed=7), None, None)
+    assert calls == [("seeded", 7), ("seeded", 3), ("unseeded", 12)]
 
 
 @pytest.mark.parametrize("entry, key", [
@@ -443,6 +500,20 @@ def test_ablate_writes_merit_ordered_prefixes(tmp_path):
     assert sizes == [1, 2, 3, 4, 5]
     names = lines[5].split(",")[1].split("+")
     assert sorted(names) == ["gbt", "naive_seasonal", "ridge_ar", "tcn", "trmf"]
+
+
+@pytest.mark.parametrize("command", ["run", "ablate"])
+@pytest.mark.parametrize("task, category", [
+    ({"target": "nope"}, "data"),
+    ({"horizon": 200}, "config"),
+], ids=["unknown_target", "horizon_too_long"])
+def test_task_errors_before_any_artifact_is_written(tmp_path, capsys, command,
+                                                    task, category):
+    cfg = write_config(tmp_path, {"task": task})
+    out = os.path.join(tmp_path, "out")
+    assert main([command, "--config", cfg, "--out", out]) == 1
+    assert capsys.readouterr().err.startswith(f"error[{category}]: ")
+    assert os.listdir(out) == []
 
 
 def test_ablate_rejects_single_model_roster(tmp_path, capsys):

@@ -14,6 +14,7 @@ from copulacast.copula import (
     MarginalTransform,
     RowConstraint,
     _estep_sum,
+    _fill,
     _Plan,
     _truncated_moments,
     complete,
@@ -803,6 +804,21 @@ def test_complete_equals_em_fit_then_impute_bit_for_bit(panel, max_iters):
     assert completed.metadata == want.metadata
     assert completed.metadata.get("degenerate_rows") == (
         [0] if panel is mixed_edge_panel else None)
+
+
+def test_complete_fills_with_the_fit_ridge():
+    masked = apply_mask(gen_seasonal_load(seed=11), 0.1, 11)[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        model, completed = complete(masked, ridge=1e-2)
+        want_model = em_fit(masked, ridge=1e-2)
+    assert same_bits(model.sigma, want_model.sigma)
+    plan = _Plan(row_constraints(masked, want_model.marginals), masked.n_cols)
+    want = _fill(want_model, masked, plan, 1e-2)
+    assert same_bits(completed.values, want.values)
+    # impute keeps the fixed 1e-8, so it fills the same fit differently.
+    assert not np.array_equal(completed.values,
+                              impute(want_model, masked).values)
 
 
 def test_truncated_moments_array_kernel_equals_scalar_reference_bit_for_bit():

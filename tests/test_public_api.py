@@ -7,6 +7,7 @@ import numpy as np
 
 import copulacast
 import copulacast.forecasters
+from copulacast.cli import resolve_config
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                       "README.md")
@@ -55,3 +56,16 @@ def test_readme_library_example_runs():
     assert np.all(np.isfinite(scope["forecast"]))
     assert set(scope["report"].mean_mape) == {"naive_seasonal", "ridge_ar",
                                               "trmf", "gbt", "tcn", "ensemble"}
+
+
+def test_readme_config_examples_resolve(tmp_path):
+    with open(README) as fh:
+        text = fh.read()
+    start = text.index("## Command-line use")
+    section = text[start:text.index("\n## ", start + 1)]
+    blocks = re.findall(r"```json\n(.*?)```", section, re.S)
+    assert len(blocks) >= 2
+    for i, block in enumerate(blocks):
+        path = tmp_path / f"example{i}.json"
+        path.write_text(block)
+        resolve_config(str(path))
