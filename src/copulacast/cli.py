@@ -10,7 +10,6 @@ and input files; reruns write byte-identical artifacts.
 import argparse
 import concurrent.futures
 import copy
-import csv
 import inspect
 import json
 import os
@@ -21,10 +20,10 @@ import numpy as np
 from . import __version__
 from .copula import complete
 from .dataset import (Schema, apply_mask, gen_seasonal_load, load_csv,
-                      mask_record_to_file, save_csv, write_float_csv,
-                      write_json)
+                      mask_record_to_file, read_table, save_csv,
+                      write_float_csv, write_json)
 from .ensemble import ablation, ablation_to_csv, run_ensemble
-from .errors import ConfigError, CopulacastError, DataError
+from .errors import ConfigError, CopulacastError, DataError, EvaluationError
 from .evaluation import build_report
 from .forecasters import FORECASTERS, ForecastTask
 
@@ -212,16 +211,15 @@ def _validate_config(config):
 
 
 def _load_input(config):
-    """Materialize the input panel; returns (matrix, truth or None)."""
+    """Materialize the input panel, before any mask."""
     data = config["data"]
     if "csv" in data:
         source = data["csv"]
         schema = Schema(columns=dict(source["columns"]),
                         ordinal_levels={k: tuple(v) for k, v in
                                         source.get("ordinal_levels", {}).items()})
-        return load_csv(source["path"], schema), None
-    truth = gen_seasonal_load(seed=config["seed"], **data["synthetic"])
-    return truth.copy(), truth
+        return load_csv(source["path"], schema)
+    return gen_seasonal_load(seed=config["seed"], **data["synthetic"])
 
 
 def _mask_stage(config, matrix):
@@ -229,16 +227,6 @@ def _mask_stage(config, matrix):
     if fraction <= 0.0:
         return matrix, None
     return apply_mask(matrix, fraction, config["seed"])
-
-
-def _impute_stage(config, matrix):
-    """Complete the panel; returns (completed, model or None)."""
-    if matrix.mask.all():
-        completed = matrix.copy()
-        completed.metadata["imputed"] = False
-        return completed, None
-    model, completed = complete(matrix, **config["copula"])
-    return completed, model
 
 
 def _build_task(config, matrix):
@@ -285,12 +273,6 @@ def _fit_roster(config, task, completed):
         return [f.result() for f in futures]
 
 
-def _holdout_actuals(task, completed, truth):
-    source = truth if truth is not None else completed
-    lo = task.validation_stop
-    return source.values[lo:lo + task.horizon, task.target_column]
-
-
 def _recovery_report(truth_values, masked, completed, record):
     """MAE over the erased cells: copula reconstruction vs column means."""
     if not record.erased_cells:
@@ -309,14 +291,26 @@ def _recovery_report(truth_values, masked, completed, record):
 
 
 def _write_forecasts(out_dir, task, completed, actuals, models, ensemble_path):
+    """Write forecasts.csv, a missing actual as an empty field; return the
+    period labels."""
     labels = [completed.time_index[t].isoformat() for t in task.holdout_indices]
+    values = np.column_stack([actuals] + [m.holdout_forecast for m in models]
+                             + [ensemble_path])
     write_float_csv(os.path.join(out_dir, "forecasts.csv"),
                     ["time", "actual"] + [m.name for m in models] + ["ensemble"],
-                    labels,
-                    np.column_stack([actuals]
-                                    + [m.holdout_forecast for m in models]
-                                    + [ensemble_path]))
+                    labels, values, mask=~np.isnan(values))
     return labels
+
+
+def _unscored_note(scored, total):
+    """Raise unless at least 2 of the total holdout periods have an actual;
+    return the stdout note on the others, empty when there are none."""
+    if scored < 2:
+        raise EvaluationError(f"{scored} of {total} holdout periods have an "
+                              "actual; scoring needs at least 2")
+    if scored == total:
+        return ""
+    return f"; {total - scored} periods without an actual not scored"
 
 
 def _complete(config, out_dir, matrix):
@@ -326,7 +320,11 @@ def _complete(config, out_dir, matrix):
     report (None when no cell was erased).
     """
     masked, record = _mask_stage(config, matrix)
-    completed, model = _impute_stage(config, masked)
+    if masked.mask.all():
+        completed, model = masked.copy(), None
+        completed.metadata["imputed"] = False
+    else:
+        model, completed = complete(masked, **config["copula"])
     save_csv(masked, os.path.join(out_dir, "data.csv"))
     save_csv(completed, os.path.join(out_dir, "completed.csv"))
     if model is not None:
@@ -342,29 +340,38 @@ def _complete(config, out_dir, matrix):
 
 def _pipeline(config, out_dir):
     """Shared stages of run/ablate: load, build the task, complete, write
-    truth, fit, ensemble."""
-    matrix, truth = _load_input(config)
+    truth, fit, ensemble.
+
+    The holdout actuals are the loaded panel's, never imputed values: NaN
+    marks a period whose target is missing in the input, which is not
+    scored.  Fewer than two scored periods is an EvaluationError.
+    """
+    matrix = _load_input(config)
     # Completion keeps the panel's rows and columns, so the task built from
     # the loaded panel is the completed one's, and a bad task fails before
     # any artifact is written.
     task = _build_task(config, matrix)
+    lo = task.validation_stop
+    actuals = matrix.values[lo:lo + task.horizon, task.target_column]
+    scored = ~np.isnan(actuals)
+    note = _unscored_note(int(scored.sum()), task.horizon)
     completed, _ = _complete(config, out_dir, matrix)
-    if truth is not None:
-        save_csv(truth, os.path.join(out_dir, "truth.csv"))
+    if "synthetic" in config["data"]:
+        save_csv(matrix, os.path.join(out_dir, "truth.csv"))
     models = _fit_roster(config, task, completed)
     forecasts, _, trace = run_ensemble(models, task)
-    actuals = _holdout_actuals(task, completed, truth)
     return {"completed": completed, "task": task, "models": models,
-            "forecasts": forecasts, "trace": trace, "actuals": actuals}
+            "forecasts": forecasts, "trace": trace, "actuals": actuals,
+            "scored": scored, "note": note}
 
 
 def cmd_synth(config, out_dir):
     """Write the synthetic panel (and its masked variant when configured)."""
     if "synthetic" not in config["data"]:
         raise ConfigError("synth requires a synthetic data source")
-    matrix, truth = _load_input(config)
+    matrix = _load_input(config)
     masked, record = _mask_stage(config, matrix)
-    save_csv(truth, os.path.join(out_dir, "truth.csv"))
+    save_csv(matrix, os.path.join(out_dir, "truth.csv"))
     save_csv(masked, os.path.join(out_dir, "data.csv"))
     if record is not None:
         mask_record_to_file(record, os.path.join(out_dir, "mask.json"))
@@ -374,7 +381,7 @@ def cmd_synth(config, out_dir):
 
 def cmd_impute(config, out_dir):
     """Complete a sparse panel and report recovery quality when truth exists."""
-    _, recovery = _complete(config, out_dir, _load_input(config)[0])
+    _, recovery = _complete(config, out_dir, _load_input(config))
     if recovery is not None:
         print(f"impute: copula MAE {recovery['copula_mae']:.4f} vs "
               f"mean-imputation MAE {recovery['mean_imputation_mae']:.4f} "
@@ -386,22 +393,23 @@ def cmd_run(config, out_dir):
     """Full pipeline: complete, fit the bank, ensemble, evaluate."""
     result = _pipeline(config, out_dir)
     task, models = result["task"], result["models"]
-    actuals = result["actuals"]
+    actuals, scored = result["actuals"], result["scored"]
     labels = _write_forecasts(out_dir, task, result["completed"], actuals,
                               models, result["forecasts"])
     result["trace"].to_csv(os.path.join(out_dir, "convergence_trace.csv"))
     write_json([m.to_json() for m in models],
                os.path.join(out_dir, "models.json"))
-    columns = {m.name: m.holdout_forecast for m in models}
-    columns["ensemble"] = result["forecasts"]
-    report = build_report(actuals, columns, ensemble_name="ensemble",
-                          period_labels=labels)
+    columns = {m.name: m.holdout_forecast[scored] for m in models}
+    columns["ensemble"] = result["forecasts"][scored]
+    report = build_report(actuals[scored], columns, ensemble_name="ensemble",
+                          period_labels=[l for l, s in zip(labels, scored) if s])
     report.save_json(os.path.join(out_dir, "report.json"))
     report.to_csv(os.path.join(out_dir, "report.csv"))
     ens_mean = report.mean_mape["ensemble"]
     ens_std = report.std_mape["ensemble"]
     print(f"run: ensemble Mean-MAPE {ens_mean:.2f}% +/-{ens_std:.2f}% over "
-          f"{len(labels)} periods; artifacts in {out_dir}")
+          f"{len(report.period_labels)} periods{result['note']}; "
+          f"artifacts in {out_dir}")
 
 
 def cmd_ablate(config, out_dir):
@@ -413,34 +421,24 @@ def cmd_ablate(config, out_dir):
     ablation_to_csv(rows, os.path.join(out_dir, "ablation.csv"))
     first, last = rows[0][2], rows[-1][2]
     print(f"ablate: {len(rows)} prefixes; MAPE first {first:.3f}% -> "
-          f"last {last:.3f}%; wrote {out_dir}/ablation.csv")
-
-
-def _read_table(path):
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if len(rows) < 2:
-        raise DataError(f"{path}: need a header and at least one data row")
-    header = [c.strip() for c in rows[0]]
-    body = [r for r in rows[1:] if r]
-    for r in body:
-        if len(r) != len(header):
-            raise DataError(f"{path}: ragged row with {len(r)} fields")
-    return header, body
+          f"last {last:.3f}%{result['note']}; wrote {out_dir}/ablation.csv")
 
 
 def cmd_eval(forecasts_path, actuals_path, out_dir, ensemble_col="ensemble"):
-    """Recompute the statistics table from stored forecast/actual files."""
-    f_header, f_body = _read_table(forecasts_path)
-    a_header, a_body = _read_table(actuals_path)
+    """Recompute the statistics table from stored forecast/actual files.
+
+    A period whose actual field is empty is not scored.
+    """
+    f_header, f_body = read_table(forecasts_path)
+    a_header, a_body = read_table(actuals_path)
     if len(a_header) < 2:
         raise DataError(f"{actuals_path}: need a time column and a value column")
-    f_times = [r[0] for r in f_body]
-    a_times = [r[0] for r in a_body]
-    if f_times != a_times:
+    if [r[0] for _, r in f_body] != [r[0] for _, r in a_body]:
         raise DataError("forecast and actual files disagree on periods")
+    pairs = [(f, a[1]) for (_, f), (_, a) in zip(f_body, a_body) if a[1].strip()]
+    note = _unscored_note(len(pairs), len(f_body))
     try:
-        actuals = np.array([float(r[1]) for r in a_body])
+        actuals = np.array([float(a) for _, a in pairs])
     except ValueError:
         raise DataError(f"{actuals_path}: non-numeric value column") from None
     model_cols = [c for c in f_header[1:] if c != "actual"]
@@ -450,15 +448,15 @@ def cmd_eval(forecasts_path, actuals_path, out_dir, ensemble_col="ensemble"):
     for name in model_cols:
         j = f_header.index(name)
         try:
-            forecasts[name] = np.array([float(r[j]) for r in f_body])
+            forecasts[name] = np.array([float(f[j]) for f, _ in pairs])
         except ValueError:
             raise DataError(f"{forecasts_path}: non-numeric column {name!r}") from None
     report = build_report(actuals, forecasts, ensemble_name=ensemble_col,
-                          period_labels=f_times)
+                          period_labels=[f[0] for f, _ in pairs])
     report.save_json(os.path.join(out_dir, "report.json"))
     report.to_csv(os.path.join(out_dir, "report.csv"))
     ens = report.mean_mape[ensemble_col]
-    print(f"eval: {len(f_times)} periods, {len(model_cols)} columns; "
+    print(f"eval: {len(pairs)} periods, {len(model_cols)} columns{note}; "
           f"{ensemble_col} Mean-MAPE {ens:.2f}%; report in {out_dir}")
     return 0
 

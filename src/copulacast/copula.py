@@ -808,13 +808,12 @@ def em_fit(matrix, max_iters=100, tol=1e-4, ridge=1e-8):
     Returns:
         CopulaModel with an em_trace of (iteration, delta, pseudo_loglik).
     """
-    marginals, plan = _plan_fit(matrix, max_iters, tol)
-    return _em(matrix, marginals, plan, max_iters, tol, ridge)
+    return _fit(matrix, max_iters, tol, ridge)[0]
 
 
-def _plan_fit(matrix, max_iters, tol):
-    """Check em_fit's arguments; return the marginals and the plan of the
-    matrix's row constraints under them."""
+def _fit(matrix, max_iters, tol, ridge):
+    """em_fit; returns (model, plan), the plan holding the matrix's row
+    constraints under the fitted marginals."""
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     if tol <= 0:
@@ -823,11 +822,7 @@ def _plan_fit(matrix, max_iters, tol):
     if rows_with_obs < 2:
         raise FitError("need at least two rows with observed cells")
     marginals = fit_marginals(matrix)
-    return marginals, _Plan(row_constraints(matrix, marginals), matrix.n_cols)
-
-
-def _em(matrix, marginals, plan, max_iters, tol, ridge):
-    """EM on a plan of the matrix's constraints under marginals."""
+    plan = _Plan(row_constraints(matrix, marginals), matrix.n_cols)
     sigma = np.eye(plan.q)
     trace = []
     converged = False
@@ -845,7 +840,7 @@ def _em(matrix, marginals, plan, max_iters, tol, ridge):
         warnings.warn(f"copula EM did not converge within {max_iters} iterations "
                       f"(last delta {trace[-1][1]:.3e})")
     return CopulaModel(sigma=sigma, marginals=marginals, em_trace=trace,
-                       converged=converged)
+                       converged=converged), plan
 
 
 def impute(model, matrix):
@@ -902,6 +897,5 @@ def complete(matrix, max_iters=100, tol=1e-4, ridge=1e-8):
     Returns:
         (CopulaModel, fully observed ObservationMatrix).
     """
-    marginals, plan = _plan_fit(matrix, max_iters, tol)
-    model = _em(matrix, marginals, plan, max_iters, tol, ridge)
+    model, plan = _fit(matrix, max_iters, tol, ridge)
     return model, _fill(model, matrix, plan, ridge)

@@ -23,6 +23,8 @@ from .rng import rng_for
 CONTINUOUS = "continuous"
 ORDINAL = "ordinal"
 _KINDS = (CONTINUOUS, ORDINAL)
+# Cell tokens, after stripping whitespace, that load_csv reads as missing.
+_MISSING_TOKENS = frozenset(("", "NA", "NaN", "nan"))
 
 
 def monthly_index(start, n):
@@ -51,13 +53,10 @@ class Schema:
             increasing tuple of admissible levels.  Ordinal columns without
             an entry default to the consecutive integers 1..k where k is the
             largest value seen in the file.
-        missing_tokens: cell tokens treated as missing, besides the empty
-            string after stripping whitespace.
     """
 
     columns: dict
     ordinal_levels: dict = field(default_factory=dict)
-    missing_tokens: tuple = ("", "NA", "NaN", "nan")
 
     def __post_init__(self):
         if not self.columns:
@@ -182,11 +181,38 @@ class MaskRecord:
                    fraction=float(obj["fraction"]), seed=int(obj["seed"]))
 
 
+def read_table(path):
+    """Read a CSV table: its header and its non-blank rows.
+
+    Returns (header, body): the header's fields stripped of whitespace, and
+    one (line, fields) pair per non-blank row after the header, line being
+    the row's line number in the file.
+
+    Raises:
+        DataError: empty file, no data row, or a row whose field count
+            differs from the header's.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        rows = [(reader.line_num, row) for row in reader]
+    if not rows:
+        raise DataError(f"{path}: empty file")
+    header = [c.strip() for c in rows[0][1]]
+    body = [(line, row) for line, row in rows[1:] if row]
+    if not body:
+        raise DataError(f"{path}: no data rows")
+    for line, row in body:
+        if len(row) != len(header):
+            raise DataError(f"{path}: row {line}: expected {len(header)} "
+                            f"fields, got {len(row)}")
+    return header, body
+
+
 def load_csv(path, schema):
     """Parse a CSV panel into an ObservationMatrix.
 
     The first column holds ISO dates; remaining columns must match the
-    schema's declared names.  Empty cells and the schema's missing tokens
+    schema's declared names.  Empty cells and the tokens NA, NaN and nan
     denote missing values.
 
     Args:
@@ -197,14 +223,10 @@ def load_csv(path, schema):
         ObservationMatrix.
 
     Raises:
-        DataError: empty file, header mismatch, ragged rows, unparsable or
+        DataError: read_table's errors, header mismatch, unparsable or
             out-of-level tokens, or non-increasing dates.
     """
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise DataError(f"{path}: empty file")
-    header = [c.strip() for c in rows[0]]
+    header, body = read_table(path)
     declared = list(schema.columns)
     if len(header) < 2:
         raise DataError(f"{path}: header must list a time column and data columns")
@@ -214,25 +236,18 @@ def load_csv(path, schema):
     names = header[1:]
     kinds = tuple(schema.columns[n] for n in names)
     q = len(names)
-    body = [r for r in rows[1:] if r]
-    if not body:
-        raise DataError(f"{path}: no data rows")
 
-    missing = {t.strip() for t in schema.missing_tokens} | {""}
     dates = []
     values = np.full((len(body), q), np.nan)
     mask = np.zeros((len(body), q), dtype=bool)
-    for i, row in enumerate(body):
-        line = i + 2
-        if len(row) != q + 1:
-            raise DataError(f"{path}: row {line}: expected {q + 1} fields, got {len(row)}")
+    for i, (line, row) in enumerate(body):
         try:
             dates.append(datetime.date.fromisoformat(row[0].strip()))
         except ValueError:
             raise DataError(f"{path}: row {line}: bad date {row[0]!r}") from None
         for j, tok in enumerate(row[1:]):
             tok = tok.strip()
-            if tok in missing:
+            if tok in _MISSING_TOKENS:
                 continue
             try:
                 values[i, j] = float(tok)

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import write_float_csv
+from .evaluation import mape
 
 
 def compute_lambda(n_rounds):
@@ -151,24 +152,24 @@ def ablation(models, task, actuals):
     Args:
         models: list of TrainedForecaster (>= 1).
         task: ForecastTask.
-        actuals: true target values over the holdout span, no zeros.
+        actuals: true target values over the holdout span, no zeros; NaN
+            marks a period without an actual, which is not scored.
 
     Returns:
         List of (prefix_size, model_names, mape) triples, one per prefix in
         merit order.
     """
-    from .evaluation import mape
-
     if not models:
         raise ValueError("model list must be non-empty")
     actuals = np.asarray(actuals, dtype=float)
+    scored = ~np.isnan(actuals)
     order = ablation_order(models, task)
     path = []
     for size in range(1, len(order) + 1):
         prefix = [models[i] for i in order[:size]]
         forecasts, _, _ = run_ensemble(prefix, task)
         path.append((size, tuple(m.name for m in prefix),
-                     mape(actuals, forecasts)))
+                     mape(actuals[scored], forecasts[scored])))
     return path
 
 

@@ -18,6 +18,21 @@ from .dataset import write_json
 from .errors import EvaluationError
 
 
+def _ape(actual, predicted):
+    """Per-period absolute percentage errors, as fractions; mape's checks."""
+    actual = np.asarray(actual, dtype=float)
+    predicted = np.asarray(predicted, dtype=float)
+    if actual.ndim != 1 or actual.shape != predicted.shape:
+        raise EvaluationError("actual and predicted must be 1-d of equal length")
+    if actual.size < 1:
+        raise EvaluationError("need at least one period")
+    zeros = np.flatnonzero(actual == 0)
+    if zeros.size:
+        raise EvaluationError(f"actual value at index {int(zeros[0])} is zero; "
+                              "MAPE is undefined")
+    return np.abs((actual - predicted) / actual)
+
+
 def mape(actual, predicted):
     """Mean absolute percentage error, in percent.
 
@@ -29,17 +44,7 @@ def mape(actual, predicted):
         EvaluationError: length mismatch, empty input, or a zero actual
             (named by index; zeros are never silently excluded).
     """
-    actual = np.asarray(actual, dtype=float)
-    predicted = np.asarray(predicted, dtype=float)
-    if actual.ndim != 1 or actual.shape != predicted.shape:
-        raise EvaluationError("actual and predicted must be 1-d of equal length")
-    if actual.size < 1:
-        raise EvaluationError("need at least one period")
-    zeros = np.flatnonzero(actual == 0)
-    if zeros.size:
-        raise EvaluationError(f"actual value at index {int(zeros[0])} is zero; "
-                              "MAPE is undefined")
-    return float(np.mean(np.abs((actual - predicted) / actual)) * 100.0)
+    return float(np.mean(_ape(actual, predicted)) * 100.0)
 
 
 def mean_std_mape(per_period):
@@ -253,14 +258,9 @@ def build_report(actuals, forecasts, ensemble_name="ensemble",
         if len(period_labels) != n:
             raise EvaluationError("period_labels length mismatch")
 
-    zeros = np.flatnonzero(actuals == 0)
-    if zeros.size:
-        raise EvaluationError(f"actual value at index {int(zeros[0])} is zero; "
-                              "MAPE is undefined")
     grid = np.empty((n, len(names)))
     for j, name in enumerate(names):
-        series = np.asarray(forecasts[name], dtype=float)
-        grid[:, j] = np.abs((actuals - series) / actuals) * 100.0
+        grid[:, j] = _ape(actuals, forecasts[name]) * 100.0
 
     return report_from_grid(grid, names, ensemble_name, period_labels)
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import FitError
+from ..evaluation import mape
 
 
 @dataclass(frozen=True)
@@ -141,15 +142,6 @@ class TrainedForecaster:
                    hyper=obj.get("hyper", {}), params=obj.get("params", {}))
 
 
-def validation_mape(actual, forecast):
-    """Mean absolute percentage error of a validation path, in percent."""
-    actual = np.asarray(actual, dtype=float)
-    forecast = np.asarray(forecast, dtype=float)
-    if np.any(actual == 0):
-        raise ValueError("validation actuals contain a zero; MAPE is undefined")
-    return float(np.mean(np.abs(actual - forecast) / np.abs(actual)) * 100.0)
-
-
 def pad_rounds(errors):
     """Repeat the last error so every model reports at least two rounds."""
     errors = list(errors)
@@ -163,11 +155,11 @@ def score_round_paths(name, task, y, val_paths, holdout, hyper, params):
 
     val_paths is steps x rounds: column r forecasts the validation span
     after round r + 1, and the last column is the validation forecast.
-    Columns are scored in round order against y over the validation span;
-    a single round is repeated so the ensemble sees two.
+    Columns are scored in round order by evaluation.mape against y over the
+    validation span; a single round is repeated so the ensemble sees two.
     """
     v_actual = y[task.validation_range[0]:task.validation_stop]
-    errors = [validation_mape(v_actual, path) for path in val_paths.T]
+    errors = [mape(v_actual, path) for path in val_paths.T]
     return TrainedForecaster(
         name=name, round_errors=pad_rounds(errors),
         validation_forecast=val_paths[:, -1], holdout_forecast=holdout,

@@ -269,11 +269,10 @@ def fit_trmf_forecaster(task, matrix, k=4, lags=(1, 12), lambda_reg=0.1,
 
     x_val = matrix.values[task.validation_range[0]:task.validation_stop, :].T
     tracked = track_factors(model, x_val, lambda_reg, kappa_reg)
-    extended = TRMFModel(
-        loadings=model.loadings,
-        factors=np.concatenate([model.factors, tracked], axis=1),
-        ar_weights=model.ar_weights, lags=model.lags)
-    hold = forecast_trmf(extended, task.horizon, row=task.target_column)
+    ahead = extrapolate_factors(
+        np.concatenate([model.factors, tracked], axis=1), model.ar_weights,
+        model.lags, task.horizon)
+    hold = (model.loadings @ ahead)[task.target_column]
 
     return score_round_paths("trmf", task, matrix.values[:, task.target_column],
                              val_paths, hold, dict(model.hyper), model.to_json())

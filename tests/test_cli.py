@@ -523,6 +523,101 @@ def test_ablate_rejects_single_model_roster(tmp_path, capsys):
     assert "error[config]" in capsys.readouterr().err
 
 
+# --------------------------------------------------------- holdout actuals
+
+def read_bytes(*parts):
+    with open(os.path.join(*parts), "rb") as fh:
+        return fh.read()
+
+
+def seasonal_csv_config(tmp_path, blank=()):
+    """The default synthetic panel at seed 11 as a CSV source, with the load
+    cell of each period labelled in blank left empty."""
+    panel = gen_seasonal_load(seed=11)
+    for label in blank:
+        panel.mask[[t.isoformat() for t in panel.time_index].index(label), 0] = False
+    path = os.path.join(tmp_path, "panel.csv")
+    save_csv(panel, path)
+    return write_config(tmp_path, {"data": csv_source(path)}, name="csv.json")
+
+
+def forecast_rows(out):
+    with open(os.path.join(out, "forecasts.csv"), newline="") as fh:
+        return {row["time"]: row for row in csv.DictReader(fh)}
+
+
+def test_csv_run_scores_the_input_not_its_imputations(tmp_path):
+    # At seed 11 the default mask erases the load of 2021-01 and 2021-04.
+    # The holdout is scored against the input's values all the same, so a
+    # CSV copy of the synthetic panel reports what the synthetic run does.
+    cfg = seasonal_csv_config(tmp_path)
+    outs = {name: os.path.join(tmp_path, name) for name in ("synthetic", "csv")}
+    assert main(["run", "--seed", "11", "--out", outs["synthetic"]]) == 0
+    assert main(["run", "--config", cfg, "--seed", "11",
+                 "--out", outs["csv"]]) == 0
+    for name in ("forecasts.csv", "report.json", "report.csv"):
+        assert read_bytes(outs["csv"], name) == read_bytes(outs["synthetic"], name)
+    rows = forecast_rows(outs["csv"])
+    assert float(rows["2021-01-01"]["actual"]) == pytest.approx(144.55, abs=5e-3)
+    assert float(rows["2021-04-01"]["actual"]) == pytest.approx(170.37, abs=5e-3)
+
+
+BLANK = ("2021-03-01", "2021-06-01")
+
+
+def test_periods_without_an_actual_are_not_scored(tmp_path, capsys):
+    cfg = seasonal_csv_config(tmp_path, blank=BLANK)
+    out = os.path.join(tmp_path, "run")
+    assert main(["run", "--config", cfg, "--out", out]) == 0
+    assert " over 10 periods; 2 periods without an actual not scored; " in \
+        capsys.readouterr().out
+    rows = forecast_rows(out)
+    assert len(rows) == 12
+    assert [t for t, row in rows.items() if row["actual"] == ""] == list(BLANK)
+    report = read_json(out, "report.json")
+    assert report["period_labels"] == [t for t in rows if t not in BLANK]
+    assert len(report["per_period_mape"]) == 10
+
+    out = os.path.join(tmp_path, "ablate")
+    assert main(["ablate", "--config", cfg, "--out", out]) == 0
+    assert "; 2 periods without an actual not scored; wrote " in \
+        capsys.readouterr().out
+    with open(os.path.join(out, "ablation.csv"), newline="") as fh:
+        scores = [float(row["mape"]) for row in csv.DictReader(fh)]
+    assert len(scores) == 5 and np.all(np.isfinite(scores))
+
+
+@pytest.mark.parametrize("command", ["run", "ablate"])
+def test_fewer_than_two_scored_periods_fail_before_any_artifact(
+        tmp_path, capsys, command):
+    labels = [f"2021-{month:02d}-01" for month in range(1, 13)]
+    cfg = seasonal_csv_config(tmp_path, blank=labels[1:])
+    out = os.path.join(tmp_path, "out")
+    assert main([command, "--config", cfg, "--out", out]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error[evaluation]: 1 of 12 holdout periods have an actual; ")
+    assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("blank", [(), BLANK], ids=["synthetic", "csv_blanks"])
+def test_eval_of_a_runs_forecasts_writes_its_report(tmp_path, capsys, blank):
+    # The actuals file is `cut -d, -f1,2` of the run's forecasts.csv.
+    argv = ["--config", seasonal_csv_config(tmp_path, blank)] if blank else []
+    run_out, eval_out = os.path.join(tmp_path, "run"), os.path.join(tmp_path, "eval")
+    assert main(["run", "--seed", "11", "--out", run_out] + argv) == 0
+    forecasts = os.path.join(run_out, "forecasts.csv")
+    actuals = os.path.join(tmp_path, "actuals.csv")
+    with open(forecasts) as src, open(actuals, "w") as dst:
+        dst.writelines(",".join(line.rstrip("\n").split(",")[:2]) + "\n"
+                       for line in src)
+    capsys.readouterr()
+    assert main(["eval", forecasts, actuals, "--out", eval_out]) == 0
+    for name in ("report.json", "report.csv"):
+        assert read_bytes(eval_out, name) == read_bytes(run_out, name)
+    note = "; 2 periods without an actual not scored;" if blank else "columns; "
+    assert note in capsys.readouterr().out
+
+
 # -------------------------------------------------------------------- eval
 
 def eval_fixtures(tmp_path):
@@ -558,6 +653,27 @@ def test_eval_rejects_misaligned_periods(tmp_path, capsys):
     out = os.path.join(tmp_path, "out")
     assert main(["eval", forecasts, actuals, "--out", out]) == 1
     assert "error[data]" in capsys.readouterr().err
+
+
+def test_eval_table_errors_name_file_lines(tmp_path, capsys):
+    forecasts, actuals = eval_fixtures(tmp_path)
+    with open(actuals, "w") as fh:
+        fh.write("time,load\n2021-01,100.0\n\n2021-02\n2021-03,100.0\n")
+    out = os.path.join(tmp_path, "out")
+    assert main(["eval", forecasts, actuals, "--out", out]) == 1
+    assert capsys.readouterr().err == (
+        f"error[data]: {actuals}: row 4: expected 2 fields, got 1\n")
+
+
+def test_eval_needs_two_periods_with_an_actual(tmp_path, capsys):
+    forecasts, actuals = eval_fixtures(tmp_path)
+    with open(actuals, "w") as fh:
+        fh.write("time,load\n2021-01,\n2021-02,100.0\n2021-03, \n")
+    out = os.path.join(tmp_path, "out")
+    assert main(["eval", forecasts, actuals, "--out", out]) == 1
+    assert capsys.readouterr().err == (
+        "error[evaluation]: 1 of 3 holdout periods have an actual; "
+        "scoring needs at least 2\n")
 
 
 def test_eval_requires_ensemble_column(tmp_path, capsys):

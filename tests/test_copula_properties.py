@@ -1,15 +1,18 @@
-"""Property test: impute passes every observed cell through unchanged, bit
-for bit, on random mixed continuous/ordinal panels and masks."""
+"""Property tests: impute passes every observed cell through unchanged, bit
+for bit, on random mixed continuous/ordinal panels and masks; truncated
+normal moments are mirror-symmetric."""
 
+import math
 import warnings
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from copulacast.copula import em_fit, impute, project_correlation
+from copulacast.copula import (em_fit, impute, project_correlation,
+                               truncated_normal_moments)
 from copulacast.dataset import MarginalSpec, apply_mask, gen_copula_sample
 from copulacast.errors import FitError
 from copulacast.rng import rng_for
@@ -41,3 +44,19 @@ def test_impute_passes_observed_cells_through_bit_for_bit(
     assert completed.mask.all()
     assert np.array_equal(completed.values[seen].view(np.int64),
                           masked.values[seen].view(np.int64))
+
+
+# Intervals narrower than 0.01 are left out: there the variance is a
+# difference of order-one terms, and rounding alone exceeds 1e-9 of it.
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1(c): the interval "
+                   "mass ndtr(b) - ndtr(a) cancels in the upper tail")
+@settings(max_examples=200, deadline=None)
+@given(lo=st.floats(-12.0, 12.0), hi=st.floats(-12.0, 12.0))
+@example(lo=9.0, hi=10.0)
+@example(lo=8.5, hi=math.inf)
+def test_truncated_moments_are_mirror_symmetric(lo, hi):
+    assume(hi - lo >= 0.01)
+    mean, var = truncated_normal_moments(lo, hi)
+    mirror_mean, mirror_var = truncated_normal_moments(-hi, -lo)
+    assert math.isclose(mean, -mirror_mean, rel_tol=1e-9, abs_tol=1e-12)
+    assert math.isclose(var, mirror_var, rel_tol=1e-9)

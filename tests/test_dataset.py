@@ -4,6 +4,7 @@ import datetime
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -108,6 +109,21 @@ def test_load_csv_rejects_unknown_column(tmp_path):
         fh.write("time,a\n2013-01,1.0\n")
     schema = Schema(columns={"b": CONTINUOUS})
     with pytest.raises(DataError):
+        load_csv(path, schema)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "empty file"),
+    ("time,a,b\n\n", "no data rows"),
+    ("time,a,b\n2013-01-01,1.0,2.0\n\n2013-03-01,3.0\n",
+     "row 4: expected 3 fields, got 2"),
+], ids=["empty", "header_only", "ragged_after_blank_line"])
+def test_load_csv_table_errors_name_file_lines(tmp_path, text, message):
+    path = os.path.join(tmp_path, "table.csv")
+    with open(path, "w") as fh:
+        fh.write(text)
+    schema = Schema(columns={"a": CONTINUOUS, "b": CONTINUOUS})
+    with pytest.raises(DataError, match=f"^{re.escape(path)}: {message}$"):
         load_csv(path, schema)
 
 

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from copulacast.dataset import gen_seasonal_load
-from copulacast.errors import FitError
+from copulacast.errors import EvaluationError, FitError
+from copulacast.evaluation import mape
 from copulacast.forecasters.base import (
     ForecastTask,
     TrainedForecaster,
     pad_rounds,
     recursive_path,
-    validation_mape,
 )
 from copulacast.forecasters.baselines import fit_ridge_ar, naive_seasonal
 from copulacast.forecasters.gbt import (
@@ -88,11 +88,18 @@ def test_trained_forecaster_json_round_trip():
 
 
 def test_validation_mape_oracle_and_pad_rounds():
-    assert validation_mape(np.array([100.0, 200.0]),
+    assert mape(np.array([100.0, 200.0]),
                            np.array([110.0, 180.0])) == 10.0
     padded = pad_rounds(np.array([5.0]))
     assert padded.tolist() == [5.0, 5.0]
     assert pad_rounds(np.array([4.0, 3.0])).tolist() == [4.0, 3.0]
+
+
+def test_zero_validation_actual_is_an_evaluation_error():
+    panel = benchmark_panel()
+    panel.values[90, 0] = 0.0
+    with pytest.raises(EvaluationError, match="index 6 is zero"):
+        naive_seasonal(benchmark_task(), panel)
 
 
 # --------------------------------------------------------------- baselines
@@ -132,7 +139,7 @@ def test_ridge_ar_learns_noiseless_ar_process():
                         validation_range=(84, 96))
     tf = fit_ridge_ar(task, panel, lags=(1, 2), ridge=1e-8, use_features=False)
     actual = panel.values[84:96, 0]
-    assert validation_mape(actual, tf.validation_forecast) < 0.1
+    assert mape(actual, tf.validation_forecast) < 0.1
 
 
 def test_ridge_ar_singular_design_raises_fit_error():
@@ -162,8 +169,8 @@ def test_ridge_ar_beats_naive_on_benchmark():
     ar = fit_ridge_ar(task, panel)
     nv = naive_seasonal(task, panel)
     actual = panel.values[84:96, 0]
-    assert validation_mape(actual, ar.validation_forecast) < \
-        validation_mape(actual, nv.validation_forecast)
+    assert mape(actual, ar.validation_forecast) < \
+        mape(actual, nv.validation_forecast)
 
 
 # --------------------------------------------------------------------- tcn
@@ -378,7 +385,7 @@ def _fit_tcn_reference(task, matrix, layer_shapes, epochs, learn_rate=0.05,
         params["head_b"] -= learn_rate * grads["head_b"]
         val = mu + sd * recursive_path(z, task.train_stop, task.n_validation,
                                        step)
-        round_errors.append(validation_mape(v_actual, val))
+        round_errors.append(mape(v_actual, val))
     hold = mu + sd * recursive_path(z, task.validation_stop, task.horizon, step)
     return np.asarray(round_errors), val, hold, params
 
@@ -560,7 +567,7 @@ def test_fit_gbt_on_benchmark_panel():
     assert tf.validation_forecast.shape == (12,)
     assert tf.holdout_forecast.shape == (12,)
     actual = panel.values[84:96, 0]
-    assert validation_mape(actual, tf.validation_forecast) < 20.0
+    assert mape(actual, tf.validation_forecast) < 20.0
 
 
 def test_gbt_flat_evaluator_matches_tree_node_oracle():
@@ -637,7 +644,7 @@ def test_fit_gbt_paths_match_hand_rolled_recursion(use_features):
     assert len(trees) == tf.n_rounds
     actual = panel.values[84:96, 0]
     for r in range(1, len(trees) + 1):
-        assert tf.round_errors[r - 1] == validation_mape(actual, roll(84, 12, r))
+        assert tf.round_errors[r - 1] == mape(actual, roll(84, 12, r))
     assert np.array_equal(roll(84, 12, len(trees)), tf.validation_forecast)
     assert np.array_equal(roll(96, 12, len(trees)), tf.holdout_forecast)
 
@@ -729,7 +736,7 @@ def test_fit_trmf_forecaster_rounds_match_per_sweep_forecasts():
         paths.append(forecast_trmf(snapshot, 12, row=0))
 
     fit_trmf(x_train, sweeps=12, seed=2, on_sweep=on_sweep)
-    want = [validation_mape(v_actual, p) for p in paths]
+    want = [mape(v_actual, p) for p in paths]
     assert np.array_equal(tf.round_errors, want)
     assert np.array_equal(tf.validation_forecast, paths[-1])
 
@@ -742,4 +749,4 @@ def test_fit_trmf_forecaster_on_benchmark():
     assert tf.holdout_forecast.shape == (12,)
     assert tf.round_errors.size >= 2
     actual = panel.values[84:96, 0]
-    assert validation_mape(actual, tf.validation_forecast) < 25.0
+    assert mape(actual, tf.validation_forecast) < 25.0
