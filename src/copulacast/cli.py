@@ -19,8 +19,8 @@ import numpy as np
 
 from . import __version__
 from .copula import complete
-from .dataset import (Schema, apply_mask, gen_seasonal_load, load_csv,
-                      mask_record_to_file, read_table, save_csv,
+from .dataset import (MISSING_TOKENS, Schema, apply_mask, gen_seasonal_load,
+                      load_csv, mask_record_to_file, read_table, save_csv,
                       write_float_csv, write_json)
 from .ensemble import ablation, ablation_to_csv, run_ensemble
 from .errors import ConfigError, CopulacastError, DataError, EvaluationError
@@ -34,6 +34,8 @@ def _keywords(fn):
             for name, p in inspect.signature(fn).parameters.items()
             if p.default is not p.empty}
 
+
+ENSEMBLE = "ensemble"  # run's ensemble column, which eval compares against
 
 # The schema of the config: every key a run accepts, with its default.
 # The copula section is complete's keywords and the synthetic source is
@@ -181,12 +183,16 @@ def _validate_config(config):
     roster = config["roster"]
     if not isinstance(roster, list) or not roster:
         raise ConfigError("roster must be a non-empty list")
-    for entry in roster:
+    for k, entry in enumerate(roster):
         _require_object(entry, "each roster entry")
         name = entry.get("name")
         if not isinstance(name, str) or name not in FORECASTERS:
             raise ConfigError(f"unknown forecaster {name!r}; known: "
                               f"{sorted(FORECASTERS)}")
+        # A model's name labels its forecasts and report columns.
+        if any(earlier["name"] == name for earlier in roster[:k]):
+            raise ConfigError(f"roster names must be unique; {name!r} "
+                              "appears more than once")
         # Every fitter takes (task, matrix, **hyperparameters).
         params = _keywords(FORECASTERS[name])
         for key, value in entry.items():
@@ -208,6 +214,14 @@ def _validate_config(config):
         _require_object(source.get("columns"), "data.csv.columns")
         _require_object(source.get("ordinal_levels", {}),
                         "data.csv.ordinal_levels")
+        try:
+            _csv_schema(source)
+        except DataError as exc:
+            raise ConfigError(f"data.csv: {exc}") from None
+
+
+def _csv_schema(source):
+    return Schema(source["columns"], source.get("ordinal_levels", {}))
 
 
 def _load_input(config):
@@ -215,10 +229,7 @@ def _load_input(config):
     data = config["data"]
     if "csv" in data:
         source = data["csv"]
-        schema = Schema(columns=dict(source["columns"]),
-                        ordinal_levels={k: tuple(v) for k, v in
-                                        source.get("ordinal_levels", {}).items()})
-        return load_csv(source["path"], schema)
+        return load_csv(source["path"], _csv_schema(source))
     return gen_seasonal_load(seed=config["seed"], **data["synthetic"])
 
 
@@ -297,7 +308,7 @@ def _write_forecasts(out_dir, task, completed, actuals, models, ensemble_path):
     values = np.column_stack([actuals] + [m.holdout_forecast for m in models]
                              + [ensemble_path])
     write_float_csv(os.path.join(out_dir, "forecasts.csv"),
-                    ["time", "actual"] + [m.name for m in models] + ["ensemble"],
+                    ["time", "actual"] + [m.name for m in models] + [ENSEMBLE],
                     labels, values, mask=~np.isnan(values))
     return labels
 
@@ -322,7 +333,6 @@ def _complete(config, out_dir, matrix):
     masked, record = _mask_stage(config, matrix)
     if masked.mask.all():
         completed, model = masked.copy(), None
-        completed.metadata["imputed"] = False
     else:
         model, completed = complete(masked, **config["copula"])
     save_csv(masked, os.path.join(out_dir, "data.csv"))
@@ -336,33 +346,6 @@ def _complete(config, out_dir, matrix):
         if recovery is not None:
             write_json(recovery, os.path.join(out_dir, "recovery.json"))
     return completed, recovery
-
-
-def _pipeline(config, out_dir):
-    """Shared stages of run/ablate: load, build the task, complete, write
-    truth, fit, ensemble.
-
-    The holdout actuals are the loaded panel's, never imputed values: NaN
-    marks a period whose target is missing in the input, which is not
-    scored.  Fewer than two scored periods is an EvaluationError.
-    """
-    matrix = _load_input(config)
-    # Completion keeps the panel's rows and columns, so the task built from
-    # the loaded panel is the completed one's, and a bad task fails before
-    # any artifact is written.
-    task = _build_task(config, matrix)
-    lo = task.validation_stop
-    actuals = matrix.values[lo:lo + task.horizon, task.target_column]
-    scored = ~np.isnan(actuals)
-    note = _unscored_note(int(scored.sum()), task.horizon)
-    completed, _ = _complete(config, out_dir, matrix)
-    if "synthetic" in config["data"]:
-        save_csv(matrix, os.path.join(out_dir, "truth.csv"))
-    models = _fit_roster(config, task, completed)
-    forecasts, _, trace = run_ensemble(models, task)
-    return {"completed": completed, "task": task, "models": models,
-            "forecasts": forecasts, "trace": trace, "actuals": actuals,
-            "scored": scored, "note": note}
 
 
 def cmd_synth(config, out_dir):
@@ -390,44 +373,61 @@ def cmd_impute(config, out_dir):
 
 
 def cmd_run(config, out_dir):
-    """Full pipeline: complete, fit the bank, ensemble, evaluate."""
-    result = _pipeline(config, out_dir)
-    task, models = result["task"], result["models"]
-    actuals, scored = result["actuals"], result["scored"]
-    labels = _write_forecasts(out_dir, task, result["completed"], actuals,
-                              models, result["forecasts"])
-    result["trace"].to_csv(os.path.join(out_dir, "convergence_trace.csv"))
+    """Full pipeline: load, complete, fit the bank, ensemble, evaluate.
+
+    The holdout actuals are the loaded panel's, never imputed values: NaN
+    marks a period whose target is missing in the input, which is not
+    scored, and fewer than two scored periods is an EvaluationError.
+    Returns (models, task, actuals, note), what ablate scores.
+    """
+    matrix = _load_input(config)
+    # Completion keeps the panel's rows and columns, so the task built from
+    # the loaded panel is the completed one's, and a bad task fails before
+    # any artifact is written.
+    task = _build_task(config, matrix)
+    lo = task.validation_stop
+    actuals = matrix.values[lo:lo + task.horizon, task.target_column]
+    scored = ~np.isnan(actuals)
+    note = _unscored_note(int(scored.sum()), task.horizon)
+    completed, _ = _complete(config, out_dir, matrix)
+    if "synthetic" in config["data"]:
+        save_csv(matrix, os.path.join(out_dir, "truth.csv"))
+    models = _fit_roster(config, task, completed)
+    forecasts, _, trace = run_ensemble(models, task)
+    labels = _write_forecasts(out_dir, task, completed, actuals, models,
+                              forecasts)
+    trace.to_csv(os.path.join(out_dir, "convergence_trace.csv"))
     write_json([m.to_json() for m in models],
                os.path.join(out_dir, "models.json"))
     columns = {m.name: m.holdout_forecast[scored] for m in models}
-    columns["ensemble"] = result["forecasts"][scored]
-    report = build_report(actuals[scored], columns, ensemble_name="ensemble",
+    columns[ENSEMBLE] = forecasts[scored]
+    report = build_report(actuals[scored], columns, ensemble_name=ENSEMBLE,
                           period_labels=[l for l, s in zip(labels, scored) if s])
     report.save_json(os.path.join(out_dir, "report.json"))
     report.to_csv(os.path.join(out_dir, "report.csv"))
-    ens_mean = report.mean_mape["ensemble"]
-    ens_std = report.std_mape["ensemble"]
-    print(f"run: ensemble Mean-MAPE {ens_mean:.2f}% +/-{ens_std:.2f}% over "
-          f"{len(report.period_labels)} periods{result['note']}; "
-          f"artifacts in {out_dir}")
+    print(f"run: ensemble Mean-MAPE {report.mean_mape[ENSEMBLE]:.2f}% "
+          f"+/-{report.std_mape[ENSEMBLE]:.2f}% over "
+          f"{len(report.period_labels)} periods{note}; artifacts in {out_dir}")
+    return models, task, actuals, note
 
 
 def cmd_ablate(config, out_dir):
     """Run the pipeline, then score every merit-ordered ensemble prefix."""
     if len(config["roster"]) < 2:
         raise ConfigError("ablate needs a roster of at least 2 models")
-    result = _pipeline(config, out_dir)
-    rows = ablation(result["models"], result["task"], result["actuals"])
+    models, task, actuals, note = cmd_run(config, out_dir)
+    rows = ablation(models, task, actuals)
     ablation_to_csv(rows, os.path.join(out_dir, "ablation.csv"))
     first, last = rows[0][2], rows[-1][2]
     print(f"ablate: {len(rows)} prefixes; MAPE first {first:.3f}% -> "
-          f"last {last:.3f}%{result['note']}; wrote {out_dir}/ablation.csv")
+          f"last {last:.3f}%{note}; wrote {out_dir}/ablation.csv")
 
 
-def cmd_eval(forecasts_path, actuals_path, out_dir, ensemble_col="ensemble"):
+def cmd_eval(forecasts_path, actuals_path, out_dir):
     """Recompute the statistics table from stored forecast/actual files.
 
-    A period whose actual field is empty is not scored.
+    A period whose actual field is empty or a missing token (NA, NaN, nan),
+    as load_csv reads a cell, is not scored.
     """
     f_header, f_body = read_table(forecasts_path)
     a_header, a_body = read_table(actuals_path)
@@ -435,15 +435,16 @@ def cmd_eval(forecasts_path, actuals_path, out_dir, ensemble_col="ensemble"):
         raise DataError(f"{actuals_path}: need a time column and a value column")
     if [r[0] for _, r in f_body] != [r[0] for _, r in a_body]:
         raise DataError("forecast and actual files disagree on periods")
-    pairs = [(f, a[1]) for (_, f), (_, a) in zip(f_body, a_body) if a[1].strip()]
+    pairs = [(f, a[1]) for (_, f), (_, a) in zip(f_body, a_body)
+             if a[1].strip() not in MISSING_TOKENS]
     note = _unscored_note(len(pairs), len(f_body))
     try:
         actuals = np.array([float(a) for _, a in pairs])
     except ValueError:
         raise DataError(f"{actuals_path}: non-numeric value column") from None
     model_cols = [c for c in f_header[1:] if c != "actual"]
-    if ensemble_col not in model_cols:
-        raise DataError(f"forecasts file lacks an {ensemble_col!r} column")
+    if ENSEMBLE not in model_cols:
+        raise DataError(f"forecasts file lacks an {ENSEMBLE!r} column")
     forecasts = {}
     for name in model_cols:
         j = f_header.index(name)
@@ -451,14 +452,13 @@ def cmd_eval(forecasts_path, actuals_path, out_dir, ensemble_col="ensemble"):
             forecasts[name] = np.array([float(f[j]) for f, _ in pairs])
         except ValueError:
             raise DataError(f"{forecasts_path}: non-numeric column {name!r}") from None
-    report = build_report(actuals, forecasts, ensemble_name=ensemble_col,
+    report = build_report(actuals, forecasts, ensemble_name=ENSEMBLE,
                           period_labels=[f[0] for f, _ in pairs])
     report.save_json(os.path.join(out_dir, "report.json"))
     report.to_csv(os.path.join(out_dir, "report.csv"))
-    ens = report.mean_mape[ensemble_col]
     print(f"eval: {len(pairs)} periods, {len(model_cols)} columns{note}; "
-          f"{ensemble_col} Mean-MAPE {ens:.2f}%; report in {out_dir}")
-    return 0
+          f"{ENSEMBLE} Mean-MAPE {report.mean_mape[ENSEMBLE]:.2f}%; "
+          f"report in {out_dir}")
 
 
 def build_parser():
@@ -481,9 +481,7 @@ def build_parser():
     p_eval = sub.add_parser("eval", help="recompute statistics from files")
     p_eval.add_argument("forecasts", help="CSV of per-model forecasts")
     p_eval.add_argument("actuals", help="CSV of actual values")
-    p_eval.add_argument("--ensemble-col", default="ensemble",
-                        help="name of the ensemble column")
-    common(p_eval)
+    p_eval.add_argument("--out", default="out", help="output directory")
     return parser
 
 
@@ -491,10 +489,9 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         if args.command == "eval":
-            out_dir = args.out if args.out is not None else "out"
-            os.makedirs(out_dir, exist_ok=True)
-            return cmd_eval(args.forecasts, args.actuals, out_dir,
-                            ensemble_col=args.ensemble_col)
+            os.makedirs(args.out, exist_ok=True)
+            cmd_eval(args.forecasts, args.actuals, args.out)
+            return 0
         config = resolve_config(args.config, seed=args.seed, out=args.out)
         out_dir = config["out"]
         os.makedirs(out_dir, exist_ok=True)

@@ -11,6 +11,8 @@ import csv
 import datetime
 import json
 import math
+import numbers
+import sys
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 
@@ -23,8 +25,8 @@ from .rng import rng_for
 CONTINUOUS = "continuous"
 ORDINAL = "ordinal"
 _KINDS = (CONTINUOUS, ORDINAL)
-# Cell tokens, after stripping whitespace, that load_csv reads as missing.
-_MISSING_TOKENS = frozenset(("", "NA", "NaN", "nan"))
+# Cell tokens, stripped of whitespace, that load_csv and eval read as missing.
+MISSING_TOKENS = frozenset(("", "NA", "NaN", "nan"))
 
 
 def monthly_index(start, n):
@@ -50,7 +52,8 @@ class Schema:
         columns: mapping of data column name -> kind ("continuous" or
             "ordinal").  Every data column in the file must appear here.
         ordinal_levels: optional mapping of ordinal column name -> strictly
-            increasing tuple of admissible levels.  Ordinal columns without
+            increasing list or tuple of at least two admissible levels, each
+            a finite number (not a boolean).  Ordinal columns without
             an entry default to the consecutive integers 1..k where k is the
             largest value seen in the file.
     """
@@ -67,8 +70,13 @@ class Schema:
         for name, levels in self.ordinal_levels.items():
             if self.columns.get(name) != ORDINAL:
                 raise DataError(f"levels declared for non-ordinal column {name!r}")
+            if not (isinstance(levels, (list, tuple)) and len(levels) >= 2
+                    and all(isinstance(x, numbers.Real) and not isinstance(x, bool)
+                            and abs(x) <= sys.float_info.max for x in levels)):
+                raise DataError(f"column {name!r}: levels must be a list of at "
+                                f"least two finite numbers, got {levels!r}")
             lv = tuple(float(x) for x in levels)
-            if len(lv) < 2 or any(b <= a for a, b in zip(lv, lv[1:])):
+            if any(b <= a for a, b in zip(lv, lv[1:])):
                 raise DataError(f"column {name!r}: levels must be strictly increasing")
 
 
@@ -247,7 +255,7 @@ def load_csv(path, schema):
             raise DataError(f"{path}: row {line}: bad date {row[0]!r}") from None
         for j, tok in enumerate(row[1:]):
             tok = tok.strip()
-            if tok in _MISSING_TOKENS:
+            if tok in MISSING_TOKENS:
                 continue
             try:
                 values[i, j] = float(tok)

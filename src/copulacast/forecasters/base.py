@@ -69,16 +69,13 @@ class ForecastTask:
     def holdout_indices(self):
         return tuple(range(self.validation_stop, self.validation_stop + self.horizon))
 
-    def required_rows(self):
-        return self.validation_stop
-
     def check_matrix(self, matrix):
         """Validate a completed panel against this task."""
         if not matrix.mask.all():
             raise FitError("forecasters require a completed (fully observed) panel")
-        if matrix.n_rows < self.required_rows():
+        if matrix.n_rows < self.validation_stop:
             raise FitError(f"panel has {matrix.n_rows} rows but the task needs "
-                           f"{self.required_rows()}")
+                           f"{self.validation_stop}")
         cols = (self.target_column,) + tuple(self.feature_columns)
         if max(cols) >= matrix.n_cols or min(cols) < 0:
             raise FitError("task references columns outside the panel")

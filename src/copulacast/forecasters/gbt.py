@@ -231,8 +231,7 @@ def fit_gbt_arrays(x, y, n_rounds=50, max_depth=3, min_leaf=2, reg_alpha=0.0,
         tree, any_candidate = _build_tree(x, g, h, 0, max_depth, min_leaf,
                                           reg_alpha, reg_gamma)
         if tree.is_leaf:
-            if (rnd == 0 and not any_candidate
-                    and float(np.ptp(y)) > 0 and x.shape[0] >= 2 * min_leaf):
+            if rnd == 0 and not any_candidate and float(np.ptp(y)) > 0:
                 raise FitError("no admissible split: every feature is constant "
                                "while the target varies")
             leaf_step = model.learn_rate * tree.value

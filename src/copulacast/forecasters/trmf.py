@@ -62,12 +62,11 @@ def _objective(x, lam, s, w, lags, lambda_reg, kappa_reg):
     value = float(np.sum(resid ** 2))
     value += lambda_reg * (float(np.sum(lam ** 2)) + float(np.sum(s ** 2)))
     max_lag = max(lags)
-    if s.shape[1] > max_lag:
-        for f in range(s.shape[0]):
-            ar = s[f, max_lag:].copy()
-            for li, lag in enumerate(lags):
-                ar -= w[f, li] * s[f, max_lag - lag:s.shape[1] - lag]
-            value += kappa_reg * float(np.sum(ar ** 2))
+    for f in range(s.shape[0]):
+        ar = s[f, max_lag:].copy()
+        for li, lag in enumerate(lags):
+            ar -= w[f, li] * s[f, max_lag - lag:s.shape[1] - lag]
+        value += kappa_reg * float(np.sum(ar ** 2))
     return value
 
 
@@ -152,19 +151,18 @@ def fit_trmf(x, k=4, lags=(1, 12), lambda_reg=0.1, kappa_reg=0.1, sweeps=50,
             col = lam[:, f]
             col_sq = float(col @ col)
             a = (col_sq + lambda_reg) * np.eye(m)
-            if m > max_lag and kappa_reg > 0:
+            if kappa_reg > 0:
                 d = _ar_operator(m, lags, w[f])
                 a += kappa_reg * (d.T @ d)
             b = resid.T @ col
             s[f, :] = np.linalg.solve(a, b)
 
         # AR weights given S: per-factor least squares
-        if m > max_lag:
-            for f in range(k):
-                design = np.column_stack(
-                    [s[f, max_lag - lag:m - lag] for lag in lags])
-                target = s[f, max_lag:]
-                w[f], *_ = np.linalg.lstsq(design, target, rcond=None)
+        for f in range(k):
+            design = np.column_stack(
+                [s[f, max_lag - lag:m - lag] for lag in lags])
+            target = s[f, max_lag:]
+            w[f], *_ = np.linalg.lstsq(design, target, rcond=None)
 
         value = _objective(x, lam, s, w, lags, lambda_reg, kappa_reg)
         if not np.isfinite(value):

@@ -16,7 +16,7 @@ from copulacast.cli import DEFAULT_CONFIG, _fit_roster, main, resolve_config
 from copulacast.dataset import (CONTINUOUS, MarginalSpec, Schema,
                                 gen_copula_sample, gen_seasonal_load, load_csv,
                                 save_csv)
-from copulacast.errors import ConfigError
+from copulacast.errors import ConfigError, DataError
 from copulacast.forecasters import FORECASTERS
 from copulacast.rng import rng_for
 
@@ -160,6 +160,10 @@ def test_config_section_of_wrong_type_reports_config_error(tmp_path, capsys,
     ("mask.fraction", {"mask": {"fraction": "0.3"}}),
     ("copula.max_iters", {"copula": {"max_iters": 3.0}}),
     ("task.target", {"task": {"target": 3}}),
+    # A model's name labels its forecasts.csv column and its report entry.
+    ("roster names", {"roster": [{"name": "naive_seasonal"}, {"name": "ridge_ar"},
+                                 {"name": "gbt", "n_rounds": 3},
+                                 {"name": "gbt", "n_rounds": 30}]}),
 ], ids=["seed", "jobs_null", "jobs_bool", "jobs_zero", "jobs_negative",
         "mask_fraction", "copula_max_iters", "copula_max_iters_fraction",
         "copula_tol", "copula_ridge", "task_horizon", "task_validation",
@@ -177,7 +181,8 @@ def test_config_section_of_wrong_type_reports_config_error(tmp_path, capsys,
         "unknown_data", "unknown_data_csv", "first_of_three_unknown",
         "data_csv_and_synthetic",
         "seed_numeric_string", "mask_fraction_numeric_string",
-        "copula_max_iters_integral_float", "task_target_int"])
+        "copula_max_iters_integral_float", "task_target_int",
+        "roster_duplicate_name"])
 def test_config_scalar_of_wrong_type_reports_config_error(tmp_path, capsys,
                                                           key, override):
     cfg = write_config(tmp_path, override)
@@ -210,9 +215,10 @@ def test_cli_seed_reaches_exactly_the_fitters_that_take_one(tmp_path,
         calls.append(("unseeded", period))
 
     monkeypatch.setitem(FORECASTERS, "seeded", seeded)
+    monkeypatch.setitem(FORECASTERS, "reseeded", seeded)
     monkeypatch.setitem(FORECASTERS, "unseeded", unseeded)
     cfg = write_config(tmp_path, {"roster": [
-        {"name": "seeded"}, {"name": "seeded", "seed": 3}, {"name": "unseeded"}]})
+        {"name": "seeded"}, {"name": "reseeded", "seed": 3}, {"name": "unseeded"}]})
     _fit_roster(resolve_config(cfg, seed=7), None, None)
     assert calls == [("seeded", 7), ("seeded", 3), ("unseeded", 12)]
 
@@ -230,6 +236,28 @@ def test_roster_unknown_hyperparameter_reports_config_error(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith(f"error[config]: roster entry {entry['name']!r} "
                           f"has unknown key {key!r}")
+    assert "Traceback" not in err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("levels", [3, None, [1, [2], 3], "123", [True, 2, 3],
+                                    [1, float("nan"), 3], [1, 10 ** 400]],
+                         ids=["int", "null", "nested", "string", "bool", "nan",
+                              "huge"])
+def test_csv_ordinal_levels_are_checked_before_any_output(tmp_path, capsys,
+                                                          levels):
+    source = {"path": os.path.join(tmp_path, "panel.csv"),
+              "columns": {"load": CONTINUOUS, "g": "ordinal"},
+              "ordinal_levels": {"g": levels}}
+    with pytest.raises(DataError, match="levels must be a list of at least "
+                       "two finite numbers"):
+        Schema(columns=source["columns"], ordinal_levels=source["ordinal_levels"])
+    cfg = write_config(tmp_path, {"data": {"csv": source}})
+    out = os.path.join(tmp_path, "out")
+    assert main(["impute", "--config", cfg, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error[config]: data.csv: column 'g': levels must "
+                          "be a list of at least two finite numbers, got ")
     assert "Traceback" not in err
     assert not os.path.exists(out)
 
@@ -516,6 +544,25 @@ def test_task_errors_before_any_artifact_is_written(tmp_path, capsys, command,
     assert os.listdir(out) == []
 
 
+def test_ablate_is_run_plus_its_ablation(tmp_path, capsys):
+    outs = {command: os.path.join(tmp_path, command)
+            for command in ("run", "ablate")}
+    stdout = {}
+    for command, out in outs.items():
+        assert main([command, "--seed", "11", "--out", out]) == 0
+        stdout[command] = capsys.readouterr().out
+    written = sorted(os.listdir(outs["run"]))
+    assert sorted(os.listdir(outs["ablate"])) == sorted(written + ["ablation.csv"])
+    for name in written:
+        if name != "config.json":
+            assert read_bytes(outs["ablate"], name) == read_bytes(outs["run"], name), name
+    configs = {command: read_json(out, "config.json") for command, out in outs.items()}
+    assert configs["ablate"] == dict(configs["run"], out=outs["ablate"])
+    run_line, ablate_line = stdout["ablate"].splitlines()
+    assert run_line == stdout["run"].strip().replace(outs["run"], outs["ablate"])
+    assert ablate_line.startswith("ablate: 5 prefixes; ")
+
+
 def test_ablate_rejects_single_model_roster(tmp_path, capsys):
     cfg = write_config(tmp_path, {"roster": [{"name": "naive_seasonal"}]})
     out = os.path.join(tmp_path, "out")
@@ -678,10 +725,42 @@ def test_eval_needs_two_periods_with_an_actual(tmp_path, capsys):
 
 def test_eval_requires_ensemble_column(tmp_path, capsys):
     forecasts, actuals = eval_fixtures(tmp_path)
+    with open(forecasts, "w") as fh:
+        fh.write("time,alpha,omega\n2021-01,104.0,101.0\n"
+                 "2021-02,106.0,99.0\n2021-03,109.0,102.0\n")
     out = os.path.join(tmp_path, "out")
-    assert main(["eval", forecasts, actuals, "--out", out,
-                 "--ensemble-col", "omega"]) == 1
-    assert "error[data]" in capsys.readouterr().err
+    assert main(["eval", forecasts, actuals, "--out", out]) == 1
+    assert capsys.readouterr().err == (
+        "error[data]: forecasts file lacks an 'ensemble' column\n")
+
+
+@pytest.mark.parametrize("token", ["NA", "NaN", "nan", " NA "])
+def test_eval_reads_missing_tokens_as_an_empty_actual(tmp_path, capsys, token):
+    forecasts, actuals = eval_fixtures(tmp_path)
+    reports = {}
+    for field in ("", token):
+        with open(actuals, "w") as fh:
+            fh.write(f"time,load\n2021-01,100.0\n2021-02,{field}\n"
+                     "2021-03,100.0\n")
+        out = os.path.join(tmp_path, f"out{len(reports)}")
+        assert main(["eval", forecasts, actuals, "--out", out]) == 0
+        assert "; 1 periods without an actual not scored; " in \
+            capsys.readouterr().out
+        reports[field] = [read_bytes(out, name)
+                          for name in ("report.json", "report.csv")]
+    assert reports[token] == reports[""]
+    assert read_json(out, "report.json")["period_labels"] == ["2021-01", "2021-03"]
+
+
+@pytest.mark.parametrize("flag", [["--seed", "3"], ["--config", "c.json"],
+                                  ["--ensemble-col", "ensemble"]],
+                         ids=["seed", "config", "ensemble_col"])
+def test_eval_takes_only_out(tmp_path, capsys, flag):
+    forecasts, actuals = eval_fixtures(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", forecasts, actuals, "--out", str(tmp_path)] + flag)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------ errors
