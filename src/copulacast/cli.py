@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .copula import complete
+from .copula import CopulaModel, complete
 from .dataset import (MISSING_TOKENS, Schema, apply_mask, gen_seasonal_load,
                       load_csv, mask_record_to_file, read_table, save_csv,
                       write_float_csv, write_json)
@@ -128,10 +128,11 @@ def _require_like(value, default, name):
 
     A dict default takes an object holding only the dict's keys, each
     checked against its own default.  An int default takes an integer (not
-    a boolean), a float default a number, a bool default a boolean, a str
-    default a string, a tuple of ints (lags) a non-empty list of positive
-    integers and a tuple of pairs (layer shapes) a non-empty list of
-    [int, int] pairs of positive integers.  A None default is not checked.
+    a boolean), a float default a finite number, a bool default a boolean,
+    a str default a string, a tuple of ints (lags) a non-empty list of
+    positive integers and a tuple of pairs (layer shapes) a non-empty list
+    of [int, int] pairs of positive integers.  A None default is not
+    checked.
     """
     if isinstance(default, dict):
         _require_object(value, name)
@@ -147,7 +148,9 @@ def _require_like(value, default, name):
     elif isinstance(default, int):
         ok, what = isinstance(value, int) and not isinstance(value, bool), "an integer"
     elif isinstance(default, float):
-        ok, what = isinstance(value, (int, float)) and not isinstance(value, bool), "a number"
+        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+              and abs(value) <= sys.float_info.max)
+        what = "a finite number"
     elif isinstance(default, str):
         ok, what = isinstance(value, str), "a string"
     elif isinstance(default, tuple) and all(isinstance(d, tuple) for d in default):
@@ -285,8 +288,9 @@ def _fit_roster(config, task, completed):
 
 
 def _recovery_report(truth_values, masked, completed, record):
-    """MAE over the erased cells: copula reconstruction vs column means."""
-    if not record.erased_cells:
+    """MAE over the erased cells: copula reconstruction vs column means;
+    None when no cell was erased."""
+    if record is None or not record.erased_cells:
         return None
     col_means = np.array([
         masked.values[masked.mask[:, j], j].mean() if masked.mask[:, j].any()
@@ -301,18 +305,6 @@ def _recovery_report(truth_values, masked, completed, record):
                                                         - true_values)))}
 
 
-def _write_forecasts(out_dir, task, completed, actuals, models, ensemble_path):
-    """Write forecasts.csv, a missing actual as an empty field; return the
-    period labels."""
-    labels = [completed.time_index[t].isoformat() for t in task.holdout_indices]
-    values = np.column_stack([actuals] + [m.holdout_forecast for m in models]
-                             + [ensemble_path])
-    write_float_csv(os.path.join(out_dir, "forecasts.csv"),
-                    ["time", "actual"] + [m.name for m in models] + [ENSEMBLE],
-                    labels, values, mask=~np.isnan(values))
-    return labels
-
-
 def _unscored_note(scored, total):
     """Raise unless at least 2 of the total holdout periods have an actual;
     return the stdout note on the others, empty when there are none."""
@@ -324,28 +316,35 @@ def _unscored_note(scored, total):
     return f"; {total - scored} periods without an actual not scored"
 
 
-def _complete(config, out_dir, matrix):
-    """Mask and complete the loaded panel; write its artifacts and recovery.
+def _complete(config, matrix):
+    """Mask and complete the loaded panel, writing nothing.
 
-    Returns (completed, recovery): the completed panel and the recovery
-    report (None when no cell was erased).
+    Returns (masked, record, model, completed): record is None when the
+    config masks nothing, model None when no cell is missing.
     """
     masked, record = _mask_stage(config, matrix)
     if masked.mask.all():
-        completed, model = masked.copy(), None
-    else:
-        model, completed = complete(masked, **config["copula"])
-    save_csv(masked, os.path.join(out_dir, "data.csv"))
-    save_csv(completed, os.path.join(out_dir, "completed.csv"))
-    if model is not None:
-        model.save(os.path.join(out_dir, "copula_model.json"))
-    recovery = None
-    if record is not None:
-        mask_record_to_file(record, os.path.join(out_dir, "mask.json"))
-        recovery = _recovery_report(matrix.values, masked, completed, record)
-        if recovery is not None:
-            write_json(recovery, os.path.join(out_dir, "recovery.json"))
-    return completed, recovery
+        return masked, record, None, masked.copy()
+    return (masked, record) + complete(masked, **config["copula"])
+
+
+def _write_panels(config, out_dir, matrix, masked, record, model=None,
+                  completed=None):
+    """Write synth's files and, given a completion, impute's; a file whose
+    object is None (truth of a CSV source, no mask, no fit, no erased cell)
+    is not written.  Returns the recovery report, None without one."""
+    recovery = (None if completed is None else
+                _recovery_report(matrix.values, masked, completed, record))
+    truth = matrix if "synthetic" in config["data"] else None
+    for name, obj, write in (("truth.csv", truth, save_csv),
+                             ("data.csv", masked, save_csv),
+                             ("mask.json", record, mask_record_to_file),
+                             ("completed.csv", completed, save_csv),
+                             ("copula_model.json", model, CopulaModel.save),
+                             ("recovery.json", recovery, write_json)):
+        if obj is not None:
+            write(obj, os.path.join(out_dir, name))
+    return recovery
 
 
 def cmd_synth(config, out_dir):
@@ -354,17 +353,16 @@ def cmd_synth(config, out_dir):
         raise ConfigError("synth requires a synthetic data source")
     matrix = _load_input(config)
     masked, record = _mask_stage(config, matrix)
-    save_csv(matrix, os.path.join(out_dir, "truth.csv"))
-    save_csv(masked, os.path.join(out_dir, "data.csv"))
-    if record is not None:
-        mask_record_to_file(record, os.path.join(out_dir, "mask.json"))
+    _write_panels(config, out_dir, matrix, masked, record)
     print(f"synth: wrote {masked.n_rows}x{masked.n_cols} panel to {out_dir} "
           f"({masked.observed_count()} observed cells)")
 
 
 def cmd_impute(config, out_dir):
     """Complete a sparse panel and report recovery quality when truth exists."""
-    _, recovery = _complete(config, out_dir, _load_input(config))
+    matrix = _load_input(config)
+    recovery = _write_panels(config, out_dir, matrix,
+                             *_complete(config, matrix))
     if recovery is not None:
         print(f"impute: copula MAE {recovery['copula_mae']:.4f} vs "
               f"mean-imputation MAE {recovery['mean_imputation_mae']:.4f} "
@@ -372,55 +370,59 @@ def cmd_impute(config, out_dir):
     print(f"impute: wrote completed panel to {out_dir}")
 
 
-def cmd_run(config, out_dir):
-    """Full pipeline: load, complete, fit the bank, ensemble, evaluate.
+def cmd_run(config, out_dir, ablate=False):
+    """Full pipeline: load, complete, fit the bank, ensemble, evaluate;
+    with ablate, also score every merit-ordered ensemble prefix.
 
     The holdout actuals are the loaded panel's, never imputed values: NaN
     marks a period whose target is missing in the input, which is not
     scored, and fewer than two scored periods is an EvaluationError.
-    Returns (models, task, actuals, note), what ablate scores.
+    Nothing is written until every stage has succeeded; then impute's
+    files, run's and (with ablate) ablation.csv are written.
     """
     matrix = _load_input(config)
     # Completion keeps the panel's rows and columns, so the task built from
-    # the loaded panel is the completed one's, and a bad task fails before
-    # any artifact is written.
+    # the loaded panel is the completed one's.
     task = _build_task(config, matrix)
     lo = task.validation_stop
     actuals = matrix.values[lo:lo + task.horizon, task.target_column]
     scored = ~np.isnan(actuals)
     note = _unscored_note(int(scored.sum()), task.horizon)
-    completed, _ = _complete(config, out_dir, matrix)
-    if "synthetic" in config["data"]:
-        save_csv(matrix, os.path.join(out_dir, "truth.csv"))
+    masked, record, model, completed = _complete(config, matrix)
     models = _fit_roster(config, task, completed)
     forecasts, _, trace = run_ensemble(models, task)
-    labels = _write_forecasts(out_dir, task, completed, actuals, models,
-                              forecasts)
-    trace.to_csv(os.path.join(out_dir, "convergence_trace.csv"))
-    write_json([m.to_json() for m in models],
-               os.path.join(out_dir, "models.json"))
+    labels = [completed.time_index[t].isoformat() for t in task.holdout_indices]
     columns = {m.name: m.holdout_forecast[scored] for m in models}
     columns[ENSEMBLE] = forecasts[scored]
     report = build_report(actuals[scored], columns, ensemble_name=ENSEMBLE,
                           period_labels=[l for l, s in zip(labels, scored) if s])
+    rows = ablation(models, task, actuals) if ablate else None
+    # The write point: every stage has succeeded.
+    _write_panels(config, out_dir, matrix, masked, record, model, completed)
+    values = np.column_stack([actuals] + [m.holdout_forecast for m in models]
+                             + [forecasts])
+    write_float_csv(os.path.join(out_dir, "forecasts.csv"),
+                    ["time", "actual"] + [m.name for m in models] + [ENSEMBLE],
+                    labels, values, mask=~np.isnan(values))
+    trace.to_csv(os.path.join(out_dir, "convergence_trace.csv"))
+    write_json([m.to_json() for m in models],
+               os.path.join(out_dir, "models.json"))
     report.save_json(os.path.join(out_dir, "report.json"))
     report.to_csv(os.path.join(out_dir, "report.csv"))
     print(f"run: ensemble Mean-MAPE {report.mean_mape[ENSEMBLE]:.2f}% "
           f"+/-{report.std_mape[ENSEMBLE]:.2f}% over "
           f"{len(report.period_labels)} periods{note}; artifacts in {out_dir}")
-    return models, task, actuals, note
+    if rows is not None:
+        ablation_to_csv(rows, os.path.join(out_dir, "ablation.csv"))
+        print(f"ablate: {len(rows)} prefixes; MAPE first {rows[0][2]:.3f}% "
+              f"-> last {rows[-1][2]:.3f}%{note}; wrote {out_dir}/ablation.csv")
 
 
 def cmd_ablate(config, out_dir):
-    """Run the pipeline, then score every merit-ordered ensemble prefix."""
+    """run plus the MAPE of every merit-ordered ensemble prefix."""
     if len(config["roster"]) < 2:
         raise ConfigError("ablate needs a roster of at least 2 models")
-    models, task, actuals, note = cmd_run(config, out_dir)
-    rows = ablation(models, task, actuals)
-    ablation_to_csv(rows, os.path.join(out_dir, "ablation.csv"))
-    first, last = rows[0][2], rows[-1][2]
-    print(f"ablate: {len(rows)} prefixes; MAPE first {first:.3f}% -> "
-          f"last {last:.3f}%{note}; wrote {out_dir}/ablation.csv")
+    cmd_run(config, out_dir, ablate=True)
 
 
 def cmd_eval(forecasts_path, actuals_path, out_dir):

@@ -670,13 +670,15 @@ class CopulaModel:
     """Fitted Gaussian copula: latent correlation plus per-column marginals.
 
     em_trace rows are (iteration, frobenius_delta, pseudo_loglik) with the
-    log likelihood evaluated after that iteration's update.
+    log likelihood evaluated after that iteration's update.  ridge is the
+    diagonal stabilizer the fit conditioned with; impute fills with it too.
     """
 
     sigma: np.ndarray
     marginals: list
     em_trace: list = field(default_factory=list)
     converged: bool = True
+    ridge: float = 1e-8
 
     def __post_init__(self):
         self.sigma = np.asarray(self.sigma, dtype=float)
@@ -699,7 +701,7 @@ class CopulaModel:
                 "marginals": [m.to_json() for m in self.marginals],
                 "em_trace": [[int(t), float(d), float(l)]
                              for t, d, l in self.em_trace],
-                "converged": bool(self.converged)}
+                "converged": bool(self.converged), "ridge": float(self.ridge)}
 
     @classmethod
     def from_json(cls, obj):
@@ -708,7 +710,7 @@ class CopulaModel:
                               for m in obj["marginals"]],
                    em_trace=[(int(t), float(d), float(l))
                              for t, d, l in obj["em_trace"]],
-                   converged=bool(obj["converged"]))
+                   converged=bool(obj["converged"]), ridge=float(obj["ridge"]))
 
     def save(self, path):
         write_json(self.to_json(), path)
@@ -802,8 +804,8 @@ def em_fit(matrix, max_iters=100, tol=1e-4, ridge=1e-8):
         matrix: ObservationMatrix with at least two rows carrying observed
             cells and no constant columns.
         max_iters: iteration cap, >= 1.
-        tol: relative Frobenius-change stopping threshold.
-        ridge: diagonal stabilizer for observed-block solves.
+        tol: relative Frobenius-change stopping threshold, > 0.
+        ridge: diagonal stabilizer for observed-block solves, >= 0.
 
     Returns:
         CopulaModel with an em_trace of (iteration, delta, pseudo_loglik).
@@ -816,8 +818,10 @@ def _fit(matrix, max_iters, tol, ridge):
     constraints under the fitted marginals."""
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be > 0")
+    if not ridge >= 0:
+        raise ValueError("ridge must be >= 0")
     rows_with_obs = int(np.any(matrix.mask, axis=1).sum())
     if rows_with_obs < 2:
         raise FitError("need at least two rows with observed cells")
@@ -840,7 +844,7 @@ def _fit(matrix, max_iters, tol, ridge):
         warnings.warn(f"copula EM did not converge within {max_iters} iterations "
                       f"(last delta {trace[-1][1]:.3e})")
     return CopulaModel(sigma=sigma, marginals=marginals, em_trace=trace,
-                       converged=converged), plan
+                       converged=converged, ridge=ridge), plan
 
 
 def impute(model, matrix):
@@ -852,7 +856,7 @@ def impute(model, matrix):
     observed range; ordinal: binned to a level).  Observed cells pass through
     bit-exact.  Rows with no observed cells fall back to column medians and
     are listed under metadata["degenerate_rows"].  The observed blocks are
-    conditioned with the fixed ridge 1e-8, em_fit's default.
+    conditioned with model.ridge, the ridge the model was fitted with.
 
     Returns:
         Fully observed ObservationMatrix.
@@ -860,19 +864,17 @@ def impute(model, matrix):
     if model.n_cols != matrix.n_cols:
         raise ValueError("model and matrix disagree on column count")
     return _fill(model, matrix,
-                 _Plan(row_constraints(matrix, model.marginals), matrix.n_cols),
-                 1e-8)
+                 _Plan(row_constraints(matrix, model.marginals), matrix.n_cols))
 
 
-def _fill(model, matrix, plan, ridge):
-    """impute on a plan of the matrix's constraints under model.marginals,
-    conditioning the observed blocks with the given ridge."""
+def _fill(model, matrix, plan):
+    """impute on a plan of the matrix's constraints under model.marginals."""
     out = matrix.copy()
     rows, degenerate = [], []
     for r, (o, m) in enumerate(plan.patterns[pid] for pid in plan.pid):
         if m.size:
             (rows if o.size else degenerate).append(r)
-    kernel = _Conditioning(model.sigma, plan, plan.layout(rows), ridge)
+    kernel = _Conditioning(model.sigma, plan, plan.layout(rows), model.ridge)
     latent = np.zeros(matrix.values.shape)
     kernel.missing_means(kernel.observed_moments()[0], latent)
     for j, marginal in enumerate(model.marginals):
@@ -888,14 +890,12 @@ def _fill(model, matrix, plan, ridge):
 def complete(matrix, max_iters=100, tol=1e-4, ridge=1e-8):
     """Fit the copula to a matrix and impute that same matrix.
 
-    Equals em_fit(matrix, max_iters, tol, ridge) followed by impute's fill
-    bit for bit, but builds the row constraints and their plan once:
-    impute's constraints under the fitted marginals are the ones EM ran on.
-    The fill conditions with the fit's ridge, where impute always uses
-    1e-8, so the two agree at the default ridge only.
+    Equals em_fit(matrix, max_iters, tol, ridge) followed by impute bit for
+    bit, but builds the row constraints and their plan once: impute's
+    constraints under the fitted marginals are the ones EM ran on.
 
     Returns:
         (CopulaModel, fully observed ObservationMatrix).
     """
     model, plan = _fit(matrix, max_iters, tol, ridge)
-    return model, _fill(model, matrix, plan, ridge)
+    return model, _fill(model, matrix, plan)

@@ -53,9 +53,9 @@ class Schema:
             "ordinal").  Every data column in the file must appear here.
         ordinal_levels: optional mapping of ordinal column name -> strictly
             increasing list or tuple of at least two admissible levels, each
-            a finite number (not a boolean).  Ordinal columns without
-            an entry default to the consecutive integers 1..k where k is the
-            largest value seen in the file.
+            a finite number (not a boolean).  An ordinal column without an
+            entry takes its distinct observed values as its levels; these
+            must be integers >= 1.
     """
 
     columns: dict
@@ -197,8 +197,8 @@ def read_table(path):
     the row's line number in the file.
 
     Raises:
-        DataError: empty file, no data row, or a row whose field count
-            differs from the header's.
+        DataError: empty file, a header naming a column twice, no data row,
+            or a row whose field count differs from the header's.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -206,6 +206,9 @@ def read_table(path):
     if not rows:
         raise DataError(f"{path}: empty file")
     header = [c.strip() for c in rows[0][1]]
+    for k, name in enumerate(header):
+        if name in header[:k]:
+            raise DataError(f"{path}: column {name!r} appears more than once")
     body = [(line, row) for line, row in rows[1:] if row]
     if not body:
         raise DataError(f"{path}: no data rows")
@@ -275,11 +278,12 @@ def load_csv(path, schema):
             obs = values[mask[:, j], j]
             if obs.size == 0:
                 raise DataError(f"{path}: ordinal column {name!r} has no observed cells")
-            if np.any(obs != np.round(obs)) or obs.min() < 1:
+            if not (np.all(np.isfinite(obs)) and np.all(obs == np.round(obs))
+                    and obs.min() >= 1):
                 raise DataError(
                     f"{path}: ordinal column {name!r} holds non-integer levels; "
                     "declare ordinal_levels in the schema")
-            ordinal_levels[j] = tuple(float(v) for v in range(1, int(obs.max()) + 1))
+            ordinal_levels[j] = tuple(np.unique(obs).tolist())
 
     return ObservationMatrix(values=values, mask=mask, column_kinds=kinds,
                              column_names=tuple(names), time_index=tuple(dates),

@@ -160,6 +160,11 @@ def test_config_section_of_wrong_type_reports_config_error(tmp_path, capsys,
     ("mask.fraction", {"mask": {"fraction": "0.3"}}),
     ("copula.max_iters", {"copula": {"max_iters": 3.0}}),
     ("task.target", {"task": {"target": 3}}),
+    # json.load reads NaN and Infinity; a number setting must be finite.
+    ("copula.tol", {"copula": {"tol": float("nan")}}),
+    ("copula.ridge", {"copula": {"ridge": float("inf")}}),
+    ("data.synthetic.noise_sd", {"data": {"synthetic": {"noise_sd": float("nan")}}}),
+    ("roster.gbt.learn_rate", {"roster": [{"name": "gbt", "learn_rate": float("-inf")}]}),
     # A model's name labels its forecasts.csv column and its report entry.
     ("roster names", {"roster": [{"name": "naive_seasonal"}, {"name": "ridge_ar"},
                                  {"name": "gbt", "n_rounds": 3},
@@ -182,7 +187,8 @@ def test_config_section_of_wrong_type_reports_config_error(tmp_path, capsys,
         "data_csv_and_synthetic",
         "seed_numeric_string", "mask_fraction_numeric_string",
         "copula_max_iters_integral_float", "task_target_int",
-        "roster_duplicate_name"])
+        "copula_tol_nan", "copula_ridge_inf", "synthetic_noise_sd_nan",
+        "roster_learn_rate_neg_inf", "roster_duplicate_name"])
 def test_config_scalar_of_wrong_type_reports_config_error(tmp_path, capsys,
                                                           key, override):
     cfg = write_config(tmp_path, override)
@@ -260,6 +266,21 @@ def test_csv_ordinal_levels_are_checked_before_any_output(tmp_path, capsys,
                           "be a list of at least two finite numbers, got ")
     assert "Traceback" not in err
     assert not os.path.exists(out)
+
+
+def test_csv_ordinal_inf_without_levels_reports_data_error(tmp_path, capsys):
+    path = os.path.join(tmp_path, "panel.csv")
+    with open(path, "w") as fh:
+        fh.write("time,load,g\n2021-01-01,1.0,1\n2021-02-01,2.0,inf\n"
+                 "2021-03-01,3.0,2\n2021-04-01,4.0,1\n")
+    cfg = write_config(tmp_path, {"data": {"csv": {
+        "path": path, "columns": {"load": CONTINUOUS, "g": "ordinal"}}}})
+    out = os.path.join(tmp_path, "out")
+    assert main(["impute", "--config", cfg, "--out", out]) == 1
+    assert capsys.readouterr().err == (
+        f"error[data]: {path}: ordinal column 'g' holds non-integer levels; "
+        "declare ordinal_levels in the schema\n")
+    assert os.listdir(out) == []
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
@@ -502,18 +523,39 @@ def test_impute_and_run_share_the_completion_stage(tmp_path):
     cfg = write_config(tmp_path, {"roster": [{"name": "naive_seasonal"},
                                              {"name": "ridge_ar"}]})
     outs = {}
-    for command in ("impute", "run"):
+    for command in ("synth", "impute", "run"):
         outs[command] = os.path.join(tmp_path, command)
         assert main([command, "--config", cfg, "--seed", "5",
                      "--out", outs[command]]) == 0
     for name in ("data.csv", "completed.csv", "copula_model.json", "mask.json",
-                 "recovery.json"):
-        with open(os.path.join(outs["impute"], name), "rb") as fh:
-            written_by_impute = fh.read()
-        with open(os.path.join(outs["run"], name), "rb") as fh:
-            assert fh.read() == written_by_impute, name
-    assert os.path.exists(os.path.join(outs["run"], "truth.csv"))
-    assert not os.path.exists(os.path.join(outs["impute"], "truth.csv"))
+                 "recovery.json", "truth.csv"):
+        assert read_bytes(outs["run"], name) == read_bytes(outs["impute"], name), name
+    assert read_bytes(outs["synth"], "truth.csv") == read_bytes(outs["run"],
+                                                                "truth.csv")
+
+
+def test_each_command_writes_the_previous_commands_files(tmp_path, capsys):
+    outs = {}
+    for command in ("synth", "impute", "run", "ablate"):
+        outs[command] = os.path.join(tmp_path, command)
+        assert main([command, "--seed", "11", "--out", outs[command]]) == 0
+    capsys.readouterr()
+    chain = list(outs.values())
+    for before, after in zip(chain, chain[1:]):
+        names = set(os.listdir(before)) - {"config.json"}
+        assert names < set(os.listdir(after)), after
+        for name in names:
+            assert read_bytes(after, name) == read_bytes(before, name), name
+    assert sorted(os.listdir(outs["synth"])) == ["config.json", "data.csv",
+                                                "mask.json", "truth.csv"]
+
+
+def test_copula_ridge_below_zero_fails_before_any_output(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"copula": {"ridge": -1e-9}})
+    out = os.path.join(tmp_path, "out")
+    assert main(["impute", "--config", cfg, "--out", out]) == 1
+    assert capsys.readouterr().err == "error[value]: ridge must be >= 0\n"
+    assert os.listdir(out) == []
 
 
 # ------------------------------------------------------------------ ablate
@@ -541,6 +583,20 @@ def test_task_errors_before_any_artifact_is_written(tmp_path, capsys, command,
     out = os.path.join(tmp_path, "out")
     assert main([command, "--config", cfg, "--out", out]) == 1
     assert capsys.readouterr().err.startswith(f"error[{category}]: ")
+    assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("command", ["run", "ablate"])
+@pytest.mark.parametrize("entry", [
+    {"name": "gbt", "max_depth": 0},
+    {"name": "trmf", "k": 100},
+    {"name": "ridge_ar", "ridge": -1},
+], ids=["gbt_max_depth", "trmf_k", "ridge_ar_ridge"])
+def test_a_failing_fit_writes_nothing(tmp_path, capsys, command, entry):
+    cfg = write_config(tmp_path, {"roster": [{"name": "naive_seasonal"}, entry]})
+    out = os.path.join(tmp_path, "out")
+    assert main([command, "--config", cfg, "--out", out]) == 1
+    assert capsys.readouterr().err.startswith("error[value]: ")
     assert os.listdir(out) == []
 
 
@@ -721,6 +777,18 @@ def test_eval_needs_two_periods_with_an_actual(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error[evaluation]: 1 of 3 holdout periods have an actual; "
         "scoring needs at least 2\n")
+
+
+def test_eval_rejects_a_repeated_column(tmp_path, capsys):
+    forecasts, actuals = eval_fixtures(tmp_path)
+    with open(forecasts, "w") as fh:
+        fh.write("time,actual,a,a,ensemble\n2021-01,,104.0,1.0,101.0\n"
+                 "2021-02,,106.0,1.0,99.0\n2021-03,,109.0,1.0,102.0\n")
+    out = os.path.join(tmp_path, "out")
+    assert main(["eval", forecasts, actuals, "--out", out]) == 1
+    assert capsys.readouterr().err == (
+        f"error[data]: {forecasts}: column 'a' appears more than once\n")
+    assert os.listdir(out) == []
 
 
 def test_eval_requires_ensemble_column(tmp_path, capsys):

@@ -485,13 +485,14 @@ def test_copula_model_save_load_round_trip(tmp_path):
     sigma = np.array([[1.0, 0.4], [0.4, 1.0]])
     specs = [MarginalSpec(kind="normal", params=(0.0, 1.0))] * 2
     full = gen_copula_sample(sigma, specs, 100, seed=71)
-    model = em_fit(full, max_iters=20)
+    model = em_fit(full, max_iters=20, ridge=1e-3)
     path = os.path.join(tmp_path, "model.json")
     model.save(path)
     with open(path) as fh:
         back = CopulaModel.from_json(json.load(fh))
     assert np.array_equal(back.sigma, model.sigma)
     assert back.converged == model.converged
+    assert back.ridge == model.ridge == 1e-3
     assert back.em_trace == model.em_trace
     assert len(back.marginals) == 2
 
@@ -813,12 +814,22 @@ def test_complete_fills_with_the_fit_ridge():
         model, completed = complete(masked, ridge=1e-2)
         want_model = em_fit(masked, ridge=1e-2)
     assert same_bits(model.sigma, want_model.sigma)
+    assert model.ridge == want_model.ridge == 1e-2
     plan = _Plan(row_constraints(masked, want_model.marginals), masked.n_cols)
-    want = _fill(want_model, masked, plan, 1e-2)
+    want = _fill(want_model, masked, plan)
     assert same_bits(completed.values, want.values)
-    # impute keeps the fixed 1e-8, so it fills the same fit differently.
-    assert not np.array_equal(completed.values,
-                              impute(want_model, masked).values)
+    # impute fills at the ridge the model records, so it equals complete.
+    assert same_bits(completed.values, impute(want_model, masked).values)
+
+
+@pytest.mark.parametrize("setting", [{"ridge": -1e-9}, {"ridge": float("nan")},
+                                     {"tol": float("nan")}],
+                         ids=["ridge_negative", "ridge_nan", "tol_nan"])
+def test_em_fit_rejects_settings_that_break_the_fit(setting):
+    masked = apply_mask(gen_seasonal_load(seed=11), 0.1, 11)[0]
+    name = next(iter(setting))
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        em_fit(masked, **setting)
 
 
 def test_truncated_moments_array_kernel_equals_scalar_reference_bit_for_bit():

@@ -1,6 +1,7 @@
 """Property tests: impute passes every observed cell through unchanged, bit
-for bit, on random mixed continuous/ordinal panels and masks; truncated
-normal moments are mirror-symmetric."""
+for bit, on random mixed continuous/ordinal panels and masks; em_fit then
+impute equals complete bit for bit at any ridge; truncated normal moments
+are mirror-symmetric."""
 
 import math
 import warnings
@@ -11,11 +12,23 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st
 
-from copulacast.copula import (em_fit, impute, project_correlation,
+from copulacast.copula import (complete, em_fit, impute, project_correlation,
                                truncated_normal_moments)
 from copulacast.dataset import MarginalSpec, apply_mask, gen_copula_sample
 from copulacast.errors import FitError
 from copulacast.rng import rng_for
+
+
+def mixed_panel(seed, rows, continuous, ordinal, levels, fraction):
+    """A masked copula sample with lognormal and ordinal columns."""
+    q = continuous + ordinal
+    rng = rng_for(seed, "impute-property")
+    sigma = project_correlation(np.corrcoef(rng.normal(size=(q, 3 * q))))
+    specs = ([MarginalSpec("lognormal", (0.0, 0.5))] * continuous
+             + [MarginalSpec("ordinal", levels=tuple(float(v) for v in range(levels)),
+                             probs=(1.0 / levels,) * levels)] * ordinal)
+    return apply_mask(gen_copula_sample(sigma, specs, rows, seed), fraction,
+                      seed + 1)[0]
 
 
 @settings(max_examples=25, deadline=None)
@@ -24,15 +37,8 @@ from copulacast.rng import rng_for
        levels=st.integers(2, 5), fraction=st.floats(0.0, 0.5))
 def test_impute_passes_observed_cells_through_bit_for_bit(
         seed, rows, continuous, ordinal, levels, fraction):
-    q = continuous + ordinal
-    assume(q >= 2)
-    rng = rng_for(seed, "impute-property")
-    sigma = project_correlation(np.corrcoef(rng.normal(size=(q, 3 * q))))
-    specs = ([MarginalSpec("lognormal", (0.0, 0.5))] * continuous
-             + [MarginalSpec("ordinal", levels=tuple(float(v) for v in range(levels)),
-                             probs=(1.0 / levels,) * levels)] * ordinal)
-    masked, _ = apply_mask(gen_copula_sample(sigma, specs, rows, seed), fraction,
-                           seed + 1)
+    assume(continuous + ordinal >= 2)
+    masked = mixed_panel(seed, rows, continuous, ordinal, levels, fraction)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         try:
@@ -44,6 +50,40 @@ def test_impute_passes_observed_cells_through_bit_for_bit(
     assert completed.mask.all()
     assert np.array_equal(completed.values[seen].view(np.int64),
                           masked.values[seen].view(np.int64))
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10_000), rows=st.integers(12, 30),
+       continuous=st.integers(1, 3), ordinal=st.integers(0, 2),
+       fraction=st.floats(0.05, 0.4), ridge=st.floats(0.0, 0.1))
+@example(seed=5, rows=20, continuous=2, ordinal=1, fraction=0.2, ridge=0.0)
+@example(seed=5, rows=20, continuous=2, ordinal=1, fraction=0.2, ridge=1e-8)
+@example(seed=5, rows=20, continuous=2, ordinal=1, fraction=0.2, ridge=1e-4)
+@example(seed=5, rows=20, continuous=2, ordinal=1, fraction=0.2, ridge=1e-2)
+def test_em_fit_then_impute_is_complete_at_every_ridge(
+        seed, rows, continuous, ordinal, fraction, ridge):
+    assume(continuous + ordinal >= 2)
+    masked = mixed_panel(seed, rows, continuous, ordinal, 3, fraction)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            model, completed = complete(masked, max_iters=3, ridge=ridge)
+        except FitError:          # a column left constant or empty by the mask
+            assume(False)
+        fitted = em_fit(masked, max_iters=3, ridge=ridge)
+    filled = impute(fitted, masked)
+    assert model.ridge == fitted.ridge == ridge
+    assert same_bits(model.sigma, fitted.sigma)
+    assert model.em_trace == fitted.em_trace
+    assert model.converged == fitted.converged
+    assert same_bits(completed.values, filled.values)
+    assert np.array_equal(completed.mask, filled.mask)
+    assert completed.metadata == filled.metadata
 
 
 # Intervals narrower than 0.01 are left out: there the variance is a

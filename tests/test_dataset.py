@@ -117,7 +117,8 @@ def test_load_csv_rejects_unknown_column(tmp_path):
     ("time,a,b\n\n", "no data rows"),
     ("time,a,b\n2013-01-01,1.0,2.0\n\n2013-03-01,3.0\n",
      "row 4: expected 3 fields, got 2"),
-], ids=["empty", "header_only", "ragged_after_blank_line"])
+    ("time,a, a\n2013-01-01,1.0,2.0\n", "column 'a' appears more than once"),
+], ids=["empty", "header_only", "ragged_after_blank_line", "repeated_column"])
 def test_load_csv_table_errors_name_file_lines(tmp_path, text, message):
     path = os.path.join(tmp_path, "table.csv")
     with open(path, "w") as fh:
@@ -125,6 +126,31 @@ def test_load_csv_table_errors_name_file_lines(tmp_path, text, message):
     schema = Schema(columns={"a": CONTINUOUS, "b": CONTINUOUS})
     with pytest.raises(DataError, match=f"^{re.escape(path)}: {message}$"):
         load_csv(path, schema)
+
+
+def write_ordinal_csv(tmp_path, cells):
+    path = os.path.join(tmp_path, "ordinal.csv")
+    with open(path, "w") as fh:
+        fh.write("time,g\n")
+        for month, cell in enumerate(cells, start=1):
+            fh.write(f"2013-{month:02d}-01,{cell}\n")
+    return path
+
+
+def test_load_csv_ordinal_levels_default_to_the_observed_values(tmp_path):
+    # Values stay below about 1e4: a loader that built every level from 1
+    # to the largest value would exhaust memory here instead of failing.
+    path = write_ordinal_csv(tmp_path, ["3", "1000", "", "1", "3"])
+    matrix = load_csv(path, Schema(columns={"g": ORDINAL}))
+    assert matrix.ordinal_levels == {0: (1.0, 3.0, 1000.0)}
+
+
+@pytest.mark.parametrize("cell", ["inf", "-inf", "2.5", "0"])
+def test_load_csv_ordinal_values_without_levels_must_be_integers(tmp_path, cell):
+    path = write_ordinal_csv(tmp_path, ["1", cell, "2", "1"])
+    with pytest.raises(DataError, match="ordinal column 'g' holds non-integer "
+                       "levels; declare ordinal_levels in the schema"):
+        load_csv(path, Schema(columns={"g": ORDINAL}))
 
 
 def test_apply_mask_count_rounds_half_up():
