@@ -269,7 +269,8 @@ def _fit_roster(config, task, completed):
     """Fit every roster entry, fanning out across jobs when configured.
 
     Results are joined in roster order, so the outputs do not depend on
-    completion timing.
+    completion timing.  Floating-point warnings are off: a diverging fit
+    fails its own finiteness checks, which give the one error line.
     """
     roster = config["roster"]
 
@@ -278,7 +279,8 @@ def _fit_roster(config, task, completed):
         hyper = {k: v for k, v in entry.items() if k != "name"}
         if "seed" in _keywords(fit):
             hyper.setdefault("seed", config["seed"])
-        return fit(task, completed, **hyper)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return fit(task, completed, **hyper)
 
     if config["jobs"] == 1:
         return [fit_one(entry) for entry in roster]

@@ -19,11 +19,14 @@ means back through the marginal inverses, again one call per column.
 One conditioning kernel serves em_fit, impute, pseudo_loglik and e_step:
 
 - A plan (_Plan) is built once per em_fit, impute or complete call from
-  the row constraints, which never change between iterations (complete
-  fits and fills one matrix on one plan): observed/missing
-  index arrays per pattern, exact values and interval bounds as arrays,
-  the exact-only rows grouped by pattern, and stacked layouts of the rows
-  each E-step visits, grouped by observed-block size.
+  the panel's latent cell arrays (_latent_cells: exact values, interval
+  bounds and the interval mask, each shaped like the panel), which never
+  change between iterations (complete fits and fills one matrix on one
+  plan): per-row column orders, pattern ids and padded latent starts and
+  ordinal-slot tables, the exact-only rows grouped by pattern, and
+  layouts, row selections of those arrays grouped by observed-block size.
+  RowConstraint lists (e_step, pseudo_loglik) enter through the same
+  arrays.
 - Factors and solves call LAPACK potrf/potrs (scipy.linalg.lapack) directly,
   once per distinct pattern, with cho_factor/cho_solve's checks kept.
 - The ordinal mean-field sweep runs for all interval rows at once, one
@@ -170,28 +173,14 @@ def fit_marginals(matrix):
     return out
 
 
-def _latent_column(marginal, x):
-    """Latent images of one column's observed values x, in one array call.
+def _latent_cells(matrix, marginals):
+    """The latent images of a matrix's observed cells, as panel-shaped arrays.
 
-    Continuous values map to exact latent floats, ordinal values to (lo, hi)
-    intervals between cut points computed once for the column; a value that
-    is not an observed level maps to None.
-    """
-    if marginal.kind == CONTINUOUS:
-        return marginal.to_latent(x).tolist()
-    support = marginal.support
-    idx = np.minimum(np.searchsorted(support, x), support.size - 1)
-    bounds = np.concatenate(([-np.inf], marginal.cut_points, [np.inf]))
-    return [(lo, hi) if seen else None for lo, hi, seen in
-            zip(bounds[idx].tolist(), bounds[idx + 1].tolist(),
-                (support[idx] == x).tolist())]
-
-
-def row_constraints(matrix, marginals):
-    """Translate every row of a matrix into latent-scale RowConstraints.
-
-    Each column's observed cells are mapped in one call; the result equals
-    a per-cell build from to_latent / to_interval bit for bit.
+    Returns (exact, lo, hi, interval): exact holds the observed continuous
+    cells' exact latent values, lo and hi the observed ordinal cells'
+    latent intervals (lo, hi], and interval marks the ordinal cells; other
+    cells hold 0.0, -inf and inf.  Each column is mapped in one call, and
+    the values equal a per-cell to_latent / to_interval build bit for bit.
 
     Raises:
         ValueError: an ordinal cell holds a level its marginal never saw;
@@ -200,29 +189,67 @@ def row_constraints(matrix, marginals):
     """
     if len(marginals) != matrix.n_cols:
         raise ValueError("marginal count does not match column count")
-    latent = []
+    shape = matrix.values.shape
+    exact = np.zeros(shape)
+    lo, hi = np.full(shape, -np.inf), np.full(shape, np.inf)
+    interval = np.zeros(shape, dtype=bool)
+    unseen = np.zeros(shape, dtype=bool)
     for j, marginal in enumerate(marginals):
         rows = np.flatnonzero(matrix.mask[:, j])
-        latent.append(dict(zip(rows.tolist(),
-                               _latent_column(marginal, matrix.values[rows, j]))))
-    continuous = [m.kind == CONTINUOUS for m in marginals]
+        x = matrix.values[rows, j]
+        if marginal.kind == CONTINUOUS:
+            exact[rows, j] = marginal.to_latent(x)
+            continue
+        support = marginal.support
+        idx = np.minimum(np.searchsorted(support, x), support.size - 1)
+        bounds = np.concatenate(([-np.inf], marginal.cut_points, [np.inf]))
+        lo[rows, j], hi[rows, j] = bounds[idx], bounds[idx + 1]
+        interval[rows, j] = True
+        unseen[rows, j] = support[idx] != x
+    if unseen.any():
+        i, j = np.argwhere(unseen)[0]
+        raise ValueError(f"column {matrix.column_names[j]!r} row {i}: "
+                         f"value {float(matrix.values[i, j])!r} is not "
+                         "an observed level")
+    return exact, lo, hi, interval
+
+
+def row_constraints(matrix, marginals):
+    """Translate every row of a matrix into latent-scale RowConstraints.
+
+    A per-row view of _latent_cells; the result equals a per-cell build
+    from to_latent / to_interval bit for bit.
+
+    Raises:
+        ValueError: an ordinal cell holds a level its marginal never saw;
+            the message names the column and the 0-based row of the first
+            such cell in row-major order.
+    """
+    exact, lo, hi, interval = _latent_cells(matrix, marginals)
     out = []
-    for i, observed in enumerate(matrix.mask.tolist()):
-        exact, intervals, missing = {}, {}, []
-        for j, seen in enumerate(observed):
-            if not seen:
-                missing.append(j)
-            elif continuous[j]:
-                exact[j] = latent[j][i]
-            elif latent[j][i] is None:
-                raise ValueError(f"column {matrix.column_names[j]!r} row {i}: "
-                                 f"value {float(matrix.values[i, j])!r} is not "
-                                 "an observed level")
-            else:
-                intervals[j] = latent[j][i]
-        out.append(RowConstraint(exact=exact, intervals=intervals,
-                                 missing=tuple(missing)))
+    for seen, ordinal, z, a, b in zip(matrix.mask.tolist(), interval.tolist(),
+                                      exact.tolist(), lo.tolist(), hi.tolist()):
+        out.append(RowConstraint(
+            exact={j: z[j] for j, s in enumerate(seen) if s and not ordinal[j]},
+            intervals={j: (a[j], b[j]) for j, o in enumerate(ordinal) if o},
+            missing=tuple(j for j, s in enumerate(seen) if not s)))
     return out
+
+
+def _constraint_cells(constraints, q):
+    """The mask and _latent_cells arrays of a RowConstraint list over q columns."""
+    mask = np.zeros((len(constraints), q), dtype=bool)
+    exact = np.zeros(mask.shape)
+    lo, hi = np.full(mask.shape, -np.inf), np.full(mask.shape, np.inf)
+    interval = np.zeros(mask.shape, dtype=bool)
+    for i, con in enumerate(constraints):
+        mask[i, list(con.observed)] = True
+        interval[i, list(con.intervals)] = True
+        for j, value in con.exact.items():
+            exact[i, j] = value
+        for j, (a, b) in con.intervals.items():
+            lo[i, j], hi[i, j] = a, b
+    return mask, exact, lo, hi, interval
 
 
 def _phi(x):
@@ -301,141 +328,112 @@ def _potrs(c, b):
 
 
 class _Plan:
-    """Per-row structure of a constraint list, built once per fit.
+    """The latent cells of a panel, arranged once per fit.
 
-    The constraints never change between EM iterations, so everything the
-    conditioning needs from them is gathered here once and reused by every
-    E-step, the log-likelihood and impute:
+    The cells never change between EM iterations, so everything the
+    conditioning needs from them is gathered here once, as arrays over the
+    panel's rows, and reused by every E-step, the log-likelihood and
+    impute:
 
-    - patterns: each distinct observed-column set as (o, m), its observed
-      and missing index arrays; pid maps a row to its pattern;
+    - cols: each row's observed columns, then its missing ones; n_obs and
+      n_ordinal: its observed and observed-ordinal cell counts; pid: its
+      missing pattern, numbered in the order of the observed-column tuples;
     - z0: each row's observed latent start (exact values, ordinal cells at
-      their standard truncated means); slots and bounds: the positions of
-      its ordinal cells in the observed block and their (lo, hi) bounds;
-    - groups: the exact-only rows by pattern, with their stacked exact
-      values z and sums z^T z;
-    - loglik_rows / log_mass: each row's exact block and values, and the
-      log masses of its intervals;
+      their standard truncated means), padded; at, lo, hi and has, the
+      (depth, rows) tables of each row's t-th ordinal cell: its position in
+      the observed block, its bounds and whether it exists;
+    - groups: the exact-only rows by pattern, in pattern order, with their
+      stacked exact values z and sums z^T z;
+    - loglik_rows: each row's exact block, exact values and interval log
+      masses;
     - layout(rows): the stacked arrangement of a row set, cached.
     """
 
-    def __init__(self, constraints, q):
-        self.q = q
-        self.patterns, self.pid, self.slots, self.bounds = [], [], [], []
-        self.interval_rows, self.loglik_rows, self.loglik_blocks = [], [], []
-        index, loglik_index, groups = {}, {}, {}
-        values, exact_values, cells, lo, hi = [], [], [], [], []
-        for r, con in enumerate(constraints):
-            obs = con.observed
-            if obs not in index:
-                index[obs] = len(self.patterns)
-                seen = set(obs)
-                self.patterns.append((np.array(obs, dtype=np.intp),
-                                      np.array([j for j in range(q) if j not in seen],
-                                               dtype=np.intp)))
-            self.pid.append(index[obs])
-            exact, ordinal = con.exact, sorted(con.intervals)
-            slots = [obs.index(j) for j in ordinal]
-            self.slots.append(slots)
-            self.bounds.append(([con.intervals[j][0] for j in ordinal],
-                                [con.intervals[j][1] for j in ordinal]))
-            cells += [len(values) + k for k in slots]
-            lo += self.bounds[-1][0]
-            hi += self.bounds[-1][1]
-            values += [exact.get(j, 0.0) for j in obs]
-            if ordinal:
-                self.interval_rows.append(r)
-            else:
-                groups.setdefault(obs, []).append(r)
-            cols = tuple(sorted(exact))
-            if cols and cols not in loglik_index:
-                loglik_index[cols] = len(self.loglik_blocks)
-                c = np.array(cols, dtype=np.intp)
-                self.loglik_blocks.append((c[:, None], c[None, :]))
-            self.loglik_rows.append((loglik_index.get(cols), len(exact_values),
-                                     len(exact_values) + len(cols)))
-            exact_values += [exact[j] for j in cols]
-        flat = np.array(values)
-        exact_values = np.array(exact_values)
-        self.exact_finite = bool(np.isfinite(exact_values).all())
-        self.loglik_rows = [(block, exact_values[a:b]) for block, a, b in self.loglik_rows]
-        lo, hi = np.array(lo), np.array(hi)
-        flat[cells], _ = _truncated_moments(lo, hi, 0.0, 1.0)
-        self.n_obs = [len(self.patterns[pid][0]) for pid in self.pid]
-        ends = np.cumsum(self.n_obs).tolist()
-        self.z0 = [flat[end - n:end] for end, n in zip(ends, self.n_obs)]
-        mass = ndtr(hi) - ndtr(lo)
+    def __init__(self, mask, exact, lo, hi, interval):
+        self.q = mask.shape[1]
+        self.n_obs = mask.sum(axis=1)
+        self.n_ordinal = interval.sum(axis=1)
+        self.cols = np.argsort(~mask, axis=1, kind="stable")
+        key = np.where(np.arange(self.q) < self.n_obs[:, None], self.cols, -1)
+        self.pid = np.unique(key, axis=0, return_inverse=True)[1].reshape(-1)
+        latent = exact.copy()
+        latent[interval], _ = _truncated_moments(lo[interval], hi[interval], 0.0, 1.0)
+        self.z0 = np.take_along_axis(latent, self.cols, axis=1)
+        depth = int(self.n_ordinal.max(initial=0))
+        ordinal = np.argsort(~interval, axis=1, kind="stable")[:, :depth]
+        has = np.arange(depth) < self.n_ordinal[:, None]
+        at = np.take_along_axis(np.cumsum(mask, axis=1) - 1, ordinal, axis=1)
+        self.has, self.at = has.T, np.where(has, at, 0).T
+        self.lo = np.take_along_axis(lo, ordinal, axis=1).T
+        self.hi = np.take_along_axis(hi, ordinal, axis=1).T
+        self.interval_rows = np.flatnonzero(self.n_ordinal)
+        plain = np.flatnonzero(self.n_ordinal == 0)
+        plain = plain[np.argsort(self.pid[plain], kind="stable")]
+        self.groups, self.group_rows = [], []
+        runs = np.unique(self.pid[plain], return_index=True, return_counts=True)
+        for pid, first, count in zip(*(run.tolist() for run in runs)):
+            rows = plain[first:first + count]
+            r = rows[0]
+            o, m = self.cols[r, :self.n_obs[r]], self.cols[r, self.n_obs[r]:]
+            z = exact[rows[:, None], o] if o.size else None
+            self.groups.append((pid, o, m, count, z, None if z is None else z.T @ z))
+            if o.size and m.size:
+                self.group_rows.append(r)
+        exact_cells = mask & ~interval
+        keys, block = np.unique(exact_cells, axis=0, return_inverse=True)
+        self.loglik_blocks = [(c[:, None], c) for c in map(np.flatnonzero, keys)]
+        values = exact[exact_cells]
+        self.exact_finite = bool(np.isfinite(values).all())
+        mass = ndtr(hi[interval]) - ndtr(lo[interval])
         terms = np.log(np.where(1e-300 > mass, 1e-300, mass)).tolist()
-        self.log_mass, at = [], 0
-        for slots in self.slots:
-            self.log_mass.append(terms[at:at + len(slots)])
-            at += len(slots)
-        self.groups = []
-        for obs, rows in sorted(groups.items()):
-            z = np.array([self.z0[r] for r in rows]) if obs else None
-            self.groups.append((index[obs], len(rows), z, None if z is None else z.T @ z))
-        self.group_rows = [rows[0] for obs, rows in sorted(groups.items())
-                           if obs and len(obs) < q]
+        self.loglik_rows = []
+        a = b = 0
+        for block_id, k, d in zip(block.reshape(-1).tolist(),
+                                  exact_cells.sum(axis=1).tolist(),
+                                  self.n_ordinal.tolist()):
+            self.loglik_rows.append((block_id if k else None, values[a:a + k],
+                                     terms[b:b + d]))
+            a, b = a + k, b + d
         self._layouts = {}
 
     def layout(self, rows):
         """The _Layout of a row set, built on first use."""
-        key = tuple(rows)
+        rows = np.asarray(rows, dtype=np.intp)
+        key = rows.tobytes()
         if key not in self._layouts:
             self._layouts[key] = _Layout(self, rows)
         return self._layouts[key]
 
 
-def _ragged(lengths):
-    """(row, position) index pairs of a ragged array with these row lengths."""
-    lengths = np.asarray(lengths, dtype=np.intp)
-    row = np.repeat(np.arange(lengths.size), lengths)
-    return row, np.arange(row.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-
-
 class _Layout:
-    """A row set arranged for stacked work.
+    """A row set of a plan arranged for stacked work.
 
     Rows are ordered by observed-block size n, interval rows first within a
     size, and split into blocks (n, start, mid, stop, pids, o, m): rows
     start:mid of the order carry interval cells, mid:stop do not, and o and
-    m stack the rows' observed and missing column indices.  z0 pads the
-    rows' observed latent starts to a common width; at, lo, hi and has hold
-    each row's t-th ordinal slot (its position in the observed block, its
-    bounds, whether it exists) in row t.
+    m stack the rows' observed and missing column indices.  z0, at, lo, hi
+    and has are the plan's arrays at these rows, cut to the set's widest
+    observed block and deepest ordinal slot.
     """
 
     def __init__(self, plan, rows):
-        self.rows = sorted(rows, key=lambda r: (plan.n_obs[r], not plan.slots[r]))
-        self.row_order = np.argsort(self.rows, kind="stable")
-        count = len(self.rows)
-        sizes = [plan.n_obs[r] for r in self.rows]
-        depths = [len(plan.slots[r]) for r in self.rows]
-        self.depth = max(depths, default=0)
-        self.z0 = np.zeros((count, max(sizes, default=0)))
-        if count:
-            self.z0[_ragged(sizes)] = np.concatenate([plan.z0[r] for r in self.rows])
-        self.at = np.zeros((self.depth, count), dtype=np.intp)
-        self.lo = np.full((self.depth, count), -np.inf)
-        self.hi = np.full((self.depth, count), np.inf)
-        self.has = np.zeros((self.depth, count), dtype=bool)
-        row, t = _ragged(depths)
-        self.at[t, row] = [k for r in self.rows for k in plan.slots[r]]
-        self.lo[t, row] = [b for r in self.rows for b in plan.bounds[r][0]]
-        self.hi[t, row] = [b for r in self.rows for b in plan.bounds[r][1]]
-        self.has[t, row] = True
+        self.rows = rows = rows[np.lexsort((plan.n_ordinal[rows] == 0, plan.n_obs[rows]))]
+        self.row_order = np.argsort(rows, kind="stable")
+        sizes = plan.n_obs[rows]
+        self.depth = int(plan.n_ordinal[rows].max(initial=0))
+        self.z0 = plan.z0[rows, :sizes.max(initial=0)]
+        self.at, self.lo, self.hi, self.has = (
+            table[:self.depth].take(rows, axis=1)
+            for table in (plan.at, plan.lo, plan.hi, plan.has))
         self.good_intervals = bool((self.hi > self.lo).all())
         self.blocks = []
-        start = 0
-        while start < count:
-            n = sizes[start]
-            stop = start + sizes.count(n)
-            pids = [plan.pid[r] for r in self.rows[start:stop]]
-            mid = start + sum(1 for d in depths[start:stop] if d)
-            o = np.array([plan.patterns[p][0] for p in pids])
-            m = np.array([plan.patterns[p][1] for p in pids]).reshape(len(pids), plan.q - n)
-            self.blocks.append((n, start, mid, stop, pids, o, m))
-            start = stop
+        starts = np.flatnonzero(np.diff(sizes, prepend=-1)).tolist()
+        for start, stop in zip(starts, starts[1:] + [rows.size]):
+            n, block = int(sizes[start]), rows[start:stop]
+            mid = start + int(np.count_nonzero(plan.n_ordinal[block]))
+            cols = plan.cols[block]
+            self.blocks.append((n, start, mid, stop, plan.pid[block].tolist(),
+                                cols[:, :n], cols[:, n:]))
 
 
 class _Conditioning:
@@ -566,7 +564,7 @@ class _Conditioning:
     def missing_means(self, z, latent):
         """Write each layout row's conditional missing mean gain @ z_obs into
         its row of latent."""
-        rows = np.array(self.layout.rows)[:, None]
+        rows = self.layout.rows[:, None]
         for (n, start, _, stop, _, _, m), gain in zip(self.layout.blocks, self.gains):
             if gain is not None:
                 latent[rows[start:stop], m] = np.matmul(gain, z[start:stop, :n, None])[:, :, 0]
@@ -622,11 +620,11 @@ def e_step(sigma, constraint, ridge=1e-8, max_inner=50, inner_tol=1e-6):
         raise ValueError("constraint arity does not match sigma")
     if not constraint.observed:
         return np.zeros(q), sigma.copy()
-    plan = _Plan([constraint], q)
+    plan = _Plan(*_constraint_cells([constraint], q))
     kernel = _Conditioning(sigma, plan, plan.layout([0]), ridge)
     z, v = kernel.observed_moments(max_inner, inner_tol)
     e_z = np.zeros((1, q))
-    e_z[0, plan.patterns[0][0]] = z[0]
+    e_z[0, list(constraint.observed)] = z[0]
     kernel.missing_means(z, e_z)
     return e_z[0], kernel.second_moments(z, v)[0]
 
@@ -721,7 +719,7 @@ def _loglik(sigma, plan, ridge):
     finite = float(np.abs(sigma).max(initial=0.0)) + abs(ridge) < np.inf
     factors = {}
     total = 0.0
-    for (block_id, z), terms in zip(plan.loglik_rows, plan.log_mass):
+    for block_id, z, terms in plan.loglik_rows:
         if block_id is not None:
             if block_id not in factors:
                 block = sigma[plan.loglik_blocks[block_id]]
@@ -754,7 +752,7 @@ def pseudo_loglik(sigma, constraints, ridge=1e-8):
     ridge-repaired with a warning.
     """
     sigma = np.asarray(sigma, dtype=float)
-    return _loglik(sigma, _Plan(constraints, sigma.shape[0]), ridge)
+    return _loglik(sigma, _Plan(*_constraint_cells(constraints, sigma.shape[0])), ridge)
 
 
 def _estep_sum(sigma, plan, ridge):
@@ -768,8 +766,7 @@ def _estep_sum(sigma, plan, ridge):
     q = plan.q
     exact = _Conditioning(sigma, plan, plan.layout(plan.group_rows), ridge)
     total = np.zeros((q, q))
-    for pid, count, z, sum_oo in plan.groups:
-        o, m = plan.patterns[pid]
+    for pid, o, m, count, z, sum_oo in plan.groups:
         if z is None:
             total += count * sigma
             continue
@@ -814,8 +811,8 @@ def em_fit(matrix, max_iters=100, tol=1e-4, ridge=1e-8):
 
 
 def _fit(matrix, max_iters, tol, ridge):
-    """em_fit; returns (model, plan), the plan holding the matrix's row
-    constraints under the fitted marginals."""
+    """em_fit; returns (model, plan), the plan of the matrix's latent cells
+    under the fitted marginals."""
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     if not tol > 0:
@@ -826,7 +823,7 @@ def _fit(matrix, max_iters, tol, ridge):
     if rows_with_obs < 2:
         raise FitError("need at least two rows with observed cells")
     marginals = fit_marginals(matrix)
-    plan = _Plan(row_constraints(matrix, marginals), matrix.n_cols)
+    plan = _Plan(matrix.mask, *_latent_cells(matrix, marginals))
     sigma = np.eye(plan.q)
     trace = []
     converged = False
@@ -863,17 +860,14 @@ def impute(model, matrix):
     """
     if model.n_cols != matrix.n_cols:
         raise ValueError("model and matrix disagree on column count")
-    return _fill(model, matrix,
-                 _Plan(row_constraints(matrix, model.marginals), matrix.n_cols))
+    return _fill(model, matrix, _Plan(matrix.mask, *_latent_cells(matrix, model.marginals)))
 
 
 def _fill(model, matrix, plan):
-    """impute on a plan of the matrix's constraints under model.marginals."""
+    """impute on a plan of the matrix's latent cells under model.marginals."""
     out = matrix.copy()
-    rows, degenerate = [], []
-    for r, (o, m) in enumerate(plan.patterns[pid] for pid in plan.pid):
-        if m.size:
-            (rows if o.size else degenerate).append(r)
+    rows = np.flatnonzero((plan.n_obs > 0) & (plan.n_obs < plan.q))
+    degenerate = np.flatnonzero(plan.n_obs == 0).tolist()
     kernel = _Conditioning(model.sigma, plan, plan.layout(rows), model.ridge)
     latent = np.zeros(matrix.values.shape)
     kernel.missing_means(kernel.observed_moments()[0], latent)
@@ -891,8 +885,8 @@ def complete(matrix, max_iters=100, tol=1e-4, ridge=1e-8):
     """Fit the copula to a matrix and impute that same matrix.
 
     Equals em_fit(matrix, max_iters, tol, ridge) followed by impute bit for
-    bit, but builds the row constraints and their plan once: impute's
-    constraints under the fitted marginals are the ones EM ran on.
+    bit, but builds the latent cells and their plan once: impute's cells
+    under the fitted marginals are the ones EM ran on.
 
     Returns:
         (CopulaModel, fully observed ObservationMatrix).

@@ -207,7 +207,8 @@ def fit_gbt_arrays(x, y, n_rounds=50, max_depth=3, min_leaf=2, reg_alpha=0.0,
 
     Stops early when a round's tree cannot improve (no positive-gain split
     and a zero root weight).  Raises FitError when the first round has no
-    admissible threshold at all while the target still varies.
+    admissible threshold at all while the target still varies, and when a
+    round's training loss is not finite.
 
     Returns:
         GBTModel.
@@ -239,7 +240,10 @@ def fit_gbt_arrays(x, y, n_rounds=50, max_depth=3, min_leaf=2, reg_alpha=0.0,
                 break
         pred = pred + model.learn_rate * _Forest([tree]).leaf_values(x)[:, 0]
         model.trees.append(tree)
-        model.train_losses.append(float(np.mean((pred - y) ** 2)))
+        loss = float(np.mean((pred - y) ** 2))
+        if not np.isfinite(loss):
+            raise FitError("gbt training diverged; lower learn_rate")
+        model.train_losses.append(loss)
     return model
 
 

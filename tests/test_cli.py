@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -597,6 +598,26 @@ def test_a_failing_fit_writes_nothing(tmp_path, capsys, command, entry):
     out = os.path.join(tmp_path, "out")
     assert main([command, "--config", cfg, "--out", out]) == 1
     assert capsys.readouterr().err.startswith("error[value]: ")
+    assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("entry", [
+    {"name": "tcn", "learn_rate": 1000.0},
+    {"name": "gbt", "learn_rate": 1e308},
+], ids=["tcn", "gbt"])
+def test_a_diverging_fit_prints_one_error_line(tmp_path, entry):
+    # A fresh interpreter, so that any RuntimeWarning reaches stderr as it
+    # would from the console script.
+    cfg = write_config(tmp_path, {"roster": [{"name": "naive_seasonal"}, entry]})
+    out = os.path.join(tmp_path, "out")
+    src = os.path.dirname(os.path.dirname(copulacast.__file__))
+    done = subprocess.run([sys.executable, "-m", "copulacast.cli", "run",
+                           "--config", cfg, "--out", out],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1
+    assert re.fullmatch(r"error\[fit\]: (tcn|gbt) training diverged; "
+                        r"lower learn_rate\n", done.stderr), done.stderr
     assert os.listdir(out) == []
 
 

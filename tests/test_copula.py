@@ -15,6 +15,8 @@ from copulacast.copula import (
     RowConstraint,
     _estep_sum,
     _fill,
+    _constraint_cells,
+    _latent_cells,
     _Plan,
     _truncated_moments,
     complete,
@@ -333,7 +335,7 @@ def test_e_step_batched_sum_matches_scalar_rows():
         exact = {j: float(rng.normal()) for j in range(5) if parts[j]}
         missing = tuple(j for j in range(5) if not parts[j])
         cons.append(RowConstraint(exact=exact, intervals={}, missing=missing))
-    batched = _estep_sum(sigma, _Plan(cons, 5), 1e-8)
+    batched = _estep_sum(sigma, _Plan(*_constraint_cells(cons, 5)), 1e-8)
     scalar = np.zeros_like(batched)
     for con in cons:
         _, e_zz = e_step(sigma, con, ridge=1e-8)
@@ -770,7 +772,8 @@ def test_em_impute_and_e_step_equal_scalar_reference_on_mixed_edge_panel():
     strong = np.full((6, 6), 0.99) + 0.01 * np.eye(6)
     passes = []
     ref = _estep_sum_reference(strong, constraints, 1e-8, passes)
-    assert same_bits(_estep_sum(strong, _Plan(constraints, 6), 1e-8), ref)
+    plan = _Plan(*_constraint_cells(constraints, 6))
+    assert same_bits(_estep_sum(strong, plan, 1e-8), ref)
     assert max(passes) == 50 and min(passes) < 50
     assert same_bits(pseudo_loglik(strong, constraints),
                      _pseudo_loglik_reference(strong, constraints))
@@ -815,7 +818,7 @@ def test_complete_fills_with_the_fit_ridge():
         want_model = em_fit(masked, ridge=1e-2)
     assert same_bits(model.sigma, want_model.sigma)
     assert model.ridge == want_model.ridge == 1e-2
-    plan = _Plan(row_constraints(masked, want_model.marginals), masked.n_cols)
+    plan = _Plan(masked.mask, *_latent_cells(masked, want_model.marginals))
     want = _fill(want_model, masked, plan)
     assert same_bits(completed.values, want.values)
     # impute fills at the ridge the model records, so it equals complete.
@@ -854,7 +857,7 @@ def test_kernel_errors_match_scalar_reference():
         with pytest.raises(FitError):
             fn(not_pd, con)
     with pytest.raises(FitError):
-        _estep_sum(not_pd, _Plan([con], 3), 1e-8)
+        _estep_sum(not_pd, _Plan(*_constraint_cells([con], 3)), 1e-8)
     with_nan = np.eye(3)
     with_nan[0, 1] = with_nan[1, 0] = np.nan
     for fn in (e_step, _e_step_reference):

@@ -1,8 +1,10 @@
 """Property tests: impute passes every observed cell through unchanged, bit
 for bit, on random mixed continuous/ordinal panels and masks; em_fit then
-impute equals complete bit for bit at any ridge; truncated normal moments
-are mirror-symmetric."""
+impute equals complete bit for bit at any ridge; the array plan of a
+panel's latent cells runs the E-step, log-likelihood and fill of the scalar
+reference bit for bit; truncated normal moments are mirror-symmetric."""
 
+import datetime
 import math
 import warnings
 
@@ -12,11 +14,16 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st
 
-from copulacast.copula import (complete, em_fit, impute, project_correlation,
-                               truncated_normal_moments)
-from copulacast.dataset import MarginalSpec, apply_mask, gen_copula_sample
+from copulacast.copula import (CopulaModel, _constraint_cells, _estep_sum, _fill,
+                               _latent_cells, _loglik, _Plan, complete, em_fit,
+                               fit_marginals, impute, project_correlation,
+                               row_constraints, truncated_normal_moments)
+from copulacast.dataset import (CONTINUOUS, ORDINAL, MarginalSpec, ObservationMatrix,
+                                apply_mask, gen_copula_sample, monthly_index)
 from copulacast.errors import FitError
 from copulacast.rng import rng_for
+from test_copula import (_estep_sum_reference, _impute_reference,
+                         _pseudo_loglik_reference)
 
 
 def mixed_panel(seed, rows, continuous, ordinal, levels, fraction):
@@ -84,6 +91,67 @@ def test_em_fit_then_impute_is_complete_at_every_ridge(
     assert same_bits(completed.values, filled.values)
     assert np.array_equal(completed.mask, filled.mask)
     assert completed.metadata == filled.metadata
+
+
+@st.composite
+def edge_panels(draw):
+    """A small mixed panel, its marginals and a latent correlation.
+
+    The mask holds an all-missing row and a fully observed row.  The
+    marginals are fitted on the unmasked panel, whose first two rows differ
+    in every column, so every observed level is one the marginals saw.
+    """
+    rows, q = draw(st.integers(2, 12)), draw(st.integers(2, 5))
+    ordinal = draw(st.lists(st.booleans(), min_size=q, max_size=q))
+    empty, full = draw(st.permutations(range(rows)))[:2]
+    rng = rng_for(draw(st.integers(0, 10_000)), "edge-panel")
+    mask = rng.random((rows, q)) < draw(st.floats(0.2, 0.9))
+    mask[empty], mask[full] = False, True
+    levels = {j: tuple(float(v) for v in range(draw(st.integers(2, 4))))
+              for j in range(q) if ordinal[j]}
+    values = rng.normal(size=(rows, q))
+    for j, lv in levels.items():
+        values[:, j] = rng.integers(0, len(lv), size=rows)
+        values[:2, j] = (0.0, 1.0)
+    kinds = tuple(ORDINAL if o else CONTINUOUS for o in ordinal)
+    names = tuple(f"c{j}" for j in range(q))
+    index = monthly_index(datetime.date(2013, 1, 1), rows)
+    marginals = fit_marginals(ObservationMatrix(
+        values=values, mask=np.ones_like(mask), column_kinds=kinds,
+        column_names=names, time_index=index, ordinal_levels=levels))
+    masked = ObservationMatrix(
+        values=np.where(mask, values, np.nan), mask=mask, column_kinds=kinds,
+        column_names=names, time_index=index, ordinal_levels=levels)
+    sigma = project_correlation(np.corrcoef(rng.normal(size=(q, q + 2))) + np.eye(q))
+    return masked, marginals, sigma
+
+
+def plan_state(value):
+    """A plan's fields as comparable values: arrays by dtype, shape and bits."""
+    if isinstance(value, _Plan):
+        return {k: plan_state(v) for k, v in vars(value).items() if k != "_layouts"}
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, (list, tuple)):
+        return [plan_state(v) for v in value]
+    return repr(value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(edge_panels())
+def test_array_plan_runs_the_scalar_reference_bit_for_bit(case):
+    masked, marginals, sigma = case
+    plan = _Plan(masked.mask, *_latent_cells(masked, marginals))
+    constraints = row_constraints(masked, marginals)
+    assert plan_state(plan) == plan_state(
+        _Plan(*_constraint_cells(constraints, masked.n_cols)))
+    assert same_bits(_estep_sum(sigma, plan, 1e-8),
+                     _estep_sum_reference(sigma, constraints, 1e-8))
+    assert same_bits(_loglik(sigma, plan, 1e-8),
+                     _pseudo_loglik_reference(sigma, constraints, 1e-8))
+    model = CopulaModel(sigma=sigma, marginals=marginals)
+    assert same_bits(_fill(model, masked, plan).values,
+                     _impute_reference(model, masked))
 
 
 # Intervals narrower than 0.01 are left out: there the variance is a
