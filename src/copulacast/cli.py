@@ -489,8 +489,11 @@ def build_parser():
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         if args.command == "eval":
             os.makedirs(args.out, exist_ok=True)

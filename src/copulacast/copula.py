@@ -108,11 +108,6 @@ class MarginalTransform:
                 "support": np.atleast_1d(self.support).astype(float).tolist(),
                 "cum_probs": np.atleast_1d(self.cum_probs).astype(float).tolist()}
 
-    @classmethod
-    def from_json(cls, obj):
-        return cls(kind=obj["kind"], support=np.asarray(obj["support"], dtype=float),
-                   cum_probs=np.asarray(obj["cum_probs"], dtype=float))
-
 
 @dataclass(frozen=True)
 class RowConstraint:
@@ -700,15 +695,6 @@ class CopulaModel:
                 "em_trace": [[int(t), float(d), float(l)]
                              for t, d, l in self.em_trace],
                 "converged": bool(self.converged), "ridge": float(self.ridge)}
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(sigma=np.asarray(obj["sigma"], dtype=float),
-                   marginals=[MarginalTransform.from_json(m)
-                              for m in obj["marginals"]],
-                   em_trace=[(int(t), float(d), float(l))
-                             for t, d, l in obj["em_trace"]],
-                   converged=bool(obj["converged"]), ridge=float(obj["ridge"]))
 
     def save(self, path):
         write_json(self.to_json(), path)

@@ -183,11 +183,6 @@ class MaskRecord:
         return {"erased_cells": [[int(r), int(c)] for r, c in self.erased_cells],
                 "fraction": float(self.fraction), "seed": int(self.seed)}
 
-    @classmethod
-    def from_json(cls, obj):
-        return cls(erased_cells=tuple((int(r), int(c)) for r, c in obj["erased_cells"]),
-                   fraction=float(obj["fraction"]), seed=int(obj["seed"]))
-
 
 def read_table(path):
     """Read a CSV table: its header and its non-blank rows.

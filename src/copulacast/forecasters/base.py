@@ -127,17 +127,6 @@ class TrainedForecaster:
                 "holdout_start": int(self.holdout_start),
                 "hyper": self.hyper, "params": self.params}
 
-    @classmethod
-    def from_json(cls, obj):
-        return cls(name=obj["name"],
-                   round_errors=np.asarray(obj["round_errors"], dtype=float),
-                   validation_forecast=np.asarray(obj["validation_forecast"],
-                                                  dtype=float),
-                   holdout_forecast=np.asarray(obj["holdout_forecast"], dtype=float),
-                   validation_start=int(obj["validation_start"]),
-                   holdout_start=int(obj["holdout_start"]),
-                   hyper=obj.get("hyper", {}), params=obj.get("params", {}))
-
 
 def pad_rounds(errors):
     """Repeat the last error so every model reports at least two rounds."""

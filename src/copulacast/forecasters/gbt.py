@@ -11,10 +11,10 @@ feature's sorted distinct values, with deterministic tie-breaking by
 Split search is the exact greedy algorithm of XGBoost (Chen & Guestrin,
 KDD 2016) on arrays: the node's design is sorted once per feature, prefix
 sums of g and h give every threshold's gain in one elementwise pass over
-all features, and one arg-max picks the split.  Grown trees are kept as
-nested TreeNode objects, the form models.json stores; for prediction they
-are flattened into parallel node arrays (feature, threshold, left, right,
-value) and a whole design descends every tree at once.
+all features, and one arg-max picks the split.  Each tree grows straight
+into the parallel node arrays (feature, threshold, left, right, value) that
+prediction descends, a whole design through every tree at once; models.json's
+nested trees are rendered from those arrays.
 """
 
 from dataclasses import dataclass, field
@@ -23,44 +23,6 @@ import numpy as np
 
 from ..errors import FitError
 from .base import lag_design, recursive_path, score_round_paths
-
-
-@dataclass
-class TreeNode:
-    """Binary regression-tree node; leaves carry the Newton weight."""
-
-    value: float = 0.0
-    feature: int = -1
-    threshold: float = 0.0
-    left: "TreeNode" = None
-    right: "TreeNode" = None
-
-    @property
-    def is_leaf(self):
-        return self.left is None
-
-    def predict_row(self, row):
-        """Leaf value for one row, walking the nested nodes.
-
-        The reference that _Forest's flat-array descent is tested against.
-        """
-        node = self
-        while not node.is_leaf:
-            node = node.left if row[node.feature] <= node.threshold else node.right
-        return node.value
-
-    def to_json(self):
-        if self.is_leaf:
-            return {"value": float(self.value)}
-        return {"feature": int(self.feature), "threshold": float(self.threshold),
-                "left": self.left.to_json(), "right": self.right.to_json()}
-
-    @classmethod
-    def from_json(cls, obj):
-        if "value" in obj:
-            return cls(value=float(obj["value"]))
-        return cls(feature=int(obj["feature"]), threshold=float(obj["threshold"]),
-                   left=cls.from_json(obj["left"]), right=cls.from_json(obj["right"]))
 
 
 def _leaf_weight(g_sum, h_sum, reg_alpha):
@@ -107,57 +69,65 @@ def _best_split(x, g, h, min_leaf, reg_alpha):
     return (candidates[k], int(j), 0.5 * (lo[i, j] + hi[i, j])), True
 
 
-def _build_tree(x, g, h, depth, max_depth, min_leaf, reg_alpha, reg_gamma):
-    """Grow one tree; returns (node, any_admissible_threshold_at_root)."""
-    g_total, h_total = g.sum(), h.sum()
-    leaf = TreeNode(value=_leaf_weight(g_total, h_total, reg_alpha))
-    if depth >= max_depth:
-        return leaf, False
-    split, any_candidate = _best_split(x, g, h, min_leaf, reg_alpha)
-    if split is None or split[0] - reg_gamma <= 0:
-        return leaf, any_candidate
-    _, j, threshold = split
-    go_left = x[:, j] <= threshold
-    left, _ = _build_tree(x[go_left], g[go_left], h[go_left], depth + 1,
-                          max_depth, min_leaf, reg_alpha, reg_gamma)
-    right, _ = _build_tree(x[~go_left], g[~go_left], h[~go_left], depth + 1,
-                           max_depth, min_leaf, reg_alpha, reg_gamma)
-    return TreeNode(feature=j, threshold=threshold, left=left, right=right), any_candidate
-
-
 class _Forest:
-    """Trees flattened into parallel node arrays for vectorized descent.
+    """Boosted trees as parallel node arrays, grown in place.
 
-    Node k sends a row left when x[feature[k]] <= threshold[k], as
-    TreeNode.predict_row does; a leaf reads column 0 and points left and
-    right at itself, so `depth` steps from the roots land every row on its
-    leaf in every tree.
+    Node k sends a row left when x[feature[k]] <= threshold[k]; a leaf
+    reads column 0 and points left and right at itself, so `depth` steps
+    from the roots land every row on its leaf in every tree.  grow appends
+    a tree's nodes in preorder; roots lists the trees the model keeps.
+    freeze turns the lists into arrays once, before any descent.
     """
 
-    def __init__(self, trees):
-        feature, threshold, left, right, value = [], [], [], [], []
+    def __init__(self):
+        self.roots, self.feature, self.threshold = [], [], []
+        self.left, self.right, self.value = [], [], []
         self.depth = 0
 
-        def add(node, depth):
-            k = len(value)
-            feature.append(max(node.feature, 0))
-            threshold.append(node.threshold)
-            value.append(node.value)
-            left.append(k)
-            right.append(k)
-            if node.is_leaf:
-                self.depth = max(self.depth, depth)
-            else:
-                left[k] = add(node.left, depth + 1)
-                right[k] = add(node.right, depth + 1)
-            return k
+    def grow(self, x, g, h, max_depth, min_leaf, reg_alpha, reg_gamma):
+        """Append one tree grown greedily on (x, g, h).
 
-        self.roots = np.array([add(tree, 0) for tree in trees], dtype=np.intp)
-        self.feature = np.array(feature, dtype=np.intp)
-        self.threshold = np.array(threshold, dtype=float)
-        self.left = np.array(left, dtype=np.intp)
-        self.right = np.array(right, dtype=np.intp)
-        self.value = np.array(value, dtype=float)
+        Returns (root, any_candidate, weights): the root's node index,
+        whether the root had any admissible threshold, and each row's leaf
+        weight, the float its leaf stores.  The caller keeps the tree by
+        adding root to roots.
+        """
+        weights = np.empty(x.shape[0])
+
+        def node(rows, depth):
+            k = len(self.value)
+            xs, gs, hs = x[rows], g[rows], h[rows]
+            self.feature.append(0)
+            self.threshold.append(0.0)
+            self.value.append(_leaf_weight(gs.sum(), hs.sum(), reg_alpha))
+            self.left.append(k)
+            self.right.append(k)
+            split, any_candidate = None, False
+            if depth < max_depth:
+                split, any_candidate = _best_split(xs, gs, hs, min_leaf, reg_alpha)
+            if split is None or split[0] - reg_gamma <= 0:
+                weights[rows] = self.value[k]
+                self.depth = max(self.depth, depth)
+                return any_candidate
+            _, j, threshold = split
+            self.feature[k], self.threshold[k] = j, threshold
+            # The descent's own comparison, so a NaN cell goes right here too.
+            go_left = xs[:, j] <= threshold
+            self.left[k] = len(self.value)
+            node(rows[go_left], depth + 1)
+            self.right[k] = len(self.value)
+            node(rows[~go_left], depth + 1)
+            return any_candidate
+
+        root = len(self.value)
+        return root, node(np.arange(x.shape[0]), 0), weights
+
+    def freeze(self):
+        self.roots, self.feature, self.left, self.right = (
+            np.array(a, dtype=np.intp)
+            for a in (self.roots, self.feature, self.left, self.right))
+        self.threshold, self.value = np.array(self.threshold), np.array(self.value)
+        return self
 
     def leaf_values(self, x):
         """(rows, trees) array of each tree's leaf weight for each row of x."""
@@ -168,36 +138,47 @@ class _Forest:
             node = np.where(go_left, self.left[node], self.right[node])
         return self.value[node]
 
+    def to_json(self):
+        """Each kept tree as nested split and leaf nodes."""
+        def render(k):
+            if self.left[k] == k:
+                return {"value": float(self.value[k])}
+            return {"feature": int(self.feature[k]),
+                    "threshold": float(self.threshold[k]),
+                    "left": render(self.left[k]), "right": render(self.right[k])}
+
+        return [render(k) for k in self.roots]
+
 
 @dataclass
 class GBTModel:
     """Boosted tree stack with its base score and per-round training loss."""
 
     base_score: float
-    trees: list = field(default_factory=list)
+    forest: _Forest
     learn_rate: float = 0.3
     train_losses: list = field(default_factory=list)
 
     def predict(self, x):
-        return self.predict_partial(x, len(self.trees))
+        return self.predict_partial(x, len(self.forest.roots))
 
     def predict_partial(self, x, n_trees):
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        return self.running_sums(x, _Forest(self.trees[:n_trees]))[:, -1]
+        return self.running_sums(x)[:, min(n_trees, len(self.forest.roots))]
 
-    def running_sums(self, x, forest):
+    def running_sums(self, x):
         """Column r holds base_score + lr*v_1 + ... + lr*v_r for each row.
 
         v_t is tree t's leaf weight; the terms are added in tree order.
         """
-        steps = self.learn_rate * forest.leaf_values(x)
+        steps = self.learn_rate * self.forest.leaf_values(x)
         base = np.full((x.shape[0], 1), self.base_score)
         return np.cumsum(np.hstack([base, steps]), axis=1)
 
     def to_json(self):
         return {"base_score": float(self.base_score),
                 "learn_rate": float(self.learn_rate),
-                "trees": [t.to_json() for t in self.trees],
+                "trees": self.forest.to_json(),
                 "train_losses": [float(v) for v in self.train_losses]}
 
 
@@ -224,27 +205,28 @@ def fit_gbt_arrays(x, y, n_rounds=50, max_depth=3, min_leaf=2, reg_alpha=0.0,
     if x.shape[0] < 2 * min_leaf:
         raise FitError(f"need at least {2 * min_leaf} rows to grow a split")
 
-    model = GBTModel(base_score=float(y.mean()), learn_rate=float(learn_rate))
-    pred = np.full(y.size, model.base_score)
+    base_score, learn_rate = float(y.mean()), float(learn_rate)
+    forest, losses = _Forest(), []
+    pred = np.full(y.size, base_score)
     for rnd in range(n_rounds):
         g = pred - y
         h = np.ones_like(y)
-        tree, any_candidate = _build_tree(x, g, h, 0, max_depth, min_leaf,
-                                          reg_alpha, reg_gamma)
-        if tree.is_leaf:
+        root, any_candidate, weights = forest.grow(x, g, h, max_depth, min_leaf,
+                                                   reg_alpha, reg_gamma)
+        if forest.left[root] == root:
             if rnd == 0 and not any_candidate and float(np.ptp(y)) > 0:
                 raise FitError("no admissible split: every feature is constant "
                                "while the target varies")
-            leaf_step = model.learn_rate * tree.value
-            if abs(leaf_step) < 1e-12:
-                break
-        pred = pred + model.learn_rate * _Forest([tree]).leaf_values(x)[:, 0]
-        model.trees.append(tree)
+            if abs(learn_rate * forest.value[root]) < 1e-12:
+                break  # no root points at the stump: it neither renders nor predicts
+        pred = pred + learn_rate * weights
+        forest.roots.append(root)
         loss = float(np.mean((pred - y) ** 2))
         if not np.isfinite(loss):
             raise FitError("gbt training diverged; lower learn_rate")
-        model.train_losses.append(loss)
-    return model
+        losses.append(loss)
+    return GBTModel(base_score=base_score, forest=forest.freeze(),
+                    learn_rate=learn_rate, train_losses=losses)
 
 
 def fit_gbt(task, matrix, lags=(1, 2, 3, 12), n_rounds=50, max_depth=3,
@@ -263,7 +245,6 @@ def fit_gbt(task, matrix, lags=(1, 2, 3, 12), n_rounds=50, max_depth=3,
     model = fit_gbt_arrays(x, target, n_rounds=n_rounds, max_depth=max_depth,
                            min_leaf=min_leaf, reg_alpha=reg_alpha,
                            reg_gamma=reg_gamma, learn_rate=learn_rate)
-    forest = _Forest(model.trees)
     y = matrix.values[:, task.target_column]
 
     def forecast_paths(origin, steps, rounds):
@@ -275,11 +256,11 @@ def fit_gbt(task, matrix, lags=(1, 2, 3, 12), n_rounds=50, max_depth=3,
         def step(t, ext):
             x = np.column_stack([np.broadcast_to(v, rounds.shape)
                                  for v in design_row(t, ext)])
-            return model.running_sums(x, forest)[paths, rounds]
+            return model.running_sums(x)[paths, rounds]
 
         return recursive_path(y, origin, steps, step)
 
-    n_trees = len(model.trees)
+    n_trees = len(model.forest.roots)
     val_paths = forecast_paths(task.train_stop, task.n_validation,
                                range(1, n_trees + 1) if n_trees else [0])
     hold = forecast_paths(task.validation_stop, task.horizon, [n_trees])[:, 0]

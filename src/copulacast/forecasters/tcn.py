@@ -133,10 +133,10 @@ def fit_tcn(task, matrix, layer_shapes=((3, 1), (3, 2), (3, 4)), epochs=150,
     """Train the convolutional forecaster on the task's target series.
 
     The target is standardized with training-span moments.  One round is one
-    gradient-descent epoch.  Every epoch is trained first, keeping each
-    epoch's parameters; then one recursive roll forecasts the validation
-    span with all epochs' networks stacked, and each epoch's MAPE is
-    recorded.
+    gradient-descent epoch.  Every epoch is trained first, writing its
+    parameters into one row of stacked arrays; then one recursive roll
+    forecasts the validation span with all epochs' networks at once, and
+    each epoch's MAPE is recorded.
 
     Args:
         task: ForecastTask.
@@ -170,36 +170,42 @@ def fit_tcn(task, matrix, layer_shapes=((3, 1), (3, 2), (3, 4)), epochs=150,
     dilations = [d for _, d in layer_shapes]
     params = _init_params(layer_shapes, seed)
 
-    history = []
-    for _ in range(epochs):
+    # Row e of each array holds epoch e's parameters, the stacked form
+    # _forward runs: kernels (E, k) per layer; biases and head (E, 1).
+    stack = {"kernels": [np.empty((epochs, k)) for k, _ in layer_shapes],
+             "biases": [np.empty((epochs, 1)) for _ in layer_shapes],
+             "head_w": np.empty((epochs, 1)), "head_b": np.empty((epochs, 1))}
+    for e in range(epochs):
         loss, grads = _loss_and_grads(params, z[t0:t1], dilations)
         if not np.isfinite(loss):
             raise FitError("tcn training diverged; lower learn_rate")
         for li in range(len(params["kernels"])):
             params["kernels"][li] = params["kernels"][li] - learn_rate * grads["kernels"][li]
             params["biases"][li] -= learn_rate * grads["biases"][li]
+            stack["kernels"][li][e] = params["kernels"][li]
+            stack["biases"][li][e] = params["biases"][li]
         params["head_w"] -= learn_rate * grads["head_w"]
         params["head_b"] -= learn_rate * grads["head_b"]
-        history.append({"kernels": list(params["kernels"]),
-                        "biases": list(params["biases"]),
-                        "head_w": params["head_w"], "head_b": params["head_b"]})
+        stack["head_w"][e] = params["head_w"]
+        stack["head_b"][e] = params["head_b"]
 
-    def forecast_paths(origin, steps, stack):
+    def forecast_paths(origin, steps, nets):
         # Column e is the path of the network stacked at row e; each step
         # stacks the last rf values of every path into one (E, rf) block.
-        shape = stack["head_w"].shape[:1]
+        shape = nets["head_w"].shape[:1]
 
         def step(t, ext):
             window = np.column_stack([np.broadcast_to(v, shape)
                                       for v in ext[-rf:]])
-            return _forward(stack, window, dilations)[1][:, -1]
+            return _forward(nets, window, dilations)[1][:, -1]
 
         return mu + sd * recursive_path(z, origin, steps, step)
 
-    val_paths = forecast_paths(task.train_stop, task.n_validation,
-                               _stack(history))
-    hold = forecast_paths(task.validation_stop, task.horizon,
-                          _stack(history[-1:]))[:, 0]
+    last = {"kernels": [k[-1:] for k in stack["kernels"]],
+            "biases": [b[-1:] for b in stack["biases"]],
+            "head_w": stack["head_w"][-1:], "head_b": stack["head_b"][-1:]}
+    val_paths = forecast_paths(task.train_stop, task.n_validation, stack)
+    hold = forecast_paths(task.validation_stop, task.horizon, last)[:, 0]
     return score_round_paths(
         "tcn", task, y, val_paths, hold,
         hyper={"layer_shapes": [list(p) for p in layer_shapes],
@@ -211,16 +217,3 @@ def fit_tcn(task, matrix, layer_shapes=((3, 1), (3, 2), (3, 4)), epochs=150,
                 "head_b": float(params["head_b"]),
                 "standardize": {"mean": mu, "sd": sd}})
 
-
-def _stack(history):
-    """E epochs' parameters as one network stack for _forward: kernels
-    (E, k) per layer; biases, head_w and head_b (E, 1)."""
-    def column(values):
-        return np.array(values, dtype=float)[:, None]
-
-    kernels = zip(*(p["kernels"] for p in history))
-    biases = zip(*(p["biases"] for p in history))
-    return {"kernels": [np.stack(ks) for ks in kernels],
-            "biases": [column(bs) for bs in biases],
-            "head_w": column([p["head_w"] for p in history]),
-            "head_b": column([p["head_b"] for p in history])}

@@ -317,6 +317,20 @@ def test_synth_writes_masked_panel_and_truth(tmp_path, capsys):
     assert len(record["erased_cells"]) == 140
 
 
+def test_main_parses_with_the_parser_built_at_import(tmp_path, monkeypatch):
+    # main reuses one parser; build_parser stays for callers that want one.
+    from copulacast import cli
+
+    def fail():
+        raise AssertionError("main rebuilt its parser")
+
+    monkeypatch.setattr(cli, "build_parser", fail)
+    out = os.path.join(tmp_path, "out")
+    assert main(["synth", "--out", out]) == 0
+    assert main(["synth", "--seed", "5", "--out", out + "5"]) == 0
+    assert os.path.isfile(os.path.join(out + "5", "data.csv"))
+
+
 def test_synth_honors_config_geometry(tmp_path):
     cfg = write_config(tmp_path, {
         "data": {"synthetic": {"n_periods": 36, "n_features": 3}},

@@ -1,11 +1,15 @@
 """Tests for the five-forecaster bank and its shared task plumbing."""
 
+import json
 import math
+import os
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from copulacast.dataset import gen_seasonal_load
+from copulacast.dataset import gen_seasonal_load, write_json
 from copulacast.errors import EvaluationError, FitError
 from copulacast.evaluation import mape
 from copulacast.forecasters.base import (
@@ -16,8 +20,8 @@ from copulacast.forecasters.base import (
 )
 from copulacast.forecasters.baselines import fit_ridge_ar, naive_seasonal
 from copulacast.forecasters.gbt import (
-    TreeNode,
     _best_split,
+    _leaf_weight,
     _score,
     fit_gbt,
     fit_gbt_arrays,
@@ -74,17 +78,17 @@ def test_check_matrix_rejects_incomplete_panel():
         benchmark_task().check_matrix(masked)
 
 
-def test_trained_forecaster_json_round_trip():
+def test_trained_forecaster_json_round_trip(tmp_path):
     tf = TrainedForecaster(name="toy",
                            round_errors=np.array([3.0, 2.0]),
                            validation_forecast=np.array([1.0, 2.0]),
                            holdout_forecast=np.array([5.0, 6.0, 7.0]),
-                           validation_start=10, holdout_start=12)
-    back = TrainedForecaster.from_json(tf.to_json())
-    assert back.name == tf.name
-    assert np.array_equal(back.round_errors, tf.round_errors)
-    assert np.array_equal(back.holdout_forecast, tf.holdout_forecast)
-    assert back.validation_start == tf.validation_start
+                           validation_start=10, holdout_start=12,
+                           hyper={"lags": [1, 12]}, params={"w": [0.5, -0.25]})
+    path = os.path.join(tmp_path, "model.json")
+    write_json(tf.to_json(), path)
+    with open(path) as fh:
+        assert json.load(fh) == tf.to_json()
 
 
 def test_validation_mape_oracle_and_pad_rounds():
@@ -428,6 +432,131 @@ def test_tanh_over_a_block_matches_per_row_calls_bit_for_bit():
 
 
 # --------------------------------------------------------------------- gbt
+
+@dataclass
+class TreeNode:
+    """The nested tree form fit_gbt_arrays grew before it grew node arrays,
+    kept as the reference its growth and flat descent are tested against."""
+
+    value: float = 0.0
+    feature: int = -1
+    threshold: float = 0.0
+    left: "TreeNode" = None
+    right: "TreeNode" = None
+
+    @property
+    def is_leaf(self):
+        return self.left is None
+
+    def predict_row(self, row):
+        node = self
+        while not node.is_leaf:
+            node = node.left if row[node.feature] <= node.threshold else node.right
+        return node.value
+
+    def to_json(self):
+        if self.is_leaf:
+            return {"value": float(self.value)}
+        return {"feature": int(self.feature), "threshold": float(self.threshold),
+                "left": self.left.to_json(), "right": self.right.to_json()}
+
+    @classmethod
+    def from_json(cls, obj):
+        if "value" in obj:
+            return cls(value=float(obj["value"]))
+        return cls(feature=int(obj["feature"]), threshold=float(obj["threshold"]),
+                   left=cls.from_json(obj["left"]), right=cls.from_json(obj["right"]))
+
+
+def _build_tree(x, g, h, depth, max_depth, min_leaf, reg_alpha, reg_gamma):
+    """Grow one nested tree; returns (node, any_admissible_threshold_at_root)."""
+    g_total, h_total = g.sum(), h.sum()
+    leaf = TreeNode(value=_leaf_weight(g_total, h_total, reg_alpha))
+    if depth >= max_depth:
+        return leaf, False
+    split, any_candidate = _best_split(x, g, h, min_leaf, reg_alpha)
+    if split is None or split[0] - reg_gamma <= 0:
+        return leaf, any_candidate
+    _, j, threshold = split
+    go_left = x[:, j] <= threshold
+    left, _ = _build_tree(x[go_left], g[go_left], h[go_left], depth + 1,
+                          max_depth, min_leaf, reg_alpha, reg_gamma)
+    right, _ = _build_tree(x[~go_left], g[~go_left], h[~go_left], depth + 1,
+                           max_depth, min_leaf, reg_alpha, reg_gamma)
+    return TreeNode(feature=j, threshold=threshold, left=left, right=right), any_candidate
+
+
+def _fit_gbt_reference(x, y, n_rounds, max_depth, min_leaf, reg_alpha,
+                       reg_gamma, learn_rate):
+    # fit_gbt_arrays' boosting loop over nested trees, each row's step read
+    # by predict_row; returns what GBTModel.to_json stores and the final
+    # training predictions.
+    base = float(y.mean())
+    pred = np.full(y.size, base)
+    trees, losses = [], []
+    for rnd in range(n_rounds):
+        tree, any_candidate = _build_tree(x, pred - y, np.ones_like(y), 0,
+                                          max_depth, min_leaf, reg_alpha,
+                                          reg_gamma)
+        if tree.is_leaf:
+            if rnd == 0 and not any_candidate and float(np.ptp(y)) > 0:
+                raise FitError("no admissible split")
+            if abs(learn_rate * tree.value) < 1e-12:
+                break
+        pred = pred + learn_rate * np.array([tree.predict_row(r) for r in x])
+        trees.append(tree)
+        losses.append(float(np.mean((pred - y) ** 2)))
+    stored = {"base_score": base, "learn_rate": learn_rate,
+              "trees": [t.to_json() for t in trees], "train_losses": losses}
+    return stored, pred
+
+
+@st.composite
+def gbt_cases(draw):
+    # Few distinct cell values, so thresholds tie; some columns copy an
+    # earlier one and some are constant.
+    n = draw(st.integers(4, 40))
+    p = draw(st.integers(1, 5))
+    cells = st.sampled_from([-2.0, -0.5, 0.0, 0.25, 1.0, 3.0])
+    x = np.array(draw(st.lists(cells, min_size=n * p, max_size=n * p))).reshape(n, p)
+    for j in range(p):
+        kind = draw(st.sampled_from(["free", "copy", "constant"]))
+        if kind == "copy" and j:
+            x[:, j] = x[:, draw(st.integers(0, j - 1))]
+        elif kind == "constant":
+            x[:, j] = 1.5
+    y = np.array(draw(st.lists(st.integers(-20, 20), min_size=n, max_size=n)),
+                 dtype=float) / 4.0
+    hyper = {"n_rounds": draw(st.integers(1, 8)),
+             "max_depth": draw(st.integers(1, 4)),
+             "min_leaf": draw(st.integers(1, 3)),
+             "reg_alpha": draw(st.sampled_from([0.0, 1.5])),
+             "reg_gamma": draw(st.sampled_from([0.0, 0.5])),
+             "learn_rate": draw(st.sampled_from([0.3, 1.0]))}
+    return x, y, hyper
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=gbt_cases())
+@example(case=(np.arange(12.0)[:, None], np.full(12, 7.0),
+               {"n_rounds": 5, "max_depth": 3, "min_leaf": 2, "reg_alpha": 0.0,
+                "reg_gamma": 0.0, "learn_rate": 0.3}))
+def test_flat_growth_matches_nested_tree_reference(case):
+    # Trees grown straight into node arrays render, train and predict to
+    # the bits of the nested reference: same splits, leaf weights, losses
+    # and training predictions, and the same early stop (the constant
+    # target stops before any tree).
+    x, y, hyper = case
+    try:
+        want, pred = _fit_gbt_reference(x, y, **hyper)
+    except FitError:
+        with pytest.raises(FitError):
+            fit_gbt_arrays(x, y, **hyper)
+        return
+    model = fit_gbt_arrays(x, y, **hyper)
+    assert json.dumps(model.to_json(), sort_keys=True) == json.dumps(want, sort_keys=True)
+    assert np.array_equal(model.predict(x), pred)
+
 
 def _best_split_reference(x, g, h, min_leaf, reg_alpha):
     # The scalar scan _best_split replaced, kept as its oracle: every
