@@ -14,6 +14,7 @@ import inspect
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -494,6 +495,10 @@ _PARSER = build_parser()
 
 def main(argv=None):
     args = _PARSER.parse_args(argv)
+    # A warning shown while the command runs is one line, without the
+    # source path and line number of Python's own format.
+    formatwarning = warnings.formatwarning
+    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     try:
         if args.command == "eval":
             os.makedirs(args.out, exist_ok=True)
@@ -516,6 +521,8 @@ def main(argv=None):
     except OSError as exc:
         print(f"error[io]: {exc}", file=sys.stderr)
         return 1
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

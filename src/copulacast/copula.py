@@ -341,7 +341,8 @@ class _Plan:
       stacked exact values z and sums z^T z;
     - loglik_rows: each row's exact block, exact values and interval log
       masses;
-    - layout(rows): the stacked arrangement of a row set, cached.
+    - exact_layout (one row per exact-only pattern with missing cells) and
+      interval_layout (the rows with interval cells): every E-step's layouts.
     """
 
     def __init__(self, mask, exact, lo, hi, interval):
@@ -361,10 +362,9 @@ class _Plan:
         self.has, self.at = has.T, np.where(has, at, 0).T
         self.lo = np.take_along_axis(lo, ordinal, axis=1).T
         self.hi = np.take_along_axis(hi, ordinal, axis=1).T
-        self.interval_rows = np.flatnonzero(self.n_ordinal)
         plain = np.flatnonzero(self.n_ordinal == 0)
         plain = plain[np.argsort(self.pid[plain], kind="stable")]
-        self.groups, self.group_rows = [], []
+        self.groups, group_rows = [], []
         runs = np.unique(self.pid[plain], return_index=True, return_counts=True)
         for pid, first, count in zip(*(run.tolist() for run in runs)):
             rows = plain[first:first + count]
@@ -373,7 +373,7 @@ class _Plan:
             z = exact[rows[:, None], o] if o.size else None
             self.groups.append((pid, o, m, count, z, None if z is None else z.T @ z))
             if o.size and m.size:
-                self.group_rows.append(r)
+                group_rows.append(r)
         exact_cells = mask & ~interval
         keys, block = np.unique(exact_cells, axis=0, return_inverse=True)
         self.loglik_blocks = [(c[:, None], c) for c in map(np.flatnonzero, keys)]
@@ -389,15 +389,8 @@ class _Plan:
             self.loglik_rows.append((block_id if k else None, values[a:a + k],
                                      terms[b:b + d]))
             a, b = a + k, b + d
-        self._layouts = {}
-
-    def layout(self, rows):
-        """The _Layout of a row set, built on first use."""
-        rows = np.asarray(rows, dtype=np.intp)
-        key = rows.tobytes()
-        if key not in self._layouts:
-            self._layouts[key] = _Layout(self, rows)
-        return self._layouts[key]
+        self.exact_layout = _Layout(self, np.array(group_rows, dtype=np.intp))
+        self.interval_layout = _Layout(self, np.flatnonzero(self.n_ordinal))
 
 
 class _Layout:
@@ -616,7 +609,7 @@ def e_step(sigma, constraint, ridge=1e-8, max_inner=50, inner_tol=1e-6):
     if not constraint.observed:
         return np.zeros(q), sigma.copy()
     plan = _Plan(*_constraint_cells([constraint], q))
-    kernel = _Conditioning(sigma, plan, plan.layout([0]), ridge)
+    kernel = _Conditioning(sigma, plan, _Layout(plan, np.array([0])), ridge)
     z, v = kernel.observed_moments(max_inner, inner_tol)
     e_z = np.zeros((1, q))
     e_z[0, list(constraint.observed)] = z[0]
@@ -750,7 +743,7 @@ def _estep_sum(sigma, plan, ridge):
     batched kernel and are added one at a time, in row order.
     """
     q = plan.q
-    exact = _Conditioning(sigma, plan, plan.layout(plan.group_rows), ridge)
+    exact = _Conditioning(sigma, plan, plan.exact_layout, ridge)
     total = np.zeros((q, q))
     for pid, o, m, count, z, sum_oo in plan.groups:
         if z is None:
@@ -767,7 +760,7 @@ def _estep_sum(sigma, plan, ridge):
         block[m[:, None], o] = cross_mo
         block[o[:, None], m] = cross_mo.T
         total += block
-    kernel = _Conditioning(sigma, plan, plan.layout(plan.interval_rows), ridge)
+    kernel = _Conditioning(sigma, plan, plan.interval_layout, ridge)
     second = kernel.second_moments(*kernel.observed_moments())
     for i in kernel.layout.row_order:
         total += second[i]
@@ -854,7 +847,7 @@ def _fill(model, matrix, plan):
     out = matrix.copy()
     rows = np.flatnonzero((plan.n_obs > 0) & (plan.n_obs < plan.q))
     degenerate = np.flatnonzero(plan.n_obs == 0).tolist()
-    kernel = _Conditioning(model.sigma, plan, plan.layout(rows), model.ridge)
+    kernel = _Conditioning(model.sigma, plan, _Layout(plan, rows), model.ridge)
     latent = np.zeros(matrix.values.shape)
     kernel.missing_means(kernel.observed_moments()[0], latent)
     for j, marginal in enumerate(model.marginals):

@@ -189,7 +189,8 @@ def fit_gbt_arrays(x, y, n_rounds=50, max_depth=3, min_leaf=2, reg_alpha=0.0,
     Stops early when a round's tree cannot improve (no positive-gain split
     and a zero root weight).  Raises FitError when the first round has no
     admissible threshold at all while the target still varies, and when a
-    round's training loss is not finite.
+    round's training loss is not finite.  Raises ValueError unless
+    learn_rate > 0 and reg_alpha, reg_gamma >= 0.
 
     Returns:
         GBTModel.
@@ -202,6 +203,10 @@ def fit_gbt_arrays(x, y, n_rounds=50, max_depth=3, min_leaf=2, reg_alpha=0.0,
         raise ValueError("n_rounds must be >= 1")
     if min_leaf < 1 or max_depth < 1:
         raise ValueError("min_leaf and max_depth must be >= 1")
+    if not learn_rate > 0:
+        raise ValueError("learn_rate must be > 0")
+    if not (reg_alpha >= 0 and reg_gamma >= 0):
+        raise ValueError("reg_alpha and reg_gamma must be >= 0")
     if x.shape[0] < 2 * min_leaf:
         raise FitError(f"need at least {2 * min_leaf} rows to grow a split")
 

@@ -143,7 +143,7 @@ def fit_tcn(task, matrix, layer_shapes=((3, 1), (3, 2), (3, 4)), epochs=150,
         matrix: completed panel.
         layer_shapes: (kernel_size, dilation) per layer, top to bottom.
         epochs: training rounds, >= 2.
-        learn_rate: gradient-descent step size.
+        learn_rate: gradient-descent step size, > 0.
         seed: parameter-initialization seed.
 
     Returns:
@@ -154,6 +154,8 @@ def fit_tcn(task, matrix, layer_shapes=((3, 1), (3, 2), (3, 4)), epochs=150,
         raise ValueError("layer_shapes must hold positive (kernel, dilation) pairs")
     if epochs < 2:
         raise ValueError("epochs must be >= 2")
+    if not learn_rate > 0:
+        raise ValueError("learn_rate must be > 0")
     task.check_matrix(matrix)
     t0, t1 = task.train_range
     n_train = t1 - t0

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -331,6 +332,15 @@ def test_main_parses_with_the_parser_built_at_import(tmp_path, monkeypatch):
     assert os.path.isfile(os.path.join(out + "5", "data.csv"))
 
 
+def test_synth_requires_a_synthetic_source(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"data": csv_source("input.csv")})
+    out = os.path.join(tmp_path, "out")
+    assert main(["synth", "--config", cfg, "--out", out]) == 1
+    assert capsys.readouterr().err == (
+        "error[config]: synth requires a synthetic data source\n")
+    assert os.listdir(out) == []
+
+
 def test_synth_honors_config_geometry(tmp_path):
     cfg = write_config(tmp_path, {
         "data": {"synthetic": {"n_periods": 36, "n_features": 3}},
@@ -389,6 +399,38 @@ def test_impute_csv_round_trip(tmp_path):
                                 for j in range(1, 13)}})
     completed = load_csv(os.path.join(out, "completed.csv"), schema)
     assert completed.mask.all()
+
+
+def test_a_warning_is_one_stderr_line(tmp_path):
+    cfg = write_config(tmp_path, {"copula": {"max_iters": 1}})
+    # In process: the warning still reaches a recorder, and Python's
+    # formatter is back once the command returns.
+    formatwarning = warnings.formatwarning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["impute", "--config", cfg,
+                     "--out", os.path.join(tmp_path, "in")]) == 0
+    assert warnings.formatwarning is formatwarning
+    assert [type(w.message) for w in caught] == [UserWarning]
+    # A fresh interpreter prints it as the console script would.
+    src = os.path.dirname(os.path.dirname(copulacast.__file__))
+    done = subprocess.run([sys.executable, "-m", "copulacast.cli", "impute",
+                           "--config", cfg, "--out", os.path.join(tmp_path, "sub")],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0
+    assert re.fullmatch(r"warning: copula EM did not converge within 1 "
+                        r"iterations [^\n]*\n", done.stderr), done.stderr
+
+
+@pytest.mark.parametrize("command", ["impute", "run"])
+def test_a_panel_with_nothing_missing_is_not_fitted(tmp_path, command):
+    cfg = write_config(tmp_path, {"mask": {"fraction": 0.0}})
+    out = os.path.join(tmp_path, "out")
+    assert main([command, "--config", cfg, "--out", out]) == 0
+    written = set(os.listdir(out))
+    assert not {"copula_model.json", "mask.json", "recovery.json"} & written
+    assert read_bytes(out, "completed.csv") == read_bytes(out, "data.csv")
 
 
 def ordinal_csv_config(tmp_path):
@@ -606,12 +648,18 @@ def test_task_errors_before_any_artifact_is_written(tmp_path, capsys, command,
     {"name": "gbt", "max_depth": 0},
     {"name": "trmf", "k": 100},
     {"name": "ridge_ar", "ridge": -1},
-], ids=["gbt_max_depth", "trmf_k", "ridge_ar_ridge"])
+    {"name": "gbt", "learn_rate": -0.3},
+    {"name": "gbt", "reg_alpha": -2.0},
+    {"name": "tcn", "learn_rate": -0.05},
+    {"name": "tcn", "learn_rate": 0.0},
+], ids=["gbt_max_depth", "trmf_k", "ridge_ar_ridge", "gbt_learn_rate",
+        "gbt_reg_alpha", "tcn_learn_rate", "tcn_learn_rate_zero"])
 def test_a_failing_fit_writes_nothing(tmp_path, capsys, command, entry):
     cfg = write_config(tmp_path, {"roster": [{"name": "naive_seasonal"}, entry]})
     out = os.path.join(tmp_path, "out")
     assert main([command, "--config", cfg, "--out", out]) == 1
-    assert capsys.readouterr().err.startswith("error[value]: ")
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error\[value\]: [^\n]+\n", err), err
     assert os.listdir(out) == []
 
 
@@ -633,6 +681,18 @@ def test_a_diverging_fit_prints_one_error_line(tmp_path, entry):
     assert re.fullmatch(r"error\[fit\]: (tcn|gbt) training diverged; "
                         r"lower learn_rate\n", done.stderr), done.stderr
     assert os.listdir(out) == []
+
+
+def test_listed_task_features_are_the_only_features(tmp_path):
+    cfg = write_config(tmp_path, {
+        "task": {"features": ["feat_01", "feat_03"]},
+        "roster": [{"name": "naive_seasonal"}, {"name": "ridge_ar"}]})
+    out = os.path.join(tmp_path, "out")
+    assert main(["run", "--config", cfg, "--out", out]) == 0
+    ridge_ar = read_json(out, "models.json")[1]
+    assert ridge_ar["name"] == "ridge_ar"
+    # Lags 1, 2, 3 and 12, then the two listed features.
+    assert len(ridge_ar["params"]["coef"]) == 6
 
 
 def test_ablate_is_run_plus_its_ablation(tmp_path, capsys):
@@ -835,6 +895,25 @@ def test_eval_requires_ensemble_column(tmp_path, capsys):
     assert main(["eval", forecasts, actuals, "--out", out]) == 1
     assert capsys.readouterr().err == (
         "error[data]: forecasts file lacks an 'ensemble' column\n")
+
+
+@pytest.mark.parametrize("which, text, error", [
+    ("actuals", "time\n2021-01\n2021-02\n2021-03\n",
+     "{actuals}: need a time column and a value column"),
+    ("actuals", "time,load\n2021-01,100.0\n2021-02,abc\n2021-03,100.0\n",
+     "{actuals}: non-numeric value column"),
+    ("forecasts", "time,alpha,ensemble\n2021-01,104.0,101.0\n"
+     "2021-02,high,99.0\n2021-03,109.0,102.0\n",
+     "{forecasts}: non-numeric column 'alpha'"),
+], ids=["one_column_actuals", "non_numeric_actual", "non_numeric_forecast"])
+def test_eval_rejects_unreadable_values(tmp_path, capsys, which, text, error):
+    paths = dict(zip(("forecasts", "actuals"), eval_fixtures(tmp_path)))
+    with open(paths[which], "w") as fh:
+        fh.write(text)
+    out = os.path.join(tmp_path, "out")
+    assert main(["eval", paths["forecasts"], paths["actuals"], "--out", out]) == 1
+    assert capsys.readouterr().err == f"error[data]: {error.format(**paths)}\n"
+    assert os.listdir(out) == []
 
 
 @pytest.mark.parametrize("token", ["NA", "NaN", "nan", " NA "])

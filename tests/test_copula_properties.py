@@ -15,8 +15,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st
 
 from copulacast.copula import (CopulaModel, _constraint_cells, _estep_sum, _fill,
-                               _latent_cells, _loglik, _Plan, complete, em_fit,
-                               fit_marginals, impute, project_correlation,
+                               _latent_cells, _Layout, _loglik, _Plan, complete,
+                               em_fit, fit_marginals, impute, project_correlation,
                                row_constraints, truncated_normal_moments)
 from copulacast.dataset import (CONTINUOUS, ORDINAL, MarginalSpec, ObservationMatrix,
                                 apply_mask, gen_copula_sample, monthly_index)
@@ -129,7 +129,9 @@ def edge_panels(draw):
 def plan_state(value):
     """A plan's fields as comparable values: arrays by dtype, shape and bits."""
     if isinstance(value, _Plan):
-        return {k: plan_state(v) for k, v in vars(value).items() if k != "_layouts"}
+        return {k: plan_state(v) for k, v in vars(value).items()}
+    if isinstance(value, _Layout):
+        return plan_state(value.rows)
     if isinstance(value, np.ndarray):
         return value.dtype.str, value.shape, value.tobytes()
     if isinstance(value, (list, tuple)):

@@ -293,6 +293,13 @@ def test_fit_tcn_rejects_oversized_receptive_field():
         fit_tcn(task, panel, layer_shapes=((3, 1), (3, 2), (3, 4)), epochs=5)
 
 
+@pytest.mark.parametrize("learn_rate", [-0.05, 0.0])
+def test_fit_tcn_rejects_a_non_positive_learn_rate(learn_rate):
+    with pytest.raises(ValueError, match="learn_rate must be > 0"):
+        fit_tcn(benchmark_task(), benchmark_panel(), epochs=5,
+                learn_rate=learn_rate)
+
+
 def test_fit_tcn_is_deterministic():
     panel = benchmark_panel()
     task = benchmark_task()
@@ -670,6 +677,16 @@ def test_gbt_no_candidate_split_raises():
     y = np.arange(10, dtype=float)
     with pytest.raises(FitError):
         fit_gbt_arrays(x, y, n_rounds=3)
+
+
+@pytest.mark.parametrize("setting", [
+    {"learn_rate": -0.3}, {"learn_rate": 0.0},
+    {"reg_alpha": -2.0}, {"reg_gamma": -0.5},
+], ids=["learn_rate", "learn_rate_zero", "reg_alpha", "reg_gamma"])
+def test_gbt_rejects_settings_out_of_their_domain(setting):
+    x = np.arange(12, dtype=float)[:, None]
+    with pytest.raises(ValueError, match=f"{next(iter(setting))}.* must be"):
+        fit_gbt_arrays(x, x[:, 0], n_rounds=3, **setting)
 
 
 def test_gbt_constant_target_predicts_base_score():
