@@ -57,13 +57,7 @@ DEFAULT_CONFIG = {
         "validation_periods": 12,
         "features": "all",
     },
-    "roster": [
-        {"name": "naive_seasonal"},
-        {"name": "ridge_ar"},
-        {"name": "trmf"},
-        {"name": "gbt"},
-        {"name": "tcn"},
-    ],
+    "roster": [{"name": name} for name in FORECASTERS],
 }
 
 
@@ -295,10 +289,8 @@ def _recovery_report(truth_values, masked, completed, record):
     None when no cell was erased."""
     if record is None or not record.erased_cells:
         return None
-    col_means = np.array([
-        masked.values[masked.mask[:, j], j].mean() if masked.mask[:, j].any()
-        else np.nan
-        for j in range(masked.n_cols)])
+    col_means = np.array([masked.values[masked.mask[:, j], j].mean()
+                          for j in range(masked.n_cols)])
     rows, cols = np.array(record.erased_cells).T
     true_values = truth_values[rows, cols]
     return {"cells": len(record.erased_cells),

@@ -31,8 +31,6 @@ MISSING_TOKENS = frozenset(("", "NA", "NaN", "nan"))
 
 def monthly_index(start, n):
     """Return n consecutive first-of-month dates beginning at start."""
-    if start.day != 1:
-        start = start.replace(day=1)
     out = []
     year, month = start.year, start.month
     for _ in range(n):
@@ -340,9 +338,6 @@ def apply_mask(matrix, fraction, seed):
     if fraction > 0 and observed.shape[0] == 0:
         raise DataError("matrix has no observed cells to erase")
     n_erase = int(math.floor(fraction * observed.shape[0] + 0.5))
-    if n_erase == 0:
-        return matrix.copy(), MaskRecord(erased_cells=(), fraction=float(fraction),
-                                         seed=int(seed))
     rng = rng_for(seed, "apply_mask")
     picks = rng.choice(observed.shape[0], size=n_erase, replace=False)
     cells = sorted((int(observed[p, 0]), int(observed[p, 1])) for p in picks)

@@ -1,8 +1,9 @@
 """Gradient-boosted regression trees with second-order split gains.
 
 Squared-error boosting: at each round the gradient is the current residual
-g = pred - y and the Hessian is 1 per row.  Leaves take the regularized
-Newton weight -G/(H + reg_alpha); a split is kept only when the gain
+g = pred - y and the Hessian is 1 per row, so a node's H is its row
+count.  Leaves take the regularized Newton weight -G/(H + reg_alpha); a
+split is kept only when the gain
 0.5*(G_L^2/(H_L+a) + G_R^2/(H_R+a) - G^2/(H+a)) - reg_gamma
 is positive.  Trees are grown greedily over midpoint thresholds of each
 feature's sorted distinct values, with deterministic tie-breaking by
@@ -10,11 +11,11 @@ feature's sorted distinct values, with deterministic tie-breaking by
 
 Split search is the exact greedy algorithm of XGBoost (Chen & Guestrin,
 KDD 2016) on arrays: the node's design is sorted once per feature, prefix
-sums of g and h give every threshold's gain in one elementwise pass over
-all features, and one arg-max picks the split.  Each tree grows straight
-into the parallel node arrays (feature, threshold, left, right, value) that
-prediction descends, a whole design through every tree at once; models.json's
-nested trees are rendered from those arrays.
+sums of g and the left sides' row counts give every threshold's gain in one
+elementwise pass over all features, and one arg-max picks the split.  Each
+tree grows straight into the parallel node arrays (feature, threshold, left,
+right, value) that prediction descends, a whole design through every tree at
+once; models.json's nested trees are rendered from those arrays.
 """
 
 from dataclasses import dataclass, field
@@ -33,33 +34,34 @@ def _score(g_sum, h_sum, reg_alpha):
     return g_sum * g_sum / (h_sum + reg_alpha)
 
 
-def _best_split(x, g, h, min_leaf, reg_alpha):
+def _best_split(x, g, min_leaf, reg_alpha):
     """Best (gain_core, feature, threshold) over all admissible splits.
 
     Row i of a feature's stable sort proposes the midpoint of sorted values
     i and i + 1; it is admissible when both sides keep min_leaf rows and
-    the two values differ.  The pick equals a scan over (feature,
-    threshold) that keeps the first strictly larger gain: ties go to the
-    lower feature, then the lower threshold, and a NaN gain wins only as
-    the first candidate.  gain_core omits the reg_gamma subtraction.
+    the two values differ.  A side's H is its row count.  The pick equals a
+    scan over (feature, threshold) that keeps the first strictly larger
+    gain: ties go to the lower feature, then the lower threshold, and a NaN
+    gain (only an overflowed G^2 makes one: inf - inf) wins only as the
+    first candidate.  gain_core omits the reg_gamma subtraction.
     Returns (split, True), or (None, False) when no row is admissible.
     """
     n = x.shape[0]
     if n < 2 * min_leaf:
         return None, False
-    g_total, h_total = g.sum(), h.sum()
-    parent = _score(g_total, h_total, reg_alpha)
+    g_total = g.sum()
+    parent = _score(g_total, n, reg_alpha)
     order = np.argsort(x, axis=0, kind="stable")
     xs = x[order, np.arange(x.shape[1])]
     rows = slice(min_leaf - 1, n - min_leaf)
     gs = np.cumsum(g[order], axis=0)[rows]
-    hs = np.cumsum(h[order], axis=0)[rows]
+    hs = np.arange(min_leaf, n - min_leaf + 1.0)[:, None]
     lo, hi = xs[rows], xs[min_leaf:n - min_leaf + 1]
     admissible = (lo != hi).T  # feature-major, the order of the scan
     if not admissible.any():
         return None, False
     gain = 0.5 * (_score(gs, hs, reg_alpha)
-                  + _score(g_total - gs, h_total - hs, reg_alpha)
+                  + _score(g_total - gs, n - hs, reg_alpha)
                   - parent)
     candidates = gain.T[admissible]
     k = int(np.argmax(candidates))  # the first NaN, if there is one
@@ -84,8 +86,8 @@ class _Forest:
         self.left, self.right, self.value = [], [], []
         self.depth = 0
 
-    def grow(self, x, g, h, max_depth, min_leaf, reg_alpha, reg_gamma):
-        """Append one tree grown greedily on (x, g, h).
+    def grow(self, x, g, max_depth, min_leaf, reg_alpha, reg_gamma):
+        """Append one tree grown greedily on (x, g).
 
         Returns (root, any_candidate, weights): the root's node index,
         whether the root had any admissible threshold, and each row's leaf
@@ -96,15 +98,15 @@ class _Forest:
 
         def node(rows, depth):
             k = len(self.value)
-            xs, gs, hs = x[rows], g[rows], h[rows]
+            xs, gs = x[rows], g[rows]
             self.feature.append(0)
             self.threshold.append(0.0)
-            self.value.append(_leaf_weight(gs.sum(), hs.sum(), reg_alpha))
+            self.value.append(_leaf_weight(gs.sum(), rows.size, reg_alpha))
             self.left.append(k)
             self.right.append(k)
             split, any_candidate = None, False
             if depth < max_depth:
-                split, any_candidate = _best_split(xs, gs, hs, min_leaf, reg_alpha)
+                split, any_candidate = _best_split(xs, gs, min_leaf, reg_alpha)
             if split is None or split[0] - reg_gamma <= 0:
                 weights[rows] = self.value[k]
                 self.depth = max(self.depth, depth)
@@ -214,9 +216,7 @@ def fit_gbt_arrays(x, y, n_rounds=50, max_depth=3, min_leaf=2, reg_alpha=0.0,
     forest, losses = _Forest(), []
     pred = np.full(y.size, base_score)
     for rnd in range(n_rounds):
-        g = pred - y
-        h = np.ones_like(y)
-        root, any_candidate, weights = forest.grow(x, g, h, max_depth, min_leaf,
+        root, any_candidate, weights = forest.grow(x, pred - y, max_depth, min_leaf,
                                                    reg_alpha, reg_gamma)
         if forest.left[root] == root:
             if rnd == 0 and not any_candidate and float(np.ptp(y)) > 0:

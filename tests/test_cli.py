@@ -962,3 +962,62 @@ def test_invalid_config_json_reports_config_error(tmp_path, capsys):
     out = os.path.join(tmp_path, "out")
     assert main(["run", "--config", path, "--out", out]) == 1
     assert "error[config]" in capsys.readouterr().err
+
+
+def panel_source(columns, levels=None):
+    """A data.csv config over the test's panel.csv, named "PANEL" until the
+    test knows its path."""
+    csv_spec = {"path": "PANEL", "columns": columns}
+    if levels is not None:
+        csv_spec["ordinal_levels"] = levels
+    return {"data": {"csv": csv_spec}}
+
+
+AB = {"a": CONTINUOUS, "b": CONTINUOUS}
+
+
+@pytest.mark.parametrize("config, text, line", [
+    ([], None, "error[config]: config root must be a JSON object"),
+    ({"task": {"horizon": 0}}, None,
+     "error[config]: task.horizon and task.validation_periods must be >= 1"),
+    ({"roster": []}, None, "error[config]: roster must be a non-empty list"),
+    (panel_source({}), None,
+     "error[config]: data.csv: schema declares no data columns"),
+    (panel_source({"a": CONTINUOUS, "b": "nominal"}), None,
+     "error[config]: data.csv: column 'b': unknown kind 'nominal'"),
+    (panel_source(AB, levels={"b": [1, 2]}), None,
+     "error[config]: data.csv: levels declared for non-ordinal column 'b'"),
+    (panel_source({"a": CONTINUOUS, "b": "ordinal"}, levels={"b": [2, 1]}), None,
+     "error[config]: data.csv: column 'b': levels must be strictly increasing"),
+    (panel_source(AB), "time,a,b\n2020-11-01,1,2\n2020-13-01,1,2\n2021-01-01,1,2\n",
+     "error[data]: PANEL: row 3: bad date '2020-13-01'"),
+    (panel_source(AB), "time,a,b\n2020-11-01,1,2\n2020-12-01,abc,2\n2021-01-01,1,2\n",
+     "error[data]: PANEL: row 3, column 'a': cannot parse 'abc'"),
+    (panel_source(AB), "time\n2020-11-01\n",
+     "error[data]: PANEL: header must list a time column and data columns"),
+    (panel_source({"a": CONTINUOUS, "g": "ordinal"}),
+     "time,a,g\n2020-11-01,1,\n2020-12-01,2,\n2021-01-01,3,\n",
+     "error[data]: PANEL: ordinal column 'g' has no observed cells"),
+    (panel_source(AB), "time,a,b\n2020-11-01,1,\n2020-12-01,2,\n2021-01-01,3,\n",
+     "error[fit]: column 'b' has no observed cells"),
+], ids=["root_list", "horizon_zero", "roster_empty", "csv_no_columns",
+        "csv_unknown_kind", "csv_levels_non_ordinal", "csv_levels_decreasing",
+        "csv_bad_date", "csv_bad_token", "csv_time_only", "csv_ordinal_empty",
+        "csv_continuous_empty"])
+def test_each_input_error_is_one_stderr_line(tmp_path, capsys, config, text,
+                                             line):
+    # Exit 1 with exactly the one line; nothing is written after a config
+    # error, and the output directory stays empty after a data or fit error.
+    panel = os.path.join(tmp_path, "panel.csv")
+    if text is not None:
+        with open(panel, "w") as fh:
+            fh.write(text)
+    cfg = write_config(tmp_path, json.loads(
+        json.dumps(config).replace('"PANEL"', json.dumps(panel))))
+    out = os.path.join(tmp_path, "out")
+    assert main(["impute", "--config", cfg, "--out", out]) == 1
+    assert capsys.readouterr().err == line.replace("PANEL", panel) + "\n"
+    if line.startswith("error[config]"):
+        assert not os.path.exists(out)
+    else:
+        assert os.listdir(out) == []

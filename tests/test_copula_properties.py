@@ -2,7 +2,9 @@
 for bit, on random mixed continuous/ordinal panels and masks; em_fit then
 impute equals complete bit for bit at any ridge; the array plan of a
 panel's latent cells runs the E-step, log-likelihood and fill of the scalar
-reference bit for bit; truncated normal moments are mirror-symmetric."""
+reference bit for bit; truncated normal moments are mirror-symmetric;
+complete is invariant to increasing maps of a column and to row and column
+permutations, within stated roundoff bounds."""
 
 import datetime
 import math
@@ -19,7 +21,8 @@ from copulacast.copula import (CopulaModel, _constraint_cells, _estep_sum, _fill
                                em_fit, fit_marginals, impute, project_correlation,
                                row_constraints, truncated_normal_moments)
 from copulacast.dataset import (CONTINUOUS, ORDINAL, MarginalSpec, ObservationMatrix,
-                                apply_mask, gen_copula_sample, monthly_index)
+                                apply_mask, gen_copula_sample, gen_seasonal_load,
+                                monthly_index)
 from copulacast.errors import FitError
 from copulacast.rng import rng_for
 from test_copula import (_estep_sum_reference, _impute_reference,
@@ -170,3 +173,109 @@ def test_truncated_moments_are_mirror_symmetric(lo, hi):
     mirror_mean, mirror_var = truncated_normal_moments(-hi, -lo)
     assert math.isclose(mean, -mirror_mean, rel_tol=1e-9, abs_tol=1e-12)
     assert math.isclose(var, mirror_var, rel_tol=1e-9)
+
+
+# A Gaussian copula sees each column only through its ranks and depends on
+# neither the row nor the column order.  Each case completes a panel with a
+# 20% mask in 20 EM iterations.  Over seeds 0-99, 1011 and 5011 the largest
+# roundoff measured was 3.1e-16 (affine fill, relative), 8.7e-15 (sigma
+# under a permutation, absolute) and 9.6e-14 (fill under a permutation,
+# relative); the bounds below leave ten times that or more.
+SIGMA_ATOL = 1e-13
+FILL_RTOL = 1e-12
+AFFINE_RTOL = 1e-14
+
+
+def invariance_panels(seed):
+    """The default seasonal panel and a 60x6 lognormal copula sample."""
+    return (apply_mask(gen_seasonal_load(seed=seed), 0.2, seed + 1)[0],
+            mixed_panel(seed, 60, 6, 0, 2, 0.2))
+
+
+def rebuilt(panel, values, mask, cols=None):
+    """panel with new cells; cols lists the old index of each new column."""
+    cols = list(range(panel.n_cols)) if cols is None else [int(j) for j in cols]
+    return ObservationMatrix(
+        values=values, mask=mask, column_kinds=[panel.column_kinds[j] for j in cols],
+        column_names=[panel.column_names[j] for j in cols],
+        time_index=panel.time_index,
+        ordinal_levels={k: panel.ordinal_levels[j] for k, j in enumerate(cols)
+                        if j in panel.ordinal_levels})
+
+
+def completed(panel):
+    """(sigma, filled values) of complete at 20 EM iterations."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # 20 iterations may not converge
+        model, full = complete(panel, max_iters=20)
+    return model.sigma, full.values
+
+
+def mapped_column(panel, j, fn):
+    values = panel.values.copy()
+    values[:, j] = fn(values[:, j])
+    return rebuilt(panel, values, panel.mask)
+
+
+def invariance_property(test):
+    """Run test at seeds 11, 1011 and 5011 and at two drawn seeds."""
+    for seed in (11, 1011, 5011):
+        test = example(seed=seed)(test)
+    return settings(max_examples=2, deadline=None)(
+        given(seed=st.integers(0, 10_000))(test))
+
+
+@invariance_property
+def test_increasing_map_of_a_column_leaves_sigma_bit_identical(seed):
+    for panel in invariance_panels(seed):
+        j = seed % panel.n_cols
+        sigma, _ = completed(panel)
+        moved, _ = completed(mapped_column(panel, j, lambda v: np.exp(v / 50) + 3))
+        assert same_bits(moved, sigma)
+
+
+@invariance_property
+def test_increasing_affine_map_carries_the_columns_fill(seed):
+    for panel in invariance_panels(seed):
+        j = seed % panel.n_cols
+        missing = ~panel.mask[:, j]
+        _, fill = completed(panel)
+        _, moved = completed(mapped_column(panel, j, lambda v: 2.5 * v + 7))
+        np.testing.assert_allclose(moved[missing, j], 2.5 * fill[missing, j] + 7,
+                                   rtol=AFFINE_RTOL, atol=0)
+
+
+@invariance_property
+def test_row_permutation_moves_neither_sigma_nor_fill(seed):
+    for panel in invariance_panels(seed):
+        rows = rng_for(seed, "row-permutation").permutation(panel.n_rows)
+        sigma, fill = completed(panel)
+        moved_sigma, moved = completed(
+            rebuilt(panel, panel.values[rows], panel.mask[rows]))
+        np.testing.assert_allclose(moved_sigma, sigma, rtol=0, atol=SIGMA_ATOL)
+        np.testing.assert_allclose(moved, fill[rows], rtol=FILL_RTOL, atol=0)
+
+
+def assert_column_permutation_invariant(panel, seed):
+    cols = rng_for(seed, "column-permutation").permutation(panel.n_cols)
+    sigma, fill = completed(panel)
+    moved_sigma, moved = completed(
+        rebuilt(panel, panel.values[:, cols], panel.mask[:, cols], cols))
+    np.testing.assert_allclose(moved_sigma, sigma[np.ix_(cols, cols)],
+                               rtol=0, atol=SIGMA_ATOL)
+    np.testing.assert_allclose(moved, fill[:, cols], rtol=FILL_RTOL, atol=0)
+
+
+@invariance_property
+def test_column_permutation_moves_neither_sigma_nor_fill(seed):
+    for panel in invariance_panels(seed):
+        assert_column_permutation_invariant(panel, seed)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the mean-field E-step "
+                   "sweeps a row's ordinal cells in column order and stops at "
+                   "inner_tol, so its fixed point depends on that order")
+def test_column_permutation_of_an_ordinal_panel_moves_neither():
+    for seed in (11, 1011, 5011):
+        assert_column_permutation_invariant(mixed_panel(seed, 60, 6, 3, 4, 0.2),
+                                            seed)

@@ -481,7 +481,7 @@ def _build_tree(x, g, h, depth, max_depth, min_leaf, reg_alpha, reg_gamma):
     leaf = TreeNode(value=_leaf_weight(g_total, h_total, reg_alpha))
     if depth >= max_depth:
         return leaf, False
-    split, any_candidate = _best_split(x, g, h, min_leaf, reg_alpha)
+    split, any_candidate = _best_split(x, g, min_leaf, reg_alpha)
     if split is None or split[0] - reg_gamma <= 0:
         return leaf, any_candidate
     _, j, threshold = split
@@ -620,9 +620,8 @@ def test_best_split_matches_scalar_reference(min_leaf, reg_alpha):
     for label, x in _split_designs():
         n = x.shape[0]
         g = np.round(rng.normal(size=n), 1)  # ties among gains as well
-        h = np.ones(n)
-        got = _best_split(x, g, h, min_leaf, reg_alpha)
-        want = _best_split_reference(x, g, h, min_leaf, reg_alpha)
+        got = _best_split(x, g, min_leaf, reg_alpha)
+        want = _best_split_reference(x, g, np.ones(n), min_leaf, reg_alpha)
         assert got[1] == want[1], label
         if want[0] is None:
             assert got[0] is None, label
@@ -632,22 +631,23 @@ def test_best_split_matches_scalar_reference(min_leaf, reg_alpha):
         assert type(j) is int
     few = rng.normal(size=(2 * min_leaf - 1, 3))
     g = rng.normal(size=few.shape[0])
-    assert _best_split(few, g, np.ones(few.shape[0]), min_leaf, reg_alpha) \
-        == (None, False)
+    assert _best_split(few, g, min_leaf, reg_alpha) == (None, False)
 
 
 def test_best_split_nan_gain_rule_matches_scalar_reference():
-    # With zero Hessians some gains are 0/0: a NaN gain wins only as the
-    # first candidate of the scan, and is skipped anywhere else.
+    # An overflowed G^2 makes some gains inf - inf: a NaN gain wins only as
+    # the first candidate of the scan, and is skipped anywhere else.
     x = np.array([[0.0, 3.0], [1.0, 2.0], [2.0, 1.0], [3.0, 0.0]])
-    cases = [(np.array([0.0, 1.0, -1.0, 2.0]), np.array([0.0, 1.0, 1.0, 1.0])),
-             (np.array([1.0, 1.0, -1.0, 0.0]), np.array([1.0, 1.0, 1.0, 0.0])),
-             (np.array([0.0, 0.0, 3.0, 1.0]), np.array([0.0, 0.0, 1.0, 1.0]))]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for g, h in cases:
-            (gain, j, thr), found = _best_split(x, g, h, 1, 0.0)
+    cases = [[1.0, 1e200, 1e200, 1.0],  # the NaN is the first candidate
+             [3e200, 3e200, -1.0, 2.0],  # the NaN is the first candidate
+             # Gains -inf, -inf, NaN, NaN, -inf, -inf: feature 0 at 0.5
+             # wins, where a plain argmax would pick the first NaN.
+             [1e154, 0.0, 1e154, 0.0]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for g in map(np.array, cases):
+            (gain, j, thr), found = _best_split(x, g, 1, 0.0)
             (want_gain, want_j, want_thr), want_found = \
-                _best_split_reference(x, g, h, 1, 0.0)
+                _best_split_reference(x, g, np.ones(4), 1, 0.0)
             assert found == want_found
             assert (j, thr) == (want_j, want_thr)
             assert gain == want_gain or (math.isnan(gain)
