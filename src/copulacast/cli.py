@@ -265,7 +265,9 @@ def _fit_roster(config, task, completed):
 
     Results are joined in roster order, so the outputs do not depend on
     completion timing.  Floating-point warnings are off: a diverging fit
-    fails its own finiteness checks, which give the one error line.
+    fails its own finiteness checks, which give the one error line.  A
+    fitter's CopulacastError or ValueError is raised again as its own kind,
+    its message led by "roster.<name>: ".
     """
     roster = config["roster"]
 
@@ -274,8 +276,13 @@ def _fit_roster(config, task, completed):
         hyper = {k: v for k, v in entry.items() if k != "name"}
         if "seed" in _keywords(fit):
             hyper.setdefault("seed", config["seed"])
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return fit(task, completed, **hyper)
+        try:
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                return fit(task, completed, **hyper)
+        except CopulacastError as exc:
+            raise type(exc)(f"roster.{entry['name']}: {exc}") from None
+        except ValueError as exc:
+            raise ValueError(f"roster.{entry['name']}: {exc}") from None
 
     if config["jobs"] == 1:
         return [fit_one(entry) for entry in roster]
@@ -315,11 +322,12 @@ def _complete(config, matrix):
     """Mask and complete the loaded panel, writing nothing.
 
     Returns (masked, record, model, completed): record is None when the
-    config masks nothing, model None when no cell is missing.
+    config masks nothing; when no cell is missing, model is None and the
+    masked panel is its own completion.
     """
     masked, record = _mask_stage(config, matrix)
     if masked.mask.all():
-        return masked, record, None, masked.copy()
+        return masked, record, None, masked
     return (masked, record) + complete(masked, **config["copula"])
 
 
@@ -350,7 +358,7 @@ def cmd_synth(config, out_dir):
     masked, record = _mask_stage(config, matrix)
     _write_panels(config, out_dir, matrix, masked, record)
     print(f"synth: wrote {masked.n_rows}x{masked.n_cols} panel to {out_dir} "
-          f"({masked.observed_count()} observed cells)")
+          f"({int(masked.mask.sum())} observed cells)")
 
 
 def cmd_impute(config, out_dir):

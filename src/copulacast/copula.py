@@ -147,7 +147,8 @@ def fit_marginals(matrix):
 
     Raises:
         FitError: a column has no observed cells or fewer than two distinct
-            observed values.
+            observed values, or a continuous column's values lie too far
+            apart for from_latent's interpolation slopes to stay finite.
     """
     out = []
     for j in range(matrix.n_cols):
@@ -161,6 +162,11 @@ def fit_marginals(matrix):
         cum = np.cumsum(counts)
         if matrix.column_kinds[j] == CONTINUOUS:
             probs = cum / (obs.size + 1.0)
+            with np.errstate(over="ignore"):
+                slopes = np.diff(support) / np.diff(probs)
+            if not np.all(np.isfinite(slopes)):
+                raise FitError(f"column {name!r}: observed values too far "
+                               "apart to interpolate in float64")
         else:
             probs = cum[:-1] / float(obs.size)
         out.append(MarginalTransform(kind=matrix.column_kinds[j],
@@ -830,9 +836,9 @@ def impute(model, matrix):
     observed constraints; each mean is pushed through the column's marginal
     inverse (continuous: interpolated empirical quantile clamped to the
     observed range; ordinal: binned to a level).  Observed cells pass through
-    bit-exact.  Rows with no observed cells fall back to column medians and
-    are listed under metadata["degenerate_rows"].  The observed blocks are
-    conditioned with model.ridge, the ridge the model was fitted with.
+    bit-exact.  Rows with no observed cells fall back to column medians.
+    The observed blocks are conditioned with model.ridge, the ridge the
+    model was fitted with.
 
     Returns:
         Fully observed ObservationMatrix.
@@ -846,7 +852,6 @@ def _fill(model, matrix, plan):
     """impute on a plan of the matrix's latent cells under model.marginals."""
     out = matrix.copy()
     rows = np.flatnonzero((plan.n_obs > 0) & (plan.n_obs < plan.q))
-    degenerate = np.flatnonzero(plan.n_obs == 0).tolist()
     kernel = _Conditioning(model.sigma, plan, _Layout(plan, rows), model.ridge)
     latent = np.zeros(matrix.values.shape)
     kernel.missing_means(kernel.observed_moments()[0], latent)
@@ -854,9 +859,6 @@ def _fill(model, matrix, plan):
         rows = np.flatnonzero(~matrix.mask[:, j])
         out.values[rows, j] = marginal.from_latent(latent[rows, j])
     out.mask[:] = True
-    if degenerate:
-        out.metadata["degenerate_rows"] = degenerate
-    out.metadata["imputed"] = True
     return out
 
 

@@ -13,7 +13,7 @@ import json
 import math
 import numbers
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -89,7 +89,6 @@ class ObservationMatrix:
         column_names: per-column name.
         time_index: per-row date, strictly increasing.
         ordinal_levels: column index -> admissible levels for ordinal columns.
-        metadata: free-form provenance notes (generator settings, flags).
     """
 
     values: np.ndarray
@@ -98,7 +97,6 @@ class ObservationMatrix:
     column_names: tuple
     time_index: tuple
     ordinal_levels: dict = field(default_factory=dict)
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.values = np.array(self.values, dtype=float)
@@ -133,13 +131,14 @@ class ObservationMatrix:
                 continue
             if j not in self.ordinal_levels:
                 raise DataError(f"ordinal column {self.column_names[j]!r} lacks levels")
-            levels = set(self.ordinal_levels[j])
-            obs = self.values[self.mask[:, j], j]
-            bad = [v for v in obs if float(v) not in levels]
-            if bad:
+            bad = np.flatnonzero(self.mask[:, j] & ~np.isin(
+                self.values[:, j], self.ordinal_levels[j]))
+            if bad.size:
+                i = bad[0]
                 raise DataError(
-                    f"ordinal column {self.column_names[j]!r}: value {bad[0]!r} "
-                    "outside the declared level set")
+                    f"ordinal column {self.column_names[j]!r} at "
+                    f"{self.time_index[i]}: value {float(self.values[i, j])!r} "
+                    "is outside the declared level set")
 
     @property
     def n_rows(self):
@@ -149,10 +148,6 @@ class ObservationMatrix:
     def n_cols(self):
         return self.values.shape[1]
 
-    def observed_count(self):
-        """Number of observed cells."""
-        return int(self.mask.sum())
-
     def column_index(self, name):
         """Index of the named column."""
         try:
@@ -161,12 +156,8 @@ class ObservationMatrix:
             raise DataError(f"no column named {name!r}") from None
 
     def copy(self):
-        return ObservationMatrix(
-            values=self.values.copy(), mask=self.mask.copy(),
-            column_kinds=self.column_kinds, column_names=self.column_names,
-            time_index=self.time_index,
-            ordinal_levels=dict(self.ordinal_levels),
-            metadata=dict(self.metadata))
+        """A panel that owns its arrays: __post_init__ copies them."""
+        return replace(self)
 
 
 @dataclass(frozen=True)
@@ -227,8 +218,9 @@ def load_csv(path, schema):
         ObservationMatrix.
 
     Raises:
-        DataError: read_table's errors, header mismatch, unparsable or
-            out-of-level tokens, or non-increasing dates.
+        DataError, its message led by path: read_table's errors, header
+            mismatch, unparsable, non-finite or out-of-level tokens, or
+            non-increasing dates.
     """
     header, body = read_table(path)
     declared = list(schema.columns)
@@ -278,9 +270,13 @@ def load_csv(path, schema):
                     "declare ordinal_levels in the schema")
             ordinal_levels[j] = tuple(np.unique(obs).tolist())
 
-    return ObservationMatrix(values=values, mask=mask, column_kinds=kinds,
-                             column_names=tuple(names), time_index=tuple(dates),
-                             ordinal_levels=ordinal_levels)
+    try:
+        return ObservationMatrix(values=values, mask=mask, column_kinds=kinds,
+                                 column_names=tuple(names),
+                                 time_index=tuple(dates),
+                                 ordinal_levels=ordinal_levels)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def save_csv(matrix, path):
@@ -443,8 +439,7 @@ def gen_copula_sample(sigma, marginals, n, seed):
         values=values, mask=np.ones((n, q), dtype=bool),
         column_kinds=kinds, column_names=names,
         time_index=monthly_index(datetime.date(2000, 1, 1), n),
-        ordinal_levels=ordinal_levels,
-        metadata={"generator": "gen_copula_sample", "seed": int(seed)})
+        ordinal_levels=ordinal_levels)
 
 
 def gen_seasonal_load(n_periods=108, base=100.0, trend=0.5, seasonal_amp=20.0,
@@ -501,12 +496,7 @@ def gen_seasonal_load(n_periods=108, base=100.0, trend=0.5, seasonal_amp=20.0,
     return ObservationMatrix(
         values=values, mask=np.ones_like(values, dtype=bool),
         column_kinds=kinds, column_names=names,
-        time_index=monthly_index(datetime.date(2013, 1, 1), n_periods),
-        ordinal_levels={},
-        metadata={"generator": "gen_seasonal_load", "seed": int(seed),
-                  "params": {"n_periods": n_periods, "base": base, "trend": trend,
-                             "seasonal_amp": seasonal_amp, "noise_sd": noise_sd,
-                             "n_features": n_features}})
+        time_index=monthly_index(datetime.date(2013, 1, 1), n_periods))
 
 
 # From this nesting depth on, write_json hands a subtree to json.dumps,

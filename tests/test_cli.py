@@ -1,6 +1,7 @@
 """End-to-end tests of the argparse CLI and its artifacts."""
 
 import csv
+import datetime
 import io
 import json
 import os
@@ -17,8 +18,8 @@ from copulacast import copula
 from copulacast.cli import DEFAULT_CONFIG, _fit_roster, main, resolve_config
 from copulacast.dataset import (CONTINUOUS, MarginalSpec, Schema,
                                 gen_copula_sample, gen_seasonal_load, load_csv,
-                                save_csv)
-from copulacast.errors import ConfigError, DataError
+                                monthly_index, save_csv)
+from copulacast.errors import ConfigError, DataError, FitError
 from copulacast.forecasters import FORECASTERS
 from copulacast.rng import rng_for
 
@@ -659,7 +660,8 @@ def test_a_failing_fit_writes_nothing(tmp_path, capsys, command, entry):
     out = os.path.join(tmp_path, "out")
     assert main([command, "--config", cfg, "--out", out]) == 1
     err = capsys.readouterr().err
-    assert re.fullmatch(r"error\[value\]: [^\n]+\n", err), err
+    assert re.fullmatch(rf"error\[value\]: roster\.{entry['name']}: [^\n]+\n",
+                        err), err
     assert os.listdir(out) == []
 
 
@@ -678,9 +680,41 @@ def test_a_diverging_fit_prints_one_error_line(tmp_path, entry):
                           env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 1
-    assert re.fullmatch(r"error\[fit\]: (tcn|gbt) training diverged; "
-                        r"lower learn_rate\n", done.stderr), done.stderr
+    assert re.fullmatch(r"error\[fit\]: roster\.(tcn|gbt): (tcn|gbt) training "
+                        r"diverged; lower learn_rate\n", done.stderr), done.stderr
     assert os.listdir(out) == []
+
+
+def test_a_fitter_error_names_its_roster_entry(tmp_path, capsys):
+    # Two continuous columns leave TRMF no room for its default rank.
+    path = os.path.join(tmp_path, "narrow.csv")
+    with open(path, "w") as fh:
+        fh.write("time,load,x\n")
+        for i, day in enumerate(monthly_index(datetime.date(2015, 1, 1), 60)):
+            fh.write(f"{day},{100 + i + 10 * np.sin(i):.3f},{50 + 7 * i % 11}\n")
+    cfg = write_config(tmp_path, {"data": {"csv": {
+        "path": path, "columns": {"load": CONTINUOUS, "x": CONTINUOUS}}}})
+    out = os.path.join(tmp_path, "out")
+    assert main(["run", "--config", cfg, "--out", out]) == 1
+    assert capsys.readouterr().err == (
+        "error[value]: roster.trmf: k must lie in [1, min(q, m)] = [1, 2]\n")
+    assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("error, kind", [
+    (FitError("no admissible split"), FitError),
+    (np.linalg.LinAlgError("no admissible split"), ValueError),
+], ids=["fit_error", "value_error_subclass"])
+def test_a_fitter_error_keeps_its_category(tmp_path, monkeypatch, error, kind):
+    def failing(task, matrix):
+        raise error
+
+    monkeypatch.setitem(FORECASTERS, "failing", failing)
+    cfg = write_config(tmp_path, {"roster": [{"name": "failing"}]})
+    with pytest.raises(kind) as raised:
+        _fit_roster(resolve_config(cfg), None, None)
+    assert type(raised.value) is kind
+    assert str(raised.value) == "roster.failing: no admissible split"
 
 
 def test_listed_task_features_are_the_only_features(tmp_path):
@@ -1000,10 +1034,24 @@ AB = {"a": CONTINUOUS, "b": CONTINUOUS}
      "error[data]: PANEL: ordinal column 'g' has no observed cells"),
     (panel_source(AB), "time,a,b\n2020-11-01,1,\n2020-12-01,2,\n2021-01-01,3,\n",
      "error[fit]: column 'b' has no observed cells"),
+    (panel_source({"a": CONTINUOUS, "g": "ordinal"}, levels={"g": [1, 2, 3]}),
+     "time,a,g\n2020-01-01,1,2\n2020-02-01,2,5\n2020-03-01,3,1\n",
+     "error[data]: PANEL: ordinal column 'g' at 2020-02-01: value 5.0 is "
+     "outside the declared level set"),
+    (panel_source(AB), "time,a,b\n2020-01-01,1,2\n2020-03-01,2,5\n2020-02-01,3,1\n",
+     "error[data]: PANEL: time index must be strictly increasing"),
+    (panel_source(AB), "time,a,b\n2020-01-01,1,2\n2020-02-01,inf,5\n2020-03-01,3,1\n",
+     "error[data]: PANEL: observed cells must be finite"),
+    (panel_source(AB),
+     "time,a,b\n2020-01-01,1e308,2\n2020-02-01,-1e308,1\n2020-03-01,3,3\n"
+     "2020-04-01,4,5\n",
+     "error[fit]: column 'a': observed values too far apart to interpolate "
+     "in float64"),
 ], ids=["root_list", "horizon_zero", "roster_empty", "csv_no_columns",
         "csv_unknown_kind", "csv_levels_non_ordinal", "csv_levels_decreasing",
         "csv_bad_date", "csv_bad_token", "csv_time_only", "csv_ordinal_empty",
-        "csv_continuous_empty"])
+        "csv_continuous_empty", "csv_out_of_level", "csv_dates_not_increasing",
+        "csv_infinite_cell", "csv_range_overflows"])
 def test_each_input_error_is_one_stderr_line(tmp_path, capsys, config, text,
                                              line):
     # Exit 1 with exactly the one line; nothing is written after a config

@@ -107,6 +107,20 @@ def test_fit_marginals_rejects_constant_column():
         fit_marginals(m)
 
 
+def test_fit_marginals_rejects_values_too_far_apart_to_interpolate():
+    other = [2.0, 1.0, 3.0, 5.0]
+    for column in ([1e308, -1e308, 3.0, 4.0],     # max - min overflows
+                   [1e308, -7e307, 4.0, 5.0]):    # only a slope overflows
+        m = continuous_matrix(np.column_stack([column, other]))
+        with pytest.raises(FitError, match=r"^column 'c0': observed values "
+                           r"too far apart to interpolate in float64$"):
+            fit_marginals(m)
+    # Slopes of 5e307 stay finite, and so does every fill.
+    m = continuous_matrix(np.column_stack([[1e307, -1e307, 4.0, 5.0], other]))
+    tr = fit_marginals(m)[0]
+    assert np.isfinite(tr.from_latent(np.linspace(-9.0, 9.0, 101))).all()
+
+
 def test_marginal_transform_json_round_trip(tmp_path):
     m = continuous_matrix(np.array([[10.0], [20.0], [30.0], [40.0]]))
     tr = fit_marginals(m)[0]
@@ -464,7 +478,6 @@ def test_impute_fills_all_cells_and_keeps_observed():
     assert bool(completed.mask.all())
     kept = masked.mask
     assert np.array_equal(completed.values[kept], masked.values[kept])
-    assert completed.metadata.get("imputed") is True
     # Imputations must correlate with the truth on the erased cells.
     cells = record.erased_cells
     truth = np.array([full.values[r, c] for r, c in cells])
@@ -472,13 +485,13 @@ def test_impute_fills_all_cells_and_keeps_observed():
     assert np.corrcoef(truth, est)[0, 1] > 0.5
 
 
-def test_impute_flags_fully_missing_rows():
+def test_impute_fills_a_fully_missing_row_with_column_medians():
     values = np.array([[1.0, 10.0], [2.0, 20.0], [3.0, 30.0], [4.0, 40.0],
                        [np.nan, np.nan]])
     m = continuous_matrix(values)
     model = em_fit(m, max_iters=30)
     completed = impute(model, m)
-    assert completed.metadata["degenerate_rows"] == [4]
+    assert completed.mask[4].all()
     # Median fallback: the empirical median of each column.
     assert 1.0 <= completed.values[4, 0] <= 4.0
     assert 10.0 <= completed.values[4, 1] <= 40.0
@@ -804,9 +817,10 @@ def test_complete_equals_em_fit_then_impute_bit_for_bit(panel, max_iters):
     assert all(same_bits(a, b) for a, b in zip(model.em_trace, want_model.em_trace))
     assert model.converged == want_model.converged
     assert same_bits(completed.values, want.values) and completed.mask.all()
-    assert completed.metadata == want.metadata
-    assert completed.metadata.get("degenerate_rows") == (
-        [0] if panel is mixed_edge_panel else None)
+    if panel is mixed_edge_panel:
+        # Row 0 has no observed cell, and the fill still observes it.
+        assert not masked.mask[0].any()
+        assert np.isfinite(completed.values[0]).all()
 
 
 def test_complete_fills_with_the_fit_ridge():

@@ -69,6 +69,17 @@ def test_observation_matrix_rejects_shape_mismatch():
                           time_index=monthly_index(datetime.date(2013, 1, 1), 2))
 
 
+def test_a_copy_owns_its_values_and_mask():
+    # apply_mask and the copula's fill write into a copy of their input.
+    m = small_matrix()
+    dup = m.copy()
+    dup.values[0, 0] = 99.0
+    dup.mask[0, 1] = False
+    assert m.values[0, 0] == 1.0 and m.mask[0, 1]
+    assert dup.values[0, 0] == 99.0 and not dup.mask[0, 1]
+    assert (dup.column_names, dup.time_index) == (m.column_names, m.time_index)
+
+
 def test_csv_round_trip_is_bit_exact(tmp_path):
     rng = np.random.default_rng(7)
     values = rng.normal(size=(20, 3)) * math.pi
@@ -118,13 +129,22 @@ def test_load_csv_rejects_unknown_column(tmp_path):
     ("time,a,b\n2013-01-01,1.0,2.0\n\n2013-03-01,3.0\n",
      "row 4: expected 3 fields, got 2"),
     ("time,a, a\n2013-01-01,1.0,2.0\n", "column 'a' appears more than once"),
-], ids=["empty", "header_only", "ragged_after_blank_line", "repeated_column"])
+    ("time,a,b\n2020-01-01,1,2\n2020-02-01,2,5\n2020-03-01,3,0\n",
+     "ordinal column 'b' at 2020-02-01: value 5.0 is outside the declared "
+     "level set"),
+    ("time,a,b\n2020-01-01,1,2\n2020-03-01,2,3\n2020-02-01,3,1\n",
+     "time index must be strictly increasing"),
+    ("time,a,b\n2020-01-01,1,2\n2020-02-01,inf,3\n2020-03-01,3,1\n",
+     "observed cells must be finite"),
+], ids=["empty", "header_only", "ragged_after_blank_line", "repeated_column",
+        "out_of_level", "dates_not_increasing", "infinite_cell"])
 def test_load_csv_table_errors_name_file_lines(tmp_path, text, message):
     path = os.path.join(tmp_path, "table.csv")
     with open(path, "w") as fh:
         fh.write(text)
-    schema = Schema(columns={"a": CONTINUOUS, "b": CONTINUOUS})
-    with pytest.raises(DataError, match=f"^{re.escape(path)}: {message}$"):
+    schema = Schema(columns={"a": CONTINUOUS, "b": ORDINAL},
+                    ordinal_levels={"b": [1, 2, 3]})
+    with pytest.raises(DataError, match=f"^{re.escape(f'{path}: {message}')}$"):
         load_csv(path, schema)
 
 
