@@ -296,15 +296,26 @@ def _recovery_report(truth_values, masked, completed, record):
     None when no cell was erased."""
     if record is None or not record.erased_cells:
         return None
-    col_means = np.array([masked.values[masked.mask[:, j], j].mean()
+    col_means = np.array([_mean(masked.values[masked.mask[:, j], j])
                           for j in range(masked.n_cols)])
     rows, cols = np.array(record.erased_cells).T
     true_values = truth_values[rows, cols]
     return {"cells": len(record.erased_cells),
-            "copula_mae": float(np.mean(np.abs(completed.values[rows, cols]
-                                               - true_values))),
-            "mean_imputation_mae": float(np.mean(np.abs(col_means[cols]
-                                                        - true_values)))}
+            "copula_mae": float(_mean(np.abs(completed.values[rows, cols]
+                                             - true_values))),
+            "mean_imputation_mae": float(_mean(np.abs(col_means[cols]
+                                                      - true_values)))}
+
+
+def _mean(x):
+    """x.mean(), or max|x| * mean(x / max|x|) when the plain sum overflows:
+    values near the float64 limit then still give a finite mean."""
+    with np.errstate(over="ignore"):
+        mean = x.mean()
+    if np.isfinite(mean):
+        return mean
+    scale = np.abs(x).max()
+    return scale * (x / scale).mean()
 
 
 def _unscored_note(scored, total):

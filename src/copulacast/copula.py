@@ -28,7 +28,8 @@ One conditioning kernel serves em_fit, impute, pseudo_loglik and e_step:
   RowConstraint lists (e_step, pseudo_loglik) enter through the same
   arrays.
 - Factors and solves call LAPACK potrf/potrs (scipy.linalg.lapack) directly,
-  once per distinct pattern, with cho_factor/cho_solve's checks kept.
+  with cho_factor/cho_solve's checks kept: one of each per distinct pattern
+  gives both an interval row's precision and every row's gain.
 - The ordinal mean-field sweep runs for all interval rows at once, one
   array step per (pass, ordinal slot), with each row's coordinate order
   and stopping test, array truncated moments and stacked np.matmul dot
@@ -436,11 +437,13 @@ class _Conditioning:
     Each block of the layout is conditioned in stacked form: one fancy index
     gathers its rows' ridged observed submatrices, one their cross blocks
     Sigma_MO and one their missing blocks, and one np.matmul forms every
-    conditional covariance Sigma_MM - gain Sigma_OM.  LAPACK potrf/potrs run
-    once per distinct pattern, called directly, with the checks cho_factor
-    and cho_solve make: a non-finite input is a ValueError, and a block that
-    is not positive definite a FitError.  A row with nothing missing and no
-    interval cell needs no factor and gets none.
+    conditional covariance Sigma_MM - gain Sigma_OM.  Per distinct pattern,
+    LAPACK potrf factors once and potrs solves once, against [I | Sigma_OM^T]
+    if its rows carry interval cells (they lead their block), else Sigma_OM^T;
+    potrs solves each column alone, so an interval row's precision and each
+    gain are column slices of it, bit for bit.  cho_factor/cho_solve's checks
+    stay: a non-finite input is a ValueError, a non-PD block a FitError.  A
+    row with nothing missing and no interval cell needs no factor.
     """
 
     def __init__(self, sigma, plan, layout, ridge):
@@ -448,37 +451,33 @@ class _Conditioning:
         # Finite entries that cannot overflow when the ridge is added pass
         # every finiteness check, so the checks are skipped.
         finite = float(np.abs(sigma).max(initial=0.0)) + abs(ridge) < np.inf
-        factors, gains = {}, {}
+        solves = {}
         self.precs, self.gains, self.conds = [], [], []
         self.gain, self.cond = {}, {}
         for n, start, mid, stop, pids, o, m in layout.blocks:
             eye = np.eye(n)
             blocks = sigma[o[:, :, None], o[:, None, :]] + ridge * eye
+            cross = sigma[m[:, :, None], o[:, None, :]]
             if not finite:
                 _check_finite(blocks)
-            for block, pid in zip(blocks, pids if m.size else pids[:mid - start]):
-                if pid not in factors:
+                _check_finite(cross)
+            for i, pid in enumerate(pids if m.size else pids[:mid - start]):
+                if pid not in solves:
                     try:
-                        factors[pid] = _potrf(block)
+                        c = _potrf(blocks[i])
                     except np.linalg.LinAlgError:
                         raise FitError("observed block of sigma is not positive "
                                        "definite") from None
+                    rhs = cross[i].T
+                    solves[pid] = _potrs(c, np.hstack((eye, rhs)) if i < mid - start else rhs)
             del blocks
-            prec = np.empty((mid - start, n, n))
-            for i, pid in enumerate(pids[:mid - start]):
-                prec[i] = _potrs(factors[pid], eye)
-            self.precs.append(prec)
+            self.precs.append(np.array([solves[pid][:, :n]
+                                        for pid in pids[:mid - start]]).reshape(-1, n, n))
             if not m.size:
                 self.gains.append(None)
                 self.conds.append(None)
                 continue
-            cross = sigma[m[:, :, None], o[:, None, :]]
-            if not finite:
-                _check_finite(cross)
-            for c, pid in zip(cross, pids):
-                if pid not in gains:
-                    gains[pid] = _potrs(factors[pid], c.T).T
-            gain = np.array([gains[pid] for pid in pids])
+            gain = np.array([solves[pid][:, -m.shape[1]:].T for pid in pids])
             cond = (sigma[m[:, :, None], m[:, None, :]]
                     - np.matmul(gain, cross.transpose(0, 2, 1)))
             self.gains.append(gain)

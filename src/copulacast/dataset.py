@@ -336,13 +336,13 @@ def apply_mask(matrix, fraction, seed):
     n_erase = int(math.floor(fraction * observed.shape[0] + 0.5))
     rng = rng_for(seed, "apply_mask")
     picks = rng.choice(observed.shape[0], size=n_erase, replace=False)
-    cells = sorted((int(observed[p, 0]), int(observed[p, 1])) for p in picks)
+    # argwhere lists cells in row-major order, so sorted picks sort the cells.
+    cells = observed[np.sort(picks)]
     out = matrix.copy()
-    for r, c in cells:
-        out.mask[r, c] = False
-        out.values[r, c] = np.nan
-    return out, MaskRecord(erased_cells=tuple(cells), fraction=float(fraction),
-                           seed=int(seed))
+    out.mask[tuple(cells.T)] = False
+    out.values[tuple(cells.T)] = np.nan
+    return out, MaskRecord(erased_cells=tuple(map(tuple, cells.tolist())),
+                           fraction=float(fraction), seed=int(seed))
 
 
 @dataclass(frozen=True)

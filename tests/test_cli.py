@@ -15,7 +15,7 @@ import pytest
 
 import copulacast
 from copulacast import copula
-from copulacast.cli import DEFAULT_CONFIG, _fit_roster, main, resolve_config
+from copulacast.cli import DEFAULT_CONFIG, _fit_roster, _mean, main, resolve_config
 from copulacast.dataset import (CONTINUOUS, MarginalSpec, Schema,
                                 gen_copula_sample, gen_seasonal_load, load_csv,
                                 monthly_index, save_csv)
@@ -422,6 +422,39 @@ def test_a_warning_is_one_stderr_line(tmp_path):
     assert done.returncode == 0
     assert re.fullmatch(r"warning: copula EM did not converge within 1 "
                         r"iterations [^\n]*\n", done.stderr), done.stderr
+
+
+def test_recovery_mean_is_finite_near_the_float_limit():
+    x = 1.7e308 - 1e306 * np.arange(20.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _mean(x)
+    assert got == 1.7e308 * np.mean(x / 1.7e308) and 1.5e308 < got < 1.7e308
+    # A sum that stays finite keeps the plain mean's bits.
+    y = rng_for(3, "recovery-mean").normal(size=50) * 1e300
+    assert _mean(y) == y.mean()
+
+
+def test_impute_near_the_float_limit_reports_finite_recovery(tmp_path):
+    panel = os.path.join(tmp_path, "panel.csv")
+    with open(panel, "w") as fh:
+        fh.write("time,a,b\n" + "".join(
+            f"{2020 + i // 12}-{i % 12 + 1:02d}-01,{1.7e308 - i * 1e306!r},{i % 7 + 1}\n"
+            for i in range(20)))
+    cfg = write_config(tmp_path, {"data": {"csv": {"path": panel, "columns": AB}},
+                                  "mask": {"fraction": 0.2}})
+    out = os.path.join(tmp_path, "out")
+    src = os.path.dirname(os.path.dirname(copulacast.__file__))
+    done = subprocess.run([sys.executable, "-m", "copulacast.cli", "impute", "--seed",
+                           "11", "--config", cfg, "--out", out],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0 and done.stderr == ""
+    with open(os.path.join(out, "recovery.json")) as fh:
+        recovery = json.load(fh, parse_constant=lambda name: pytest.fail(name))
+    assert recovery["cells"] == 8
+    assert 0 < recovery["copula_mae"] < 1.7e308
+    assert 0 < recovery["mean_imputation_mae"] < 1.7e308
 
 
 @pytest.mark.parametrize("command", ["impute", "run"])

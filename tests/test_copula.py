@@ -4,19 +4,23 @@ import datetime
 import json
 import math
 import os
+import re
 import warnings
 
 import numpy as np
 import pytest
 
+from copulacast import copula
 from copulacast.copula import (
     CopulaModel,
     MarginalTransform,
     RowConstraint,
+    _Conditioning,
     _estep_sum,
     _fill,
     _constraint_cells,
     _latent_cells,
+    _Layout,
     _Plan,
     _truncated_moments,
     complete,
@@ -390,6 +394,48 @@ def test_project_correlation_rejects_bad_input():
         project_correlation(np.array([[1.0, 0.2], [0.3, 1.0]]))
     with pytest.raises(ValueError):
         project_correlation(np.array([[0.0, 0.0], [0.0, 1.0]]))
+
+
+ORDINAL_MARGINAL = MarginalTransform(kind=ORDINAL, support=np.array([1.0, 2.0]),
+                                     cum_probs=np.array([0.5]))
+CONTINUOUS_MARGINAL = MarginalTransform(kind=CONTINUOUS, support=np.array([1.0, 2.0]),
+                                        cum_probs=np.array([1 / 3, 2 / 3]))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ORDINAL_MARGINAL.to_latent(1.0),
+     "to_latent applies to continuous columns only"),
+    (lambda: CONTINUOUS_MARGINAL.to_interval(1.0),
+     "to_interval applies to ordinal columns only"),
+    (lambda: truncated_normal_moments(0.0, 1.0, sd=0.0), "need sd > 0"),
+    (lambda: e_step(np.eye(3), RowConstraint(exact={0: 0.1}, intervals={},
+                                             missing=(1,))),
+     "constraint arity does not match sigma"),
+    (lambda: project_correlation(np.ones((2, 3))), "input must be square"),
+    (lambda: CopulaModel(sigma=np.eye(2), marginals=[CONTINUOUS_MARGINAL]),
+     "sigma and marginals disagree on dimension"),
+    (lambda: CopulaModel(sigma=[[1.0, 0.5], [0.2, 1.0]],
+                         marginals=[CONTINUOUS_MARGINAL] * 2),
+     "sigma must be symmetric"),
+    (lambda: CopulaModel(sigma=[[2.0, 0.0], [0.0, 1.0]],
+                         marginals=[CONTINUOUS_MARGINAL] * 2),
+     "sigma must have a unit diagonal"),
+    (lambda: CopulaModel(sigma=[[1.0, 1.2], [1.2, 1.0]],
+                         marginals=[CONTINUOUS_MARGINAL] * 2),
+     "sigma must be positive semidefinite"),
+    (lambda: em_fit(continuous_matrix([[1.0, 2.0], [3.0, 5.0], [4.0, 4.0]]),
+                    max_iters=0),
+     "max_iters must be >= 1"),
+    (lambda: impute(CopulaModel(sigma=np.eye(3), marginals=[CONTINUOUS_MARGINAL] * 3),
+                    continuous_matrix([[1.0, 2.0], [3.0, 5.0], [4.0, 4.0]])),
+     "model and matrix disagree on column count"),
+], ids=["to_latent_ordinal", "to_interval_continuous", "moments_zero_sd",
+        "e_step_arity", "projection_not_square", "model_dimension",
+        "model_asymmetric", "model_diagonal", "model_not_psd", "em_no_iterations",
+        "impute_column_count"])
+def test_copula_input_checks_name_the_fault(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 # -------------------------------------------------------------- likelihood
@@ -799,6 +845,30 @@ def test_em_impute_and_e_step_equal_scalar_reference_on_mixed_edge_panel():
                 want = _e_step_reference(sigma, con, max_inner=max_inner,
                                          inner_tol=tol)
                 assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+
+
+def test_conditioning_makes_one_potrs_call_per_distinct_pattern(monkeypatch):
+    masked = mixed_edge_panel()
+    # Rows 4-11 lose their ordinal cells, so the fill's layout has blocks
+    # whose interval rows and exact-only rows share an observed-block size.
+    masked.mask[4:12, 2:] = False
+    masked.values[4:12, 2:] = np.nan
+    marginals = fit_marginals(masked)
+    plan = _Plan(masked.mask, *_latent_cells(masked, marginals))
+    fill = _Layout(plan, np.flatnonzero((plan.n_obs > 0) & (plan.n_obs < plan.q)))
+    assert any(start < mid < stop for _, start, mid, stop, *_ in fill.blocks)
+    rng = rng_for(4, "potrs-calls")
+    sigma = project_correlation(np.corrcoef(rng.normal(size=(6, 12))) + np.eye(6))
+    calls = []
+    potrs = copula._potrs
+    monkeypatch.setattr(copula, "_potrs", lambda c, b: calls.append(b.shape) or potrs(c, b))
+    for layout in (plan.exact_layout, plan.interval_layout, fill):
+        calls.clear()
+        _Conditioning(sigma, plan, layout, 1e-8)
+        assert len(calls) == np.unique(plan.pid[layout.rows]).size > 0
+    model = CopulaModel(sigma=sigma, marginals=marginals)
+    assert same_bits(_fill(model, masked, plan).values,
+                     _impute_reference(model, masked))
 
 
 @pytest.mark.parametrize("panel, max_iters", [

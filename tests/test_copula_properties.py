@@ -2,7 +2,8 @@
 for bit, on random mixed continuous/ordinal panels and masks; em_fit then
 impute equals complete bit for bit at any ridge; the array plan of a
 panel's latent cells runs the E-step, log-likelihood and fill of the scalar
-reference bit for bit; truncated normal moments are mirror-symmetric;
+reference bit for bit; one potrs against stacked right-hand sides equals
+the separate solves bit for bit; truncated normal moments are mirror-symmetric;
 complete is invariant to increasing maps of a column and to row and column
 permutations, within stated roundoff bounds."""
 
@@ -17,7 +18,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st
 
 from copulacast.copula import (CopulaModel, _constraint_cells, _estep_sum, _fill,
-                               _latent_cells, _Layout, _loglik, _Plan, complete,
+                               _latent_cells, _Layout, _loglik, _Plan, _potrf,
+                               _potrs, complete,
                                em_fit, fit_marginals, impute, project_correlation,
                                row_constraints, truncated_normal_moments)
 from copulacast.dataset import (CONTINUOUS, ORDINAL, MarginalSpec, ObservationMatrix,
@@ -156,6 +158,21 @@ def test_array_plan_runs_the_scalar_reference_bit_for_bit(case):
     model = CopulaModel(sigma=sigma, marginals=marginals)
     assert same_bits(_fill(model, masked, plan).values,
                      _impute_reference(model, masked))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(1, 16), extra=st.integers(0, 6))
+def test_one_potrs_against_stacked_right_sides_equals_separate_solves(seed, n, extra):
+    """The conditioning solves a pattern once against [I | Sigma_OM^T] and
+    slices the precision and the gain from it, which holds because potrs
+    solves each right-hand-side column on its own."""
+    rng = rng_for(seed, "stacked-potrs")
+    a = rng.normal(size=(n, n))
+    c = _potrf(project_correlation(a @ a.T + 0.1 * np.eye(n)) + 1e-8 * np.eye(n))
+    cross = rng.uniform(-1.0, 1.0, size=(extra, n))
+    both = _potrs(c, np.hstack((np.eye(n), cross.T)))
+    assert same_bits(both[:, :n], _potrs(c, np.eye(n)))
+    assert same_bits(both[:, n:], _potrs(c, cross.T))
 
 
 # Intervals narrower than 0.01 are left out: there the variance is a

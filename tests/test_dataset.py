@@ -23,6 +23,7 @@ from copulacast.dataset import (
     mask_record_to_file,
     monthly_index,
     save_csv,
+    write_float_csv,
     write_json,
 )
 from copulacast.errors import DataError
@@ -67,6 +68,67 @@ def test_observation_matrix_rejects_shape_mismatch():
                           column_kinds=(CONTINUOUS, CONTINUOUS),
                           column_names=("a", "b"),
                           time_index=monthly_index(datetime.date(2013, 1, 1), 2))
+
+
+def panel_with(**changes):
+    """small_matrix's fields with some replaced."""
+    fields = dict(values=[[1.0, 2.0], [3.0, np.nan], [5.0, 6.0]],
+                  mask=[[True, True], [True, False], [True, True]],
+                  column_kinds=(CONTINUOUS, CONTINUOUS), column_names=("a", "b"),
+                  time_index=monthly_index(datetime.date(2013, 1, 1), 3))
+    fields.update(changes)
+    return ObservationMatrix(**fields)
+
+
+NORMAL = MarginalSpec(kind="normal", params=(0.0, 1.0))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: panel_with(values=np.ones(3), mask=np.ones(3, dtype=bool)),
+     DataError, "values must be a 2-d array"),
+    (lambda: panel_with(values=np.ones((0, 2)), mask=np.ones((0, 2), dtype=bool),
+                        time_index=()),
+     DataError, "matrix must have at least one row and one column"),
+    (lambda: panel_with(column_kinds=(CONTINUOUS,)),
+     DataError, "column annotations do not match column count"),
+    (lambda: panel_with(time_index=monthly_index(datetime.date(2013, 1, 1), 2)),
+     DataError, "time index length does not match row count"),
+    (lambda: panel_with(column_kinds=(CONTINUOUS, "nominal")),
+     DataError, "unknown column kind"),
+    (lambda: panel_with(column_names=("a", "a")), DataError, "duplicate column names"),
+    (lambda: panel_with(column_kinds=(CONTINUOUS, ORDINAL), column_names=("a", "g")),
+     DataError, "ordinal column 'g' lacks levels"),
+    (lambda: write_float_csv(os.devnull, ["time", "a"], ["x", "y"], np.ones((3, 1))),
+     ValueError, "2 labels for 3 rows of values"),
+    (lambda: apply_mask(small_matrix(), 1.5, 0),
+     ValueError, "fraction must lie in [0, 1], got 1.5"),
+    (lambda: apply_mask(panel_with(mask=np.zeros((3, 2), dtype=bool)), 0.5, 0),
+     DataError, "matrix has no observed cells to erase"),
+    (lambda: gen_copula_sample(np.ones((2, 3)), [NORMAL] * 2, 5, 0),
+     ValueError, "sigma must be square"),
+    (lambda: gen_copula_sample(np.eye(2), [NORMAL], 5, 0),
+     ValueError, "need 2 marginals, got 1"),
+    (lambda: gen_copula_sample(np.eye(2), [NORMAL] * 2, 0, 0),
+     ValueError, "n must be >= 1"),
+    (lambda: gen_copula_sample([[1.0, 0.5], [0.2, 1.0]], [NORMAL] * 2, 5, 0),
+     ValueError, "sigma must be symmetric"),
+    (lambda: gen_copula_sample([[2.0, 0.0], [0.0, 1.0]], [NORMAL] * 2, 5, 0),
+     ValueError, "sigma must have a unit diagonal"),
+    (lambda: gen_copula_sample([[1.0, 1.2], [1.2, 1.0]], [NORMAL] * 2, 5, 0),
+     ValueError, "sigma must be positive definite"),
+    (lambda: gen_seasonal_load(n_periods=23),
+     ValueError, "n_periods must be >= 24 (two full seasonal cycles)"),
+    (lambda: gen_seasonal_load(n_features=0), ValueError, "n_features must be >= 1"),
+    (lambda: gen_seasonal_load(noise_sd=-1.0), ValueError, "noise_sd must be >= 0"),
+], ids=["values_1d", "no_rows", "annotations", "time_index_length", "unknown_kind",
+        "duplicate_names", "ordinal_without_levels", "csv_label_count",
+        "mask_fraction", "mask_nothing_observed", "sample_sigma_not_square",
+        "sample_marginal_count", "sample_no_rows", "sample_sigma_asymmetric",
+        "sample_sigma_diagonal", "sample_sigma_not_pd", "load_short",
+        "load_no_features", "load_negative_noise"])
+def test_dataset_input_checks_name_the_fault(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_a_copy_owns_its_values_and_mask():
