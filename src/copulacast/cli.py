@@ -378,8 +378,8 @@ def cmd_impute(config, out_dir):
     recovery = _write_panels(config, out_dir, matrix,
                              *_complete(config, matrix))
     if recovery is not None:
-        print(f"impute: copula MAE {recovery['copula_mae']:.4f} vs "
-              f"mean-imputation MAE {recovery['mean_imputation_mae']:.4f} "
+        print(f"impute: copula MAE {recovery['copula_mae']:.6g} vs "
+              f"mean-imputation MAE {recovery['mean_imputation_mae']:.6g} "
               f"over {recovery['cells']} erased cells")
     print(f"impute: wrote completed panel to {out_dir}")
 

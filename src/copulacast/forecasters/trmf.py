@@ -7,17 +7,18 @@ that ties each factor row to its own lagged values:
         + kappa_reg * sum_f sum_{t >= max_lag} (S[f,t] - sum_l w[f,l] S[f,t-l])^2
 
 Fitting alternates exact block minimizations (Lambda rows by ridge solve,
-S factor rows by a dense m x m quadratic solve, AR weights by least
-squares), so the objective never increases.  The S-row system
-(c + lambda_reg) I + kappa_reg D^T D is banded with half-bandwidth max lag;
-solving it as banded is open work listed in ROADMAP.md.  Forecasts
-extrapolate each factor row with its AR recursion and read off Lambda @ S
-at the future columns.
+S factor rows by a banded quadratic solve, AR weights by least squares), so
+the objective never increases.  The S-row system
+(c + lambda_reg) I + kappa_reg D^T D has half-bandwidth max lag: D^T D is
+built straight into LAPACK upper band storage once per sweep and each row
+is solved by Cholesky (pbsv).  Forecasts extrapolate each factor row with
+its AR recursion and read off Lambda @ S at the future columns.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import dpbsv
 
 from ..errors import FitError
 from ..rng import rng_for
@@ -62,23 +63,33 @@ def _objective(x, lam, s, w, lags, lambda_reg, kappa_reg):
     value = float(np.sum(resid ** 2))
     value += lambda_reg * (float(np.sum(lam ** 2)) + float(np.sum(s ** 2)))
     max_lag = max(lags)
-    for f in range(s.shape[0]):
-        ar = s[f, max_lag:].copy()
-        for li, lag in enumerate(lags):
-            ar -= w[f, li] * s[f, max_lag - lag:s.shape[1] - lag]
-        value += kappa_reg * float(np.sum(ar ** 2))
-    return value
-
-
-def _ar_operator(m, lags, weights):
-    """Rows t >= max_lag of the AR difference operator as a dense matrix."""
-    max_lag = max(lags)
-    rows = np.arange(m - max_lag)
-    d = np.zeros((m - max_lag, m))
-    d[rows, rows + max_lag] = 1.0
+    ar = s[:, max_lag:].copy()
     for li, lag in enumerate(lags):
-        d[rows, rows + max_lag - lag] -= weights[li]
-    return d
+        ar -= w[:, li:li + 1] * s[:, max_lag - lag:s.shape[1] - lag]
+    return value + kappa_reg * float(np.sum(ar ** 2))
+
+
+def _ar_band(m, lags, weights):
+    """Every factor's D^T D in LAPACK upper band storage, k x (L+1) x m.
+
+    D holds rows t >= L = max lag of the AR difference operator: its row t
+    has coefficient c[o] at column t - o, with c[0] = 1 and c[lag] the
+    negated sum of that lag's weights.  Row t adds c[o1] c[o2] at
+    (t - o1, t - o2); for o1 >= o2 that is band row L - (o1 - o2) at
+    column t - o2, so each offset pair is one slice-add over all factors.
+    """
+    max_lag = max(lags)
+    coef = np.zeros((weights.shape[0], max_lag + 1))
+    coef[:, 0] = 1.0
+    for li, lag in enumerate(lags):
+        coef[:, lag] -= weights[:, li]
+    offsets = sorted({0, *lags})
+    band = np.zeros((weights.shape[0], max_lag + 1, m))
+    for i, o1 in enumerate(offsets):
+        for o2 in offsets[:i + 1]:
+            band[:, max_lag - o1 + o2, max_lag - o2:m - o2] += (
+                coef[:, o1] * coef[:, o2])[:, None]
+    return band
 
 
 def _ar_predict(ext, t, ar_weights, lags):
@@ -144,18 +155,20 @@ def fit_trmf(x, k=4, lags=(1, 12), lambda_reg=0.1, kappa_reg=0.1, sweeps=50,
         gram = s @ s.T + lambda_reg * np.eye(k)
         lam = np.linalg.solve(gram, s @ x.T).T
 
-        # each S factor row given the others: quadratic with AR band
+        # each S factor row given the others: a banded quadratic whose
+        # right-hand side (X - Lambda_o S_o)^T lam_f is taken through
+        # X^T Lambda and Lambda^T Lambda, both fixed during this step
+        band = kappa_reg * _ar_band(m, lags, w)
+        cross = lam.T @ lam
+        xl = x.T @ lam
         for f in range(k):
             others = [i for i in range(k) if i != f]
-            resid = x - lam[:, others] @ s[others, :] if others else x.copy()
-            col = lam[:, f]
-            col_sq = float(col @ col)
-            a = (col_sq + lambda_reg) * np.eye(m)
-            if kappa_reg > 0:
-                d = _ar_operator(m, lags, w[f])
-                a += kappa_reg * (d.T @ d)
-            b = resid.T @ col
-            s[f, :] = np.linalg.solve(a, b)
+            band[f, max_lag] += cross[f, f] + lambda_reg
+            b = xl[:, f] - s[others, :].T @ cross[others, f]
+            _, s[f, :], info = dpbsv(band[f], b)
+            if info != 0:
+                raise FitError(f"trmf factor system {f} is not positive "
+                               f"definite (pbsv info {info})")
 
         # AR weights given S: per-factor least squares
         for f in range(k):

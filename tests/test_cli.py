@@ -455,6 +455,12 @@ def test_impute_near_the_float_limit_reports_finite_recovery(tmp_path):
     assert recovery["cells"] == 8
     assert 0 < recovery["copula_mae"] < 1.7e308
     assert 0 < recovery["mean_imputation_mae"] < 1.7e308
+    line = done.stdout.splitlines()[0]
+    assert len(line) < 120
+    printed = re.fullmatch(r"impute: copula MAE (\S+) vs mean-imputation MAE "
+                           r"(\S+) over 8 erased cells", line)
+    for text, key in zip(printed.groups(), ("copula_mae", "mean_imputation_mae")):
+        assert float(text) == pytest.approx(recovery[key], rel=1e-5)
 
 
 @pytest.mark.parametrize("command", ["impute", "run"])
