@@ -14,7 +14,6 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass, field, replace
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -499,98 +498,17 @@ def gen_seasonal_load(n_periods=108, base=100.0, trend=0.5, seasonal_amp=20.0,
         time_index=monthly_index(datetime.date(2013, 1, 1), n_periods))
 
 
-# From this nesting depth on, write_json hands a subtree to json.dumps,
-# which also reports a circular reference as json does.
-_JSON_MAX_DEPTH = 64
-
-
-def _json_float(value):
-    """json's text for a float: NaN and the infinities by their JavaScript
-    names, every other value as float.__repr__."""
-    if value != value:
-        return "NaN"
-    if value == math.inf:
-        return "Infinity"
-    if value == -math.inf:
-        return "-Infinity"
-    return float.__repr__(value)
-
-
-def _json_text(value, level, out):
-    """Append json.dumps(value, indent=2, sort_keys=True)'s text for value,
-    nested level deep, to the list out.
-
-    The rules are json's: strings through encode_basestring_ascii, booleans
-    before ints, int subclasses through int.__repr__ and float subclasses
-    through _json_float, tuples as lists, dict items sorted.  A list of
-    plain floats or plain ints is joined in one call.  Whatever else json
-    would handle differently (non-string keys, types it rejects, nesting
-    deeper than _JSON_MAX_DEPTH) is rendered by json.dumps and re-indented:
-    JSON text holds no raw newline outside its indentation.
-    """
-    if isinstance(value, str):
-        out.append(encode_basestring_ascii(value))
-    elif value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, int):
-        out.append(int.__repr__(value))
-    elif isinstance(value, float):
-        out.append(_json_float(value))
-    elif isinstance(value, (list, tuple)) and level < _JSON_MAX_DEPTH:
-        if not value:
-            out.append("[]")
-            return
-        indent = "\n" + "  " * (level + 1)
-        out.append("[" + indent)
-        kinds = set(map(type, value))
-        if kinds == {float}:
-            text = list(map(float.__repr__, value))
-            if "nan" in text or "inf" in text or "-inf" in text:
-                text = list(map(_json_float, value))
-            out.append(("," + indent).join(text))
-        elif kinds == {int}:
-            out.append(("," + indent).join(map(int.__repr__, value)))
-        else:
-            for k, item in enumerate(value):
-                if k:
-                    out.append("," + indent)
-                _json_text(item, level + 1, out)
-        out.append("\n" + "  " * level + "]")
-    elif (isinstance(value, dict) and level < _JSON_MAX_DEPTH
-          and all(type(key) is str for key in value)):
-        if not value:
-            out.append("{}")
-            return
-        indent = "\n" + "  " * (level + 1)
-        out.append("{" + indent)
-        for k, (key, item) in enumerate(sorted(value.items())):
-            if k:
-                out.append("," + indent)
-            out.append(encode_basestring_ascii(key) + ": ")
-            _json_text(item, level + 1, out)
-        out.append("\n" + "  " * level + "}")
-    else:
-        out.append(json.dumps(value, indent=2, sort_keys=True)
-                   .replace("\n", "\n" + "  " * level))
-
-
 def write_json(obj, path):
-    """Write obj as JSON: keys sorted, two-space indent, final newline.
+    """Write obj as JSON: json.dumps(obj, indent=2, sort_keys=True) plus a
+    newline.
 
-    The text is exactly json.dumps(obj, indent=2, sort_keys=True) plus a
-    newline, rendered without json's pure-Python encoder (which json uses
-    whenever indent is set).  Every JSON artifact is written here, so all of
-    them share one format.
+    The text is built before the file is opened, so a value json rejects
+    raises json's own error and leaves no file.  Every JSON artifact is
+    written here, so all of them share one format.
     """
-    out = []
-    _json_text(obj, 0, out)
-    out.append("\n")
+    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
     with open(path, "w") as fh:
-        fh.write("".join(out))
+        fh.write(text)
 
 
 def mask_record_to_file(record, path):

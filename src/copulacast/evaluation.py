@@ -251,12 +251,6 @@ def build_report(actuals, forecasts, ensemble_name="ensemble",
     for name, series in forecasts.items():
         if np.asarray(series).size != n:
             raise EvaluationError(f"column {name!r} is not aligned with actuals")
-    if period_labels is None:
-        period_labels = tuple(f"p{i + 1:02d}" for i in range(n))
-    else:
-        period_labels = tuple(str(p) for p in period_labels)
-        if len(period_labels) != n:
-            raise EvaluationError("period_labels length mismatch")
 
     grid = np.empty((n, len(names)))
     for j, name in enumerate(names):
@@ -266,14 +260,26 @@ def build_report(actuals, forecasts, ensemble_name="ensemble",
 
 
 def report_from_grid(grid, model_names, ensemble_name, period_labels=None):
-    """Assemble the statistics table directly from a per-period MAPE grid."""
+    """Assemble the statistics table directly from a per-period MAPE grid.
+
+    The grid holds one row per period and one column per model name;
+    period_labels, one per period, default to p01, p02, ...
+    """
     grid = np.asarray(grid, dtype=float)
     names = tuple(model_names)
+    if grid.ndim != 2 or grid.shape[1] != len(names):
+        raise EvaluationError(f"grid of shape {grid.shape} does not hold one "
+                              f"column per model name ({len(names)})")
     if ensemble_name not in names:
         raise EvaluationError(f"grid lacks the ensemble column {ensemble_name!r}")
     n = grid.shape[0]
     if period_labels is None:
         period_labels = tuple(f"p{i + 1:02d}" for i in range(n))
+    else:
+        period_labels = tuple(str(p) for p in period_labels)
+        if len(period_labels) != n:
+            raise EvaluationError(f"{len(period_labels)} period labels for "
+                                  f"{n} periods")
     ens_idx = names.index(ensemble_name)
     ens_col = grid[:, ens_idx]
 
@@ -289,7 +295,7 @@ def report_from_grid(grid, model_names, ensemble_name, period_labels=None):
         pv[name] = result.p_value
         flags[name] = result.all_zero
     return EvaluationReport(model_names=names, ensemble_name=ensemble_name,
-                            period_labels=tuple(period_labels),
+                            period_labels=period_labels,
                             per_period_mape=grid, mean_mape=mean_col,
                             std_mape=std_col, win_loss=wl, f_rank=fr,
                             p_value=pv, wilcoxon_all_zero=flags)

@@ -177,7 +177,7 @@ def test_one_potrs_against_stacked_right_sides_equals_separate_solves(seed, n, e
 
 # Intervals narrower than 0.01 are left out: there the variance is a
 # difference of order-one terms, and rounding alone exceeds 1e-9 of it.
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1(c): the interval "
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the interval "
                    "mass ndtr(b) - ndtr(a) cancels in the upper tail")
 @settings(max_examples=200, deadline=None)
 @given(lo=st.floats(-12.0, 12.0), hi=st.floats(-12.0, 12.0))

@@ -281,8 +281,8 @@ def test_write_json_sorts_keys_and_ends_with_newline(tmp_path):
 
 
 def test_write_json_defers_to_stdlib_beyond_its_rules(tmp_path):
-    # Nesting past the renderer's depth, non-string keys, and the errors
-    # json raises for circular and unsupported values.
+    # Deep nesting, non-string keys, and the errors json raises for circular
+    # and unsupported values, which leave no file behind.
     path = os.path.join(tmp_path, "obj.json")
     deep = [1.5]
     for k in range(100):
@@ -296,9 +296,11 @@ def test_write_json_defers_to_stdlib_beyond_its_rules(tmp_path):
     for obj, error in ((loop, ValueError), ({"x": object()}, TypeError)):
         with pytest.raises(error) as want:
             json.dumps(obj, indent=2, sort_keys=True)
+        fresh = os.path.join(tmp_path, f"{error.__name__}.json")
         with pytest.raises(error) as got:
-            write_json(obj, path)
+            write_json(obj, fresh)
         assert str(got.value) == str(want.value)
+        assert not os.path.exists(fresh)
 
 
 def test_gen_seasonal_load_shape_and_names():

@@ -282,6 +282,14 @@ def test_build_report_rejects_zero_actuals_and_missing_ensemble():
                      {"ensemble": np.array([1.0, 1.0])})
     with pytest.raises(EvaluationError):
         build_report(np.array([1.0, 2.0]), {"alpha": np.array([1.0, 1.0])})
+    # The grid route checks its own shape and labels.
+    grid = np.array([[1.0, 2.0], [3.0, 1.0], [2.0, 2.5]])
+    for bad in (grid[:, :1], grid[:, 0]):
+        with pytest.raises(EvaluationError):
+            report_from_grid(bad, ("alpha", "ensemble"), "ensemble")
+    with pytest.raises(EvaluationError):
+        report_from_grid(grid, ("alpha", "ensemble"), "ensemble",
+                         period_labels=["2021-01"])
 
 
 def test_report_json_round_trip(tmp_path):
