@@ -107,8 +107,11 @@ def test_config_section_of_wrong_type_reports_config_error(tmp_path, capsys,
 
 @pytest.mark.parametrize("key, override", [
     ("seed", {"seed": "abc"}),
-    # jobs is a retired setting: it now fails as an unknown key.
-    ("jobs", {"jobs": 2}),
+    # jobs is a retired setting: whatever its value, it fails as an unknown key.
+    ("jobs", {"jobs": None}),
+    ("jobs", {"jobs": True}),
+    ("jobs", {"jobs": 0}),
+    ("jobs", {"jobs": -2}),
     ("mask.fraction", {"mask": {"fraction": None}}),
     ("copula.max_iters", {"copula": {"max_iters": "x"}}),
     ("copula.max_iters", {"copula": {"max_iters": 2.7}}),
@@ -170,9 +173,9 @@ def test_config_section_of_wrong_type_reports_config_error(tmp_path, capsys,
     ("roster names", {"roster": [{"name": "naive_seasonal"}, {"name": "ridge_ar"},
                                  {"name": "gbt", "n_rounds": 3},
                                  {"name": "gbt", "n_rounds": 30}]}),
-], ids=["seed", "retired_jobs", "mask_fraction", "copula_max_iters",
-        "copula_max_iters_fraction", "copula_tol", "copula_ridge",
-        "task_horizon", "task_validation",
+], ids=["seed", "jobs_null", "jobs_bool", "jobs_zero", "jobs_negative",
+        "mask_fraction", "copula_max_iters", "copula_max_iters_fraction",
+        "copula_tol", "copula_ridge", "task_horizon", "task_validation",
         "task_features_int", "task_features_string", "task_features_mixed",
         "data_csv_no_path", "data_csv_path_int", "data_csv_no_columns",
         "data_csv_columns_list", "data_csv_ordinal_levels_list",
