@@ -236,8 +236,15 @@ def _mask_stage(config, matrix):
 
 def _build_task(config, matrix):
     task_cfg = config["task"]
+
+    def column(key, name):
+        try:
+            return matrix.column_index(name)
+        except DataError as exc:
+            raise DataError(f"task.{key}: {exc}") from None
+
     target = task_cfg["target"]
-    target_idx = matrix.column_index(target)
+    target_idx = column("target", target)
     horizon = task_cfg["horizon"]
     n_val = task_cfg["validation_periods"]
     n = matrix.n_rows
@@ -249,7 +256,7 @@ def _build_task(config, matrix):
     if features == "all":
         feature_idx = tuple(j for j in range(matrix.n_cols) if j != target_idx)
     else:
-        feature_idx = tuple(matrix.column_index(f) for f in features)
+        feature_idx = tuple(column("features", f) for f in features)
         if target_idx in feature_idx or len(set(feature_idx)) < len(feature_idx):
             raise ConfigError("task.features must name distinct columns other "
                               f"than task.target {target!r}, got "

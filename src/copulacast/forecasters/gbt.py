@@ -18,8 +18,6 @@ right, value) that prediction descends, a whole design through every tree at
 once; models.json's nested trees are rendered from those arrays.
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from ..errors import FitError
@@ -44,11 +42,11 @@ def _best_split(x, g, min_leaf, reg_alpha):
     gain: ties go to the lower feature, then the lower threshold, and a NaN
     gain (only an overflowed G^2 makes one: inf - inf) wins only as the
     first candidate.  gain_core omits the reg_gamma subtraction.
-    Returns (split, True), or (None, False) when no row is admissible.
+    Returns None when no row is admissible.
     """
     n = x.shape[0]
     if n < 2 * min_leaf:
-        return None, False
+        return None
     g_total = g.sum()
     parent = _score(g_total, n, reg_alpha)
     order = np.argsort(x, axis=0, kind="stable")
@@ -59,7 +57,7 @@ def _best_split(x, g, min_leaf, reg_alpha):
     lo, hi = xs[rows], xs[min_leaf:n - min_leaf + 1]
     admissible = (lo != hi).T  # feature-major, the order of the scan
     if not admissible.any():
-        return None, False
+        return None
     gain = 0.5 * (_score(gs, hs, reg_alpha)
                   + _score(g_total - gs, n - hs, reg_alpha)
                   - parent)
@@ -68,11 +66,11 @@ def _best_split(x, g, min_leaf, reg_alpha):
     if k and np.isnan(candidates[k]):
         k = int(np.nanargmax(candidates))
     j, i = np.argwhere(admissible)[k]
-    return (candidates[k], int(j), 0.5 * (lo[i, j] + hi[i, j])), True
+    return candidates[k], int(j), 0.5 * (lo[i, j] + hi[i, j])
 
 
-class _Forest:
-    """Boosted trees as parallel node arrays, grown in place.
+class GBTModel:
+    """Base score plus boosted trees, as parallel node arrays grown in place.
 
     Node k sends a row left when x[feature[k]] <= threshold[k]; a leaf
     reads column 0 and points left and right at itself, so `depth` steps
@@ -81,7 +79,9 @@ class _Forest:
     freeze turns the lists into arrays once, before any descent.
     """
 
-    def __init__(self):
+    def __init__(self, base_score, learn_rate):
+        self.base_score, self.learn_rate = base_score, learn_rate
+        self.train_losses = []
         self.roots, self.feature, self.threshold = [], [], []
         self.left, self.right, self.value = [], [], []
         self.depth = 0
@@ -104,13 +104,13 @@ class _Forest:
             self.value.append(_leaf_weight(gs.sum(), rows.size, reg_alpha))
             self.left.append(k)
             self.right.append(k)
-            split, any_candidate = None, False
+            split = None
             if depth < max_depth:
-                split, any_candidate = _best_split(xs, gs, min_leaf, reg_alpha)
+                split = _best_split(xs, gs, min_leaf, reg_alpha)
             if split is None or split[0] - reg_gamma <= 0:
                 weights[rows] = self.value[k]
                 self.depth = max(self.depth, depth)
-                return any_candidate
+                return split is not None
             _, j, threshold = split
             self.feature[k], self.threshold[k] = j, threshold
             # The descent's own comparison, so a NaN cell goes right here too.
@@ -119,7 +119,7 @@ class _Forest:
             node(rows[go_left], depth + 1)
             self.right[k] = len(self.value)
             node(rows[~go_left], depth + 1)
-            return any_candidate
+            return True
 
         root = len(self.value)
         return root, node(np.arange(x.shape[0]), 0), weights
@@ -131,14 +131,26 @@ class _Forest:
         self.threshold, self.value = np.array(self.threshold), np.array(self.value)
         return self
 
-    def leaf_values(self, x):
-        """(rows, trees) array of each tree's leaf weight for each row of x."""
+    def predict(self, x):
+        return self.predict_partial(x, len(self.roots))
+
+    def predict_partial(self, x, n_trees):
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        return self.running_sums(x)[:, min(n_trees, len(self.roots))]
+
+    def running_sums(self, x):
+        """Column r holds base_score + lr*v_1 + ... + lr*v_r for each row.
+
+        v_t is tree t's leaf weight; the terms are added in tree order.
+        """
         node = np.broadcast_to(self.roots, (x.shape[0], self.roots.size))
         rows = np.arange(x.shape[0])[:, None]
         for _ in range(self.depth):
             go_left = x[rows, self.feature[node]] <= self.threshold[node]
             node = np.where(go_left, self.left[node], self.right[node])
-        return self.value[node]
+        steps = self.learn_rate * self.value[node]
+        base = np.full((x.shape[0], 1), self.base_score)
+        return np.cumsum(np.hstack([base, steps]), axis=1)
 
     def to_json(self):
         """Each kept tree as nested split and leaf nodes."""
@@ -149,38 +161,9 @@ class _Forest:
                     "threshold": float(self.threshold[k]),
                     "left": render(self.left[k]), "right": render(self.right[k])}
 
-        return [render(k) for k in self.roots]
-
-
-@dataclass
-class GBTModel:
-    """Boosted tree stack with its base score and per-round training loss."""
-
-    base_score: float
-    forest: _Forest
-    learn_rate: float = 0.3
-    train_losses: list = field(default_factory=list)
-
-    def predict(self, x):
-        return self.predict_partial(x, len(self.forest.roots))
-
-    def predict_partial(self, x, n_trees):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        return self.running_sums(x)[:, min(n_trees, len(self.forest.roots))]
-
-    def running_sums(self, x):
-        """Column r holds base_score + lr*v_1 + ... + lr*v_r for each row.
-
-        v_t is tree t's leaf weight; the terms are added in tree order.
-        """
-        steps = self.learn_rate * self.forest.leaf_values(x)
-        base = np.full((x.shape[0], 1), self.base_score)
-        return np.cumsum(np.hstack([base, steps]), axis=1)
-
-    def to_json(self):
         return {"base_score": float(self.base_score),
                 "learn_rate": float(self.learn_rate),
-                "trees": self.forest.to_json(),
+                "trees": [render(k) for k in self.roots],
                 "train_losses": [float(v) for v in self.train_losses]}
 
 
@@ -213,25 +196,25 @@ def fit_gbt_arrays(x, y, n_rounds=50, max_depth=3, min_leaf=2, reg_alpha=0.0,
         raise FitError(f"need at least {2 * min_leaf} rows to grow a split")
 
     base_score, learn_rate = float(y.mean()), float(learn_rate)
-    forest, losses = _Forest(), []
+    model = GBTModel(base_score, learn_rate)
     pred = np.full(y.size, base_score)
     for rnd in range(n_rounds):
-        root, any_candidate, weights = forest.grow(x, pred - y, max_depth, min_leaf,
-                                                   reg_alpha, reg_gamma)
-        if forest.left[root] == root:
+        root, any_candidate, weights = model.grow(x, pred - y, max_depth, min_leaf,
+                                                  reg_alpha, reg_gamma)
+        if model.left[root] == root:
             if rnd == 0 and not any_candidate and float(np.ptp(y)) > 0:
-                raise FitError("no admissible split: every feature is constant "
-                               "while the target varies")
-            if abs(learn_rate * forest.value[root]) < 1e-12:
+                raise FitError("no admissible split: no feature has a threshold "
+                               f"that leaves min_leaf = {min_leaf} rows on each "
+                               "side, while the target varies")
+            if abs(learn_rate * model.value[root]) < 1e-12:
                 break  # no root points at the stump: it neither renders nor predicts
         pred = pred + learn_rate * weights
-        forest.roots.append(root)
+        model.roots.append(root)
         loss = float(np.mean((pred - y) ** 2))
         if not np.isfinite(loss):
             raise FitError("gbt training diverged; lower learn_rate")
-        losses.append(loss)
-    return GBTModel(base_score=base_score, forest=forest.freeze(),
-                    learn_rate=learn_rate, train_losses=losses)
+        model.train_losses.append(loss)
+    return model.freeze()
 
 
 def fit_gbt(task, matrix, lags=(1, 2, 3, 12), n_rounds=50, max_depth=3,
@@ -265,7 +248,7 @@ def fit_gbt(task, matrix, lags=(1, 2, 3, 12), n_rounds=50, max_depth=3,
 
         return recursive_path(y, origin, steps, step)
 
-    n_trees = len(model.forest.roots)
+    n_trees = len(model.roots)
     val_paths = forecast_paths(task.train_stop, task.n_validation,
                                range(1, n_trees + 1) if n_trees else [0])
     hold = forecast_paths(task.validation_stop, task.horizon, [n_trees])[:, 0]

@@ -671,19 +671,20 @@ def test_ablate_writes_merit_ordered_prefixes(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["run", "ablate"])
-@pytest.mark.parametrize("task, category", [
-    ({"target": "nope"}, "data"),
-    ({"horizon": 200}, "config"),
-    ({"features": ["load"]}, "config"),
-    ({"features": ["feat_01", "feat_01"]}, "config"),
-], ids=["unknown_target", "horizon_too_long", "target_among_features",
-        "repeated_feature"])
+@pytest.mark.parametrize("task, prefix", [
+    ({"target": "nope"}, "error[data]: task.target: no column named 'nope'"),
+    ({"features": ["nope"]}, "error[data]: task.features: no column named 'nope'"),
+    ({"horizon": 200}, "error[config]: "),
+    ({"features": ["load"]}, "error[config]: "),
+    ({"features": ["feat_01", "feat_01"]}, "error[config]: "),
+], ids=["unknown_target", "unknown_feature", "horizon_too_long",
+        "target_among_features", "repeated_feature"])
 def test_task_errors_before_any_artifact_is_written(tmp_path, capsys, command,
-                                                    task, category):
+                                                    task, prefix):
     cfg = write_config(tmp_path, {"task": task})
     out = os.path.join(tmp_path, "out")
     assert main([command, "--config", cfg, "--out", out]) == 1
-    assert capsys.readouterr().err.startswith(f"error[{category}]: ")
+    assert capsys.readouterr().err.startswith(prefix)
     assert os.listdir(out) == []
 
 

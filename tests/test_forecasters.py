@@ -481,16 +481,16 @@ def _build_tree(x, g, h, depth, max_depth, min_leaf, reg_alpha, reg_gamma):
     leaf = TreeNode(value=_leaf_weight(g_total, h_total, reg_alpha))
     if depth >= max_depth:
         return leaf, False
-    split, any_candidate = _best_split(x, g, min_leaf, reg_alpha)
+    split = _best_split(x, g, min_leaf, reg_alpha)
     if split is None or split[0] - reg_gamma <= 0:
-        return leaf, any_candidate
+        return leaf, split is not None
     _, j, threshold = split
     go_left = x[:, j] <= threshold
     left, _ = _build_tree(x[go_left], g[go_left], h[go_left], depth + 1,
                           max_depth, min_leaf, reg_alpha, reg_gamma)
     right, _ = _build_tree(x[~go_left], g[~go_left], h[~go_left], depth + 1,
                            max_depth, min_leaf, reg_alpha, reg_gamma)
-    return TreeNode(feature=j, threshold=threshold, left=left, right=right), any_candidate
+    return TreeNode(feature=j, threshold=threshold, left=left, right=right), True
 
 
 def _fit_gbt_reference(x, y, n_rounds, max_depth, min_leaf, reg_alpha,
@@ -622,16 +622,16 @@ def test_best_split_matches_scalar_reference(min_leaf, reg_alpha):
         g = np.round(rng.normal(size=n), 1)  # ties among gains as well
         got = _best_split(x, g, min_leaf, reg_alpha)
         want = _best_split_reference(x, g, np.ones(n), min_leaf, reg_alpha)
-        assert got[1] == want[1], label
+        assert (got is None) == (not want[1]), label
         if want[0] is None:
-            assert got[0] is None, label
+            assert got is None, label
             continue
-        gain, j, threshold = got[0]
+        gain, j, threshold = got
         assert (gain, j, threshold) == want[0], label
         assert type(j) is int
     few = rng.normal(size=(2 * min_leaf - 1, 3))
     g = rng.normal(size=few.shape[0])
-    assert _best_split(few, g, min_leaf, reg_alpha) == (None, False)
+    assert _best_split(few, g, min_leaf, reg_alpha) is None
 
 
 def test_best_split_nan_gain_rule_matches_scalar_reference():
@@ -645,10 +645,10 @@ def test_best_split_nan_gain_rule_matches_scalar_reference():
              [1e154, 0.0, 1e154, 0.0]]
     with np.errstate(over="ignore", invalid="ignore"):
         for g in map(np.array, cases):
-            (gain, j, thr), found = _best_split(x, g, 1, 0.0)
+            gain, j, thr = _best_split(x, g, 1, 0.0)
             (want_gain, want_j, want_thr), want_found = \
                 _best_split_reference(x, g, np.ones(4), 1, 0.0)
-            assert found == want_found
+            assert want_found
             assert (j, thr) == (want_j, want_thr)
             assert gain == want_gain or (math.isnan(gain)
                                          and math.isnan(want_gain))
@@ -672,11 +672,23 @@ def test_gbt_training_loss_is_monotone():
     assert all(b <= a + 1e-10 for a, b in zip(losses, losses[1:]))
 
 
+def _no_admissible_split(min_leaf):
+    return (f"^no admissible split: no feature has a threshold that leaves "
+            f"min_leaf = {min_leaf} rows on each side, while the target varies$")
+
+
 def test_gbt_no_candidate_split_raises():
     x = np.zeros((10, 2))
     y = np.arange(10, dtype=float)
-    with pytest.raises(FitError):
+    with pytest.raises(FitError, match=_no_admissible_split(2)):
         fit_gbt_arrays(x, y, n_rounds=3)
+
+
+def test_gbt_no_split_error_names_min_leaf():
+    # The one threshold of [0, 0, 0, 1] leaves 3 rows and 1 row, so
+    # min_leaf = 2 admits none although the feature is not constant.
+    with pytest.raises(FitError, match=_no_admissible_split(2)):
+        fit_gbt_arrays([[0], [0], [0], [1]], [1, 2, 3, 4], min_leaf=2)
 
 
 @pytest.mark.parametrize("setting", [
