@@ -417,7 +417,7 @@ def cmd_run(config, out_dir, ablate=False):
                              + [forecasts])
     write_float_csv(os.path.join(out_dir, "forecasts.csv"),
                     ["time", "actual"] + [m.name for m in models] + [ENSEMBLE],
-                    labels, values, mask=~np.isnan(values))
+                    labels, values)
     trace.to_csv(os.path.join(out_dir, "convergence_trace.csv"))
     write_json([m.to_json() for m in models],
                os.path.join(out_dir, "models.json"))

@@ -40,7 +40,7 @@ tests/test_copula.py checks against a copy of that computation.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
@@ -849,16 +849,15 @@ def impute(model, matrix):
 
 def _fill(model, matrix, plan):
     """impute on a plan of the matrix's latent cells under model.marginals."""
-    out = matrix.copy()
     rows = np.flatnonzero((plan.n_obs > 0) & (plan.n_obs < plan.q))
     kernel = _Conditioning(model.sigma, plan, _Layout(plan, rows), model.ridge)
     latent = np.zeros(matrix.values.shape)
     kernel.missing_means(kernel.observed_moments()[0], latent)
+    values = matrix.values.copy()
     for j, marginal in enumerate(model.marginals):
         rows = np.flatnonzero(~matrix.mask[:, j])
-        out.values[rows, j] = marginal.from_latent(latent[rows, j])
-    out.mask[:] = True
-    return out
+        values[rows, j] = marginal.from_latent(latent[rows, j])
+    return replace(matrix, values=values, mask=np.ones_like(matrix.mask))
 
 
 def complete(matrix, max_iters=100, tol=1e-4, ridge=1e-8):

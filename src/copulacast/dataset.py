@@ -234,7 +234,6 @@ def load_csv(path, schema):
 
     dates = []
     values = np.full((len(body), q), np.nan)
-    mask = np.zeros((len(body), q), dtype=bool)
     for i, (line, row) in enumerate(body):
         try:
             dates.append(datetime.date.fromisoformat(row[0].strip()))
@@ -250,8 +249,11 @@ def load_csv(path, schema):
                 raise DataError(
                     f"{path}: row {line}, column {names[j]!r}: "
                     f"cannot parse {tok!r}") from None
-            mask[i, j] = True
+            if not math.isfinite(values[i, j]):
+                raise DataError(f"{path}: row {line}, column {names[j]!r}: "
+                                f"{tok!r} is not a finite number")
 
+    mask = ~np.isnan(values)
     ordinal_levels = {}
     for j, name in enumerate(names):
         if kinds[j] != ORDINAL:
@@ -262,8 +264,7 @@ def load_csv(path, schema):
             obs = values[mask[:, j], j]
             if obs.size == 0:
                 raise DataError(f"{path}: ordinal column {name!r} has no observed cells")
-            if not (np.all(np.isfinite(obs)) and np.all(obs == np.round(obs))
-                    and obs.min() >= 1):
+            if not (np.all(obs == np.round(obs)) and obs.min() >= 1):
                 raise DataError(
                     f"{path}: ordinal column {name!r} holds non-integer levels; "
                     "declare ordinal_levels in the schema")
@@ -286,25 +287,22 @@ def save_csv(matrix, path):
     """
     write_float_csv(path, ["time"] + list(matrix.column_names),
                     [t.isoformat() for t in matrix.time_index],
-                    matrix.values, mask=matrix.mask)
+                    matrix.values)
 
 
-def write_float_csv(path, header, labels, values, mask=None):
+def write_float_csv(path, header, labels, values):
     """Write a table of floats as CSV: the header row, then one row per label.
 
     Each row is its label, written as the csv module writes it, followed by
     that row of values, each float as its repr, so float() reads back the
-    same double.  Where mask is given, its False cells become empty fields.
-    Every CSV table of floats is written here, so all of them share one
-    format.
+    same double, and each NaN as an empty field, which load_csv reads back
+    as missing.  Every CSV table of floats is written here, so all of them
+    share one format.
     """
-    text = [list(map(float.__repr__, row))
+    text = [["" if math.isnan(v) else repr(v) for v in row]
             for row in np.asarray(values, dtype=float).tolist()]
     if len(labels) != len(text):
         raise ValueError(f"{len(labels)} labels for {len(text)} rows of values")
-    if mask is not None:
-        for i, j in np.argwhere(~np.asarray(mask, dtype=bool)).tolist():
-            text[i][j] = ""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -337,11 +335,11 @@ def apply_mask(matrix, fraction, seed):
     picks = rng.choice(observed.shape[0], size=n_erase, replace=False)
     # argwhere lists cells in row-major order, so sorted picks sort the cells.
     cells = observed[np.sort(picks)]
-    out = matrix.copy()
-    out.mask[tuple(cells.T)] = False
-    out.values[tuple(cells.T)] = np.nan
-    return out, MaskRecord(erased_cells=tuple(map(tuple, cells.tolist())),
-                           fraction=float(fraction), seed=int(seed))
+    mask = matrix.mask.copy()
+    mask[tuple(cells.T)] = False
+    return replace(matrix, mask=mask), MaskRecord(
+        erased_cells=tuple(map(tuple, cells.tolist())),
+        fraction=float(fraction), seed=int(seed))
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,9 @@ from .dataset import write_json
 from .errors import EvaluationError
 
 
-def _ape(actual, predicted):
-    """Per-period absolute percentage errors, as fractions; mape's checks."""
+def _ape(actual, predicted, labels=None):
+    """Per-period absolute percentage errors, as fractions; mape's checks.
+    A zero actual is named by its label, or by its index without labels."""
     actual = np.asarray(actual, dtype=float)
     predicted = np.asarray(predicted, dtype=float)
     if actual.ndim != 1 or actual.shape != predicted.shape:
@@ -28,8 +29,9 @@ def _ape(actual, predicted):
         raise EvaluationError("need at least one period")
     zeros = np.flatnonzero(actual == 0)
     if zeros.size:
-        raise EvaluationError(f"actual value at index {int(zeros[0])} is zero; "
-                              "MAPE is undefined")
+        i = int(zeros[0])
+        where = f"at index {i}" if labels is None else f"for period {labels[i]}"
+        raise EvaluationError(f"actual value {where} is zero; MAPE is undefined")
     return np.abs((actual - predicted) / actual)
 
 
@@ -237,7 +239,8 @@ def build_report(actuals, forecasts, ensemble_name="ensemble",
         forecasts: mapping model name -> per-period forecast series; must
             include ensemble_name.
         ensemble_name: column every baseline is compared against.
-        period_labels: optional row labels; defaults to p01, p02, ...
+        period_labels: optional row labels, which also name a zero actual;
+            defaults to p01, p02, ...
 
     Returns:
         EvaluationReport.
@@ -251,12 +254,24 @@ def build_report(actuals, forecasts, ensemble_name="ensemble",
     for name, series in forecasts.items():
         if np.asarray(series).size != n:
             raise EvaluationError(f"column {name!r} is not aligned with actuals")
+    if period_labels is not None:
+        period_labels = _period_labels(period_labels, n)
 
     grid = np.empty((n, len(names)))
     for j, name in enumerate(names):
-        grid[:, j] = _ape(actuals, forecasts[name]) * 100.0
+        grid[:, j] = _ape(actuals, forecasts[name], period_labels) * 100.0
 
     return report_from_grid(grid, names, ensemble_name, period_labels)
+
+
+def _period_labels(period_labels, n):
+    """The labels as strings, checked to number n; p01, p02, ... for None."""
+    if period_labels is None:
+        return tuple(f"p{i + 1:02d}" for i in range(n))
+    period_labels = tuple(str(p) for p in period_labels)
+    if len(period_labels) != n:
+        raise EvaluationError(f"{len(period_labels)} period labels for {n} periods")
+    return period_labels
 
 
 def report_from_grid(grid, model_names, ensemble_name, period_labels=None):
@@ -273,13 +288,7 @@ def report_from_grid(grid, model_names, ensemble_name, period_labels=None):
     if ensemble_name not in names:
         raise EvaluationError(f"grid lacks the ensemble column {ensemble_name!r}")
     n = grid.shape[0]
-    if period_labels is None:
-        period_labels = tuple(f"p{i + 1:02d}" for i in range(n))
-    else:
-        period_labels = tuple(str(p) for p in period_labels)
-        if len(period_labels) != n:
-            raise EvaluationError(f"{len(period_labels)} period labels for "
-                                  f"{n} periods")
+    period_labels = _period_labels(period_labels, n)
     ens_idx = names.index(ensemble_name)
     ens_col = grid[:, ens_idx]
 

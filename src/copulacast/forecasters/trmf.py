@@ -15,7 +15,7 @@ is solved by Cholesky (pbsv).  Forecasts extrapolate each factor row with
 its AR recursion and read off Lambda @ S at the future columns.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg.lapack import dpbsv
@@ -280,10 +280,9 @@ def fit_trmf_forecaster(task, matrix, k=4, lags=(1, 12), lambda_reg=0.1,
 
     x_val = matrix.values[task.validation_range[0]:task.validation_stop, :].T
     tracked = track_factors(model, x_val, lambda_reg, kappa_reg)
-    ahead = extrapolate_factors(
-        np.concatenate([model.factors, tracked], axis=1), model.ar_weights,
-        model.lags, task.horizon)
-    hold = (model.loadings @ ahead)[task.target_column]
+    hold = forecast_trmf(
+        replace(model, factors=np.concatenate([model.factors, tracked], axis=1)),
+        task.horizon, row=task.target_column)
 
     return score_round_paths("trmf", task, matrix.values[:, task.target_column],
                              val_paths, hold, dict(model.hyper), model.to_json())

@@ -282,8 +282,7 @@ def test_csv_ordinal_inf_without_levels_reports_data_error(tmp_path, capsys):
     out = os.path.join(tmp_path, "out")
     assert main(["impute", "--config", cfg, "--out", out]) == 1
     assert capsys.readouterr().err == (
-        f"error[data]: {path}: ordinal column 'g' holds non-integer levels; "
-        "declare ordinal_levels in the schema\n")
+        f"error[data]: {path}: row 3, column 'g': 'inf' is not a finite number\n")
     assert os.listdir(out) == []
 
 
@@ -806,12 +805,18 @@ def read_bytes(*parts):
         return fh.read()
 
 
-def seasonal_csv_config(tmp_path, blank=()):
+def seasonal_csv_config(tmp_path, blank=(), zero=()):
     """The default synthetic panel at seed 11 as a CSV source, with the load
-    cell of each period labelled in blank left empty."""
+    cell of each period labelled in blank left empty and of each labelled in
+    zero set to 0."""
     panel = gen_seasonal_load(seed=11)
+    labels = [t.isoformat() for t in panel.time_index]
     for label in blank:
-        panel.mask[[t.isoformat() for t in panel.time_index].index(label), 0] = False
+        i = labels.index(label)
+        panel.mask[i, 0] = False
+        panel.values[i, 0] = np.nan
+    for label in zero:
+        panel.values[labels.index(label), 0] = 0.0
     path = os.path.join(tmp_path, "panel.csv")
     save_csv(panel, path)
     return write_config(tmp_path, {"data": csv_source(path)}, name="csv.json")
@@ -872,6 +877,18 @@ def test_fewer_than_two_scored_periods_fail_before_any_artifact(
     assert main([command, "--config", cfg, "--out", out]) == 1
     assert capsys.readouterr().err.startswith(
         "error[evaluation]: 1 of 12 holdout periods have an actual; ")
+    assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("command", ["run", "ablate"])
+def test_a_zero_actual_is_named_by_its_period(tmp_path, capsys, command):
+    # 2021-03 is the holdout's third period but the second scored one.
+    cfg = seasonal_csv_config(tmp_path, blank=["2021-01-01"], zero=["2021-03-01"])
+    out = os.path.join(tmp_path, "out")
+    assert main([command, "--config", cfg, "--out", out]) == 1
+    assert capsys.readouterr().err == (
+        "error[evaluation]: actual value for period 2021-03-01 is zero; "
+        "MAPE is undefined\n")
     assert os.listdir(out) == []
 
 
@@ -950,6 +967,20 @@ def test_eval_needs_two_periods_with_an_actual(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error[evaluation]: 1 of 3 holdout periods have an actual; "
         "scoring needs at least 2\n")
+
+
+def test_eval_names_a_zero_actual_by_its_period(tmp_path, capsys):
+    forecasts, actuals = eval_fixtures(tmp_path)
+    with open(forecasts, "a") as fh:
+        fh.write("2021-04,104.0,101.0\n")
+    with open(actuals, "w") as fh:
+        fh.write("time,load\n2021-01,100.0\n2021-02,\n2021-03,100.0\n2021-04,0\n")
+    out = os.path.join(tmp_path, "out")
+    assert main(["eval", forecasts, actuals, "--out", out]) == 1
+    assert capsys.readouterr().err == (
+        "error[evaluation]: actual value for period 2021-04 is zero; "
+        "MAPE is undefined\n")
+    assert os.listdir(out) == []
 
 
 def test_eval_rejects_a_repeated_column(tmp_path, capsys):
@@ -1085,7 +1116,7 @@ AB = {"a": CONTINUOUS, "b": CONTINUOUS}
     (panel_source(AB), "time,a,b\n2020-01-01,1,2\n2020-03-01,2,5\n2020-02-01,3,1\n",
      "error[data]: PANEL: time index must be strictly increasing"),
     (panel_source(AB), "time,a,b\n2020-01-01,1,2\n2020-02-01,inf,5\n2020-03-01,3,1\n",
-     "error[data]: PANEL: observed cells must be finite"),
+     "error[data]: PANEL: row 3, column 'a': 'inf' is not a finite number"),
     (panel_source(AB),
      "time,a,b\n2020-01-01,1e308,2\n2020-02-01,-1e308,1\n2020-03-01,3,3\n"
      "2020-04-01,4,5\n",

@@ -429,10 +429,20 @@ CONTINUOUS_MARGINAL = MarginalTransform(kind=CONTINUOUS, support=np.array([1.0, 
     (lambda: impute(CopulaModel(sigma=np.eye(3), marginals=[CONTINUOUS_MARGINAL] * 3),
                     continuous_matrix([[1.0, 2.0], [3.0, 5.0], [4.0, 4.0]])),
      "model and matrix disagree on column count"),
+    (lambda: _latent_cells(continuous_matrix([[1.0, 2.0], [3.0, 5.0]]),
+                           [CONTINUOUS_MARGINAL]),
+     "marginal count does not match column count"),
+    (lambda: e_step(np.eye(2), RowConstraint(exact={}, intervals={0: (0.5, 0.5)},
+                                             missing=(1,))),
+     "need hi > lo"),
+    (lambda: pseudo_loglik(np.eye(2), [RowConstraint(exact={0: math.inf},
+                                                     intervals={}, missing=(1,))]),
+     "array must not contain infs or NaNs"),
 ], ids=["to_latent_ordinal", "to_interval_continuous", "moments_zero_sd",
         "e_step_arity", "projection_not_square", "model_dimension",
         "model_asymmetric", "model_diagonal", "model_not_psd", "em_no_iterations",
-        "impute_column_count"])
+        "impute_column_count", "latent_cells_marginal_count", "e_step_empty_interval",
+        "loglik_infinite_exact"])
 def test_copula_input_checks_name_the_fault(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()

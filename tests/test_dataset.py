@@ -132,7 +132,8 @@ def test_dataset_input_checks_name_the_fault(call, error, message):
 
 
 def test_a_copy_owns_its_values_and_mask():
-    # apply_mask and the copula's fill write into a copy of their input.
+    # A copy shares no array with its source, so writes to one leave the
+    # other as it was.
     m = small_matrix()
     dup = m.copy()
     dup.values[0, 0] = 99.0
@@ -197,9 +198,14 @@ def test_load_csv_rejects_unknown_column(tmp_path):
     ("time,a,b\n2020-01-01,1,2\n2020-03-01,2,3\n2020-02-01,3,1\n",
      "time index must be strictly increasing"),
     ("time,a,b\n2020-01-01,1,2\n2020-02-01,inf,3\n2020-03-01,3,1\n",
-     "observed cells must be finite"),
+     "row 3, column 'a': 'inf' is not a finite number"),
+    ("time,a,b\n2020-01-01,1,2\n2020-02-01,2,3\n2020-03-01, +nan ,1\n",
+     "row 4, column 'a': '+nan' is not a finite number"),
+    ("time,a,b\n2020-01-01,1e999,2\n2020-02-01,2,3\n2020-03-01,3,1\n",
+     "row 2, column 'a': '1e999' is not a finite number"),
 ], ids=["empty", "header_only", "ragged_after_blank_line", "repeated_column",
-        "out_of_level", "dates_not_increasing", "infinite_cell"])
+        "out_of_level", "dates_not_increasing", "infinite_cell", "signed_nan_cell",
+        "overflowing_cell"])
 def test_load_csv_table_errors_name_file_lines(tmp_path, text, message):
     path = os.path.join(tmp_path, "table.csv")
     with open(path, "w") as fh:
@@ -230,8 +236,12 @@ def test_load_csv_ordinal_levels_default_to_the_observed_values(tmp_path):
 @pytest.mark.parametrize("cell", ["inf", "-inf", "2.5", "0"])
 def test_load_csv_ordinal_values_without_levels_must_be_integers(tmp_path, cell):
     path = write_ordinal_csv(tmp_path, ["1", cell, "2", "1"])
-    with pytest.raises(DataError, match="ordinal column 'g' holds non-integer "
-                       "levels; declare ordinal_levels in the schema"):
+    if cell in ("inf", "-inf"):
+        message = f"row 3, column 'g': '{cell}' is not a finite number"
+    else:
+        message = ("ordinal column 'g' holds non-integer levels; declare "
+                   "ordinal_levels in the schema")
+    with pytest.raises(DataError, match=f"^{re.escape(f'{path}: {message}')}$"):
         load_csv(path, Schema(columns={"g": ORDINAL}))
 
 

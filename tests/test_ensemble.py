@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -151,6 +152,25 @@ def test_run_ensemble_rejects_horizon_mismatch():
                               validation_start=8, holdout_start=10)
     with pytest.raises(ValueError):
         run_ensemble([short], toy_task())
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: update_weights([], []), "ce must be a non-empty 1-d sequence"),
+    (lambda: update_weights([1.0, 2.0], [1.0]),
+     "ce and lambdas must have the same length"),
+    (lambda: update_weights([1.0, -1.0], [1.0, 1.0]),
+     "ce must be finite and non-negative"),
+    (lambda: update_weights([1.0, math.nan], [1.0, 1.0]),
+     "ce must be finite and non-negative"),
+    (lambda: aggregate([1.0, math.inf], [0.5, 0.5]), "preds must be finite"),
+    (lambda: run_ensemble([], toy_task()), "model list must be non-empty"),
+    (lambda: ablation([], toy_task(), [1.0, 2.0, 3.0]),
+     "model list must be non-empty"),
+], ids=["weights_empty", "weights_lengths", "weights_negative", "weights_nan",
+        "aggregate_infinite", "run_ensemble_empty", "ablation_empty"])
+def test_ensemble_input_checks_name_the_fault(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_convergence_trace_csv_round_trip(tmp_path):

@@ -9,6 +9,7 @@ import itertools
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -315,3 +316,19 @@ def test_report_csv_summary_rows(tmp_path):
     assert rows["f_rank"][1] == "4.7500"
     assert rows["p_value"][6] == "-"
     assert len(lines) == 1 + 12 + 5
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: win_loss([1.0, 2.0], [1.0]),
+     "per-period inputs must be 1-d of equal length"),
+    (lambda: wilcoxon_signed_rank([], []),
+     "samples must be 1-d of equal positive length"),
+    (lambda: build_report([100.0, 100.0], {"ensemble": [90.0, 95.0], "a": [90.0]}),
+     "column 'a' is not aligned with actuals"),
+    (lambda: report_from_grid(np.ones((3, 2)), ("a", "b"), "ensemble"),
+     "grid lacks the ensemble column 'ensemble'"),
+], ids=["win_loss_lengths", "wilcoxon_empty", "report_misaligned_column",
+        "grid_without_ensemble"])
+def test_evaluation_input_checks_name_the_fault(call, message):
+    with pytest.raises(EvaluationError, match=f"^{re.escape(message)}$"):
+        call()

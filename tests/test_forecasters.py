@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +16,7 @@ from copulacast.evaluation import mape
 from copulacast.forecasters.base import (
     ForecastTask,
     TrainedForecaster,
+    lag_design,
     pad_rounds,
     recursive_path,
 )
@@ -41,6 +43,7 @@ from copulacast.forecasters.trmf import (
     fit_trmf,
     fit_trmf_forecaster,
     forecast_trmf,
+    track_factors,
 )
 from copulacast.rng import rng_for
 
@@ -76,6 +79,36 @@ def test_check_matrix_rejects_incomplete_panel():
     masked.values[3, 0] = np.nan
     with pytest.raises(FitError):
         benchmark_task().check_matrix(masked)
+
+
+def toy_forecaster(round_errors):
+    return TrainedForecaster(name="toy", round_errors=round_errors,
+                             validation_forecast=[1.0, 2.0],
+                             holdout_forecast=[3.0], validation_start=10,
+                             holdout_start=12)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: ForecastTask(target_column=0, horizon=1, train_range=(3, 3),
+                          validation_range=(3, 5)),
+     ValueError, "train_range must be non-empty with start >= 0"),
+    (lambda: benchmark_task().check_matrix(gen_seasonal_load(n_periods=90)),
+     FitError, "panel has 90 rows but the task needs 96"),
+    (lambda: benchmark_task(n_features=13).check_matrix(benchmark_panel()),
+     FitError, "task references columns outside the panel"),
+    (lambda: toy_forecaster([1.0]),
+     ValueError, "round_errors must cover at least two rounds"),
+    (lambda: toy_forecaster([1.0, math.inf]),
+     ValueError, "round_errors must be finite and non-negative"),
+    (lambda: lag_design(benchmark_task(), benchmark_panel(), (0, 1), False, 1),
+     ValueError, "lags must be a non-empty tuple of positive ints"),
+    (lambda: lag_design(benchmark_task(), benchmark_panel(), (12,), False, 73),
+     FitError, "training span too short for the requested lags"),
+], ids=["task_train_range", "panel_rows", "panel_columns", "one_round",
+        "infinite_round_error", "lag_zero", "span_after_lags"])
+def test_forecast_base_input_checks_name_the_fault(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_trained_forecaster_json_round_trip(tmp_path):
@@ -869,13 +902,62 @@ def test_forecast_trmf_row_selection():
 
 
 def test_trmf_rejects_bad_hyperparameters():
+    # The default lags reach back 12 columns, past this 10-column panel, so
+    # the lambda_reg case sets lags=(1,) to reach its own check.
     x = np.ones((3, 10)) + np.arange(10)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("k must lie in [1, min(q, m)] "
+                                                   "= [1, 3]")):
         fit_trmf(x, k=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="max lag must be smaller than the "
+                       "series length"):
         fit_trmf(x, k=1, lags=(10,))
-    with pytest.raises(ValueError):
-        fit_trmf(x, k=1, lambda_reg=0.0)
+    with pytest.raises(ValueError, match="lambda_reg must be > 0"):
+        fit_trmf(x, k=1, lags=(1,), lambda_reg=0.0)
+
+
+SHORT_TRMF = TRMFModel(loadings=np.ones((3, 2)), factors=np.ones((2, 3)),
+                       ar_weights=np.ones((2, 1)), lags=(5,))
+TRMF_X = np.ones((3, 10)) + np.arange(10)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: naive_seasonal(benchmark_task(), benchmark_panel(), period=0),
+     ValueError, "period must be >= 1"),
+    (lambda: fit_gbt_arrays(np.ones(4), np.ones(4)),
+     ValueError, "x must be (n, p) and y length n"),
+    (lambda: fit_gbt_arrays(np.ones((4, 1)), np.ones(4), n_rounds=0),
+     ValueError, "n_rounds must be >= 1"),
+    (lambda: dilated_causal_conv([[1.0]], [1.0]),
+     ValueError, "series and kernel must be 1-d"),
+    (lambda: dilated_causal_conv([], [1.0]), ValueError, "series must be non-empty"),
+    (lambda: dilated_causal_conv([1.0], []), ValueError, "kernel must be non-empty"),
+    (lambda: dilated_causal_conv([1.0], [1.0], dilation=0),
+     ValueError, "dilation must be >= 1"),
+    (lambda: fit_tcn(benchmark_task(), benchmark_panel(), layer_shapes=((3, 0),)),
+     ValueError, "layer_shapes must hold positive (kernel, dilation) pairs"),
+    (lambda: fit_tcn(benchmark_task(), benchmark_panel(), epochs=1),
+     ValueError, "epochs must be >= 2"),
+    (lambda: fit_trmf(np.ones(10)), ValueError, "x must be a 2-d array"),
+    (lambda: fit_trmf(TRMF_X, k=1, lags=(0, 1)), ValueError, "lags must be positive"),
+    (lambda: fit_trmf(TRMF_X, k=1, lags=(1,), kappa_reg=-0.1),
+     ValueError, "kappa_reg must be >= 0"),
+    (lambda: fit_trmf(TRMF_X, k=1, lags=(1,), sweeps=0),
+     ValueError, "sweeps must be >= 1"),
+    (lambda: fit_trmf(np.where(TRMF_X == 5.0, np.nan, TRMF_X), k=1, lags=(1,)),
+     FitError, "panel contains non-finite values"),
+    (lambda: extrapolate_factors(SHORT_TRMF.factors, SHORT_TRMF.ar_weights,
+                                 SHORT_TRMF.lags, 2),
+     ValueError, "factor rows shorter than the maximum lag"),
+    (lambda: track_factors(SHORT_TRMF, np.ones((3, 2)), 0.1, 0.1),
+     ValueError, "factor rows shorter than the maximum lag"),
+    (lambda: forecast_trmf(SHORT_TRMF, 0), ValueError, "horizon must be >= 1"),
+], ids=["naive_period", "gbt_shape", "gbt_rounds", "conv_ndim", "conv_empty_series",
+        "conv_empty_kernel", "conv_dilation", "tcn_layer_shapes", "tcn_epochs",
+        "trmf_ndim", "trmf_lags", "trmf_kappa_reg", "trmf_sweeps",
+        "trmf_non_finite", "extrapolate_short", "track_short", "forecast_horizon"])
+def test_forecaster_input_checks_name_the_fault(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_fit_trmf_forecaster_rounds_match_per_sweep_forecasts():
