@@ -19,9 +19,9 @@ import numpy as np
 
 from . import __version__
 from .copula import CopulaModel, complete
-from .dataset import (MISSING_TOKENS, Schema, apply_mask, gen_seasonal_load,
-                      load_csv, mask_record_to_file, read_table, save_csv,
-                      write_float_csv, write_json)
+from .dataset import (MISSING_TOKENS, Schema, apply_mask, finite_token,
+                      gen_seasonal_load, load_csv, mask_record_to_file,
+                      read_table, save_csv, write_float_csv, write_json)
 from .ensemble import ablation, ablation_to_csv, run_ensemble
 from .errors import ConfigError, CopulacastError, DataError, EvaluationError
 from .evaluation import build_report
@@ -439,11 +439,25 @@ def cmd_ablate(config, out_dir):
     cmd_run(config, out_dir, ablate=True)
 
 
+def _eval_column(path, header, rows, j, unparsable):
+    """Column j of read_table rows as finite floats.
+
+    A token float() rejects raises DataError(unparsable); a non-finite
+    number raises load_csv's DataError naming its row and column.
+    """
+    try:
+        return np.array([finite_token(row[j].strip(), path, line, header[j])
+                         for line, row in rows])
+    except ValueError:
+        raise DataError(unparsable) from None
+
+
 def cmd_eval(forecasts_path, actuals_path, out_dir):
     """Recompute the statistics table from stored forecast/actual files.
 
     A period whose actual field is empty or a missing token (NA, NaN, nan),
-    as load_csv reads a cell, is not scored.
+    as load_csv reads a cell, is not scored.  Any other value that is not a
+    finite number is a DataError naming its file, row and column.
     """
     f_header, f_body = read_table(forecasts_path)
     a_header, a_body = read_table(actuals_path)
@@ -451,25 +465,21 @@ def cmd_eval(forecasts_path, actuals_path, out_dir):
         raise DataError(f"{actuals_path}: need a time column and a value column")
     if [r[0] for _, r in f_body] != [r[0] for _, r in a_body]:
         raise DataError("forecast and actual files disagree on periods")
-    pairs = [(f, a[1]) for (_, f), (_, a) in zip(f_body, a_body)
-             if a[1].strip() not in MISSING_TOKENS]
+    pairs = [(f, a) for f, a in zip(f_body, a_body)
+             if a[1][1].strip() not in MISSING_TOKENS]
     note = _unscored_note(len(pairs), len(f_body))
-    try:
-        actuals = np.array([float(a) for _, a in pairs])
-    except ValueError:
-        raise DataError(f"{actuals_path}: non-numeric value column") from None
+    f_rows = [f for f, _ in pairs]
+    actuals = _eval_column(actuals_path, a_header, [a for _, a in pairs], 1,
+                           f"{actuals_path}: non-numeric value column")
     model_cols = [c for c in f_header[1:] if c != "actual"]
     if ENSEMBLE not in model_cols:
         raise DataError(f"forecasts file lacks an {ENSEMBLE!r} column")
-    forecasts = {}
-    for name in model_cols:
-        j = f_header.index(name)
-        try:
-            forecasts[name] = np.array([float(f[j]) for f, _ in pairs])
-        except ValueError:
-            raise DataError(f"{forecasts_path}: non-numeric column {name!r}") from None
+    forecasts = {name: _eval_column(
+        forecasts_path, f_header, f_rows, f_header.index(name),
+        f"{forecasts_path}: non-numeric column {name!r}")
+        for name in model_cols}
     report = build_report(actuals, forecasts, ensemble_name=ENSEMBLE,
-                          period_labels=[f[0] for f, _ in pairs])
+                          period_labels=[row[0] for _, row in f_rows])
     report.save_json(os.path.join(out_dir, "report.json"))
     report.to_csv(os.path.join(out_dir, "report.csv"))
     print(f"eval: {len(pairs)} periods, {len(model_cols)} columns{note}; "

@@ -202,6 +202,19 @@ def read_table(path):
     return header, body
 
 
+def finite_token(tok, path, line, name):
+    """float(tok) for a stripped cell token of a read_table row.
+
+    Raises ValueError where float() does, and DataError naming the file, the
+    row's line and the column where the number is not finite.
+    """
+    value = float(tok)
+    if not math.isfinite(value):
+        raise DataError(f"{path}: row {line}, column {name!r}: "
+                        f"{tok!r} is not a finite number")
+    return value
+
+
 def load_csv(path, schema):
     """Parse a CSV panel into an ObservationMatrix.
 
@@ -244,14 +257,11 @@ def load_csv(path, schema):
             if tok in MISSING_TOKENS:
                 continue
             try:
-                values[i, j] = float(tok)
+                values[i, j] = finite_token(tok, path, line, names[j])
             except ValueError:
                 raise DataError(
                     f"{path}: row {line}, column {names[j]!r}: "
                     f"cannot parse {tok!r}") from None
-            if not math.isfinite(values[i, j]):
-                raise DataError(f"{path}: row {line}, column {names[j]!r}: "
-                                f"{tok!r} is not a finite number")
 
     mask = ~np.isnan(values)
     ordinal_levels = {}

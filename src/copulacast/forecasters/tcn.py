@@ -5,7 +5,20 @@ and a linear head that predicts the next value from the current hidden
 state.  Training minimizes one-step squared error on the standardized
 training span by plain gradient descent; forward and backward passes are
 written directly in numpy so the gradients are exact and auditable.
+
+Training runs in window form.  Every weight, bias and head parameter lives
+in one flat vector, updated once per epoch and written as one row of an
+(epochs, P) stack.  Each layer gathers the anti-causal window of its
+pre-activation gradient through an (n, k) index built once per fit
+(im2col), so its kernel gradient and its input gradient are one matrix
+product each.  One roll of the stack then forecasts every epoch's
+validation path and the last epoch's holdout path.  Each of its steps
+gathers only the outputs that the last prediction reads, and adds their
+taps in the order dilated_causal_conv adds them, so each forecast keeps the
+bits of the full forward pass over its window.
 """
+
+import math
 
 import numpy as np
 
@@ -47,15 +60,18 @@ def _causal_conv(x, f, dilation):
 
     x is (..., n) and f is (..., k) with matching leading axes, so a stack
     of series runs through a stack of kernels; each output element sees the
-    same taps, added in the same order, as a 1-d call.
+    same taps, added in the same order, as a 1-d call.  All products come
+    from one outer product, and a tap is added only where it reaches into
+    the series, so no product with a padding zero enters the sum.
     """
     n = x.shape[-1]
-    y = np.zeros(np.broadcast_shapes(x.shape, f.shape[:-1] + (1,)))
-    for i in range(f.shape[-1]):
+    taps = f[..., :, None] * x[..., None, :]  # taps[..., i, s] = f[i] x[s]
+    y = taps[..., 0, :] + 0.0  # the bits of 0.0 + f[0] x[s]
+    for i in range(1, f.shape[-1]):
         shift = i * dilation
         if shift >= n:
             break
-        y[..., shift:] += f[..., i, None] * x[..., :n - shift]
+        y[..., shift:] += taps[..., i, :n - shift]
     return y
 
 
@@ -74,6 +90,23 @@ def _init_params(layer_shapes, seed):
             "head_w": head_w, "head_b": head_b}
 
 
+def _unflatten(theta, layer_shapes):
+    """The parameter dict as views into a flat vector (P,) or a stack (E, P).
+
+    The flat layout is every layer's taps, then the layers' biases, then the
+    head's weight and bias.  Biases and head keep a trailing axis of length
+    1, so a stack gives the (E, k) kernels and (E, 1) biases and head that
+    _forward runs E networks with.
+    """
+    ends = np.cumsum([k for k, _ in layer_shapes])
+    n_taps = int(ends[-1])
+    return {"kernels": [theta[..., e - k:e]
+                        for (k, _), e in zip(layer_shapes, ends)],
+            "biases": [theta[..., n_taps + l:n_taps + l + 1]
+                       for l in range(len(layer_shapes))],
+            "head_w": theta[..., -2:-1], "head_b": theta[..., -1:]}
+
+
 def _forward(params, x, dilations):
     """Hidden activations per layer plus one-step-ahead predictions.
 
@@ -89,43 +122,92 @@ def _forward(params, x, dilations):
     return hidden, preds
 
 
-def _loss_and_grads(params, x, dilations):
-    """Mean squared one-step error and exact gradients for every parameter.
+def _cone_index(layer_shapes):
+    """The im2col index of what the last prediction of a receptive_field
+    window reads.
 
-    preds[s] estimates x[s+1]; the loss averages over s = 0 .. n-2.
+    Returns (first, index): the window positions it reads and, per layer,
+    an (m, k) index of the taps of each output it needs into the positions
+    below.  Every tap lies inside the window, so nothing is padded.
     """
-    x = np.asarray(x, dtype=float)
+    rf = receptive_field(layer_shapes)
+    positions = [np.array([rf - 1])]
+    for k, d in reversed(layer_shapes):
+        positions.insert(0, np.unique(positions[0][:, None] - d * np.arange(k)))
+    index = [np.searchsorted(below, above[:, None] - d * np.arange(k))
+             for below, above, (k, d) in zip(positions, positions[1:],
+                                             layer_shapes)]
+    return positions[0], index
+
+
+def _last_prediction(params, window, cone):
+    """_forward(params, window, dilations)[1][..., -1], bit for bit, for a
+    window of receptive_field values: each layer computes only the outputs
+    in the cone (_cone_index), adding their taps in _causal_conv's order."""
+    first, index = cone
+    h = window[..., first]
+    for kernel, bias, ix in zip(params["kernels"], params["biases"], index):
+        taps = h[..., ix] * kernel[..., None, :]  # taps[..., m, i]
+        pre = taps[..., 0] + 0.0
+        for i in range(1, ix.shape[1]):
+            pre += taps[..., i]
+        h = np.tanh(pre + bias)
+    return (params["head_w"] * h + params["head_b"])[..., -1]
+
+
+def _anticausal_index(n, layer_shapes):
+    """Per layer, the (n, k) anti-causal window of a length-n series (im2col)
+    as an index into the series padded with one trailing zero: entry [s, i]
+    points at series[s + d*i], or at the pad where that is past the end."""
+    return [np.minimum(np.arange(n)[:, None] + d * np.arange(k), n)
+            for k, d in layer_shapes]
+
+
+def _loss_and_flat_grad(params, x, dilations, index):
+    """Mean squared one-step error and its exact gradient as one vector,
+    laid out as _unflatten reads the parameters.
+
+    preds[s] estimates x[s+1]; the loss averages over s = 0 .. n-2.  index
+    is _anticausal_index(x.size, layer_shapes).  Each layer gathers one
+    window, A[t, i] = d_pre[t + d*i]: its kernel gradient
+    g[i] = sum_s d_pre[s] input[s - d*i] is input @ A, and its input
+    gradient d_input[t] = sum_i kernel[i] d_pre[t + d*i] is A @ kernel.
+    """
     n = x.size
-    if n < 2:
-        raise ValueError("need at least two points for one-step training")
     hidden, preds = _forward(params, x, dilations)
     resid = preds[:-1] - x[1:]
-    loss = float(np.mean(resid ** 2))
+    loss = float(resid @ resid) / (n - 1)
 
     d_pred = np.zeros(n)
     d_pred[:-1] = 2.0 * resid / (n - 1)
-    grads = {"kernels": [], "biases": [],
-             "head_w": float(d_pred @ hidden[-1]),
-             "head_b": float(d_pred.sum())}
+    d_pres = np.zeros((len(index), n + 1))  # row l: d_pre, then its pad
+    g_kernels = []
     d_h = params["head_w"] * d_pred
-    for li in range(len(params["kernels"]) - 1, -1, -1):
+    for li in range(len(index) - 1, -1, -1):
         h = hidden[li + 1]
-        d_pre = d_h * (1.0 - h * h)
-        kernel = params["kernels"][li]
-        dil = dilations[li]
-        prev = hidden[li]
-        g_kernel = np.zeros_like(kernel)
-        d_prev = np.zeros_like(prev)
-        for i in range(kernel.size):
-            shift = i * dil
-            if shift >= n:
-                break
-            g_kernel[i] = float(d_pre[shift:] @ prev[:n - shift])
-            d_prev[:n - shift] += kernel[i] * d_pre[shift:]
-        grads["kernels"].insert(0, g_kernel)
-        grads["biases"].insert(0, float(d_pre.sum()))
-        d_h = d_prev
-    return loss, grads
+        np.multiply(d_h, 1.0 - h * h, out=d_pres[li, :n])
+        window = d_pres[li][index[li]]
+        g_kernels.insert(0, hidden[li] @ window)
+        if li:
+            d_h = window @ params["kernels"][li]
+    return loss, np.concatenate(g_kernels + [
+        d_pres[:, :n].sum(axis=1), [d_pred @ hidden[-1], d_pred.sum()]])
+
+
+def _loss_and_grads(params, x, dilations):
+    """_loss_and_flat_grad for a parameter dict: the loss and a dict of
+    gradients (kernel arrays, float biases and head)."""
+    x = np.asarray(x, dtype=float)
+    if x.size < 2:
+        raise ValueError("need at least two points for one-step training")
+    shapes = [(np.size(k), d) for k, d in zip(params["kernels"], dilations)]
+    loss, grad = _loss_and_flat_grad(params, x, dilations,
+                                     _anticausal_index(x.size, shapes))
+    grads = _unflatten(grad, shapes)
+    return loss, {"kernels": grads["kernels"],
+                  "biases": [float(b[0]) for b in grads["biases"]],
+                  "head_w": float(grads["head_w"][0]),
+                  "head_b": float(grads["head_b"][0])}
 
 
 def fit_tcn(task, matrix, layer_shapes=((3, 1), (3, 2), (3, 4)), epochs=150,
@@ -133,10 +215,11 @@ def fit_tcn(task, matrix, layer_shapes=((3, 1), (3, 2), (3, 4)), epochs=150,
     """Train the convolutional forecaster on the task's target series.
 
     The target is standardized with training-span moments.  One round is one
-    gradient-descent epoch.  Every epoch is trained first, writing its
-    parameters into one row of stacked arrays; then one recursive roll
+    gradient-descent epoch.  Every epoch is trained first, writing its flat
+    parameter vector into one row of an (epochs, P) stack; then one roll
     forecasts the validation span with all epochs' networks at once, and
-    each epoch's MAPE is recorded.
+    the holdout span with the last epoch's, and each epoch's MAPE is
+    recorded.
 
     Args:
         task: ForecastTask.
@@ -170,52 +253,45 @@ def fit_tcn(task, matrix, layer_shapes=((3, 1), (3, 2), (3, 4)), epochs=150,
     sd = max(sd, 1e-8)
     z = (y - mu) / sd
     dilations = [d for _, d in layer_shapes]
-    params = _init_params(layer_shapes, seed)
-
-    # Row e of each array holds epoch e's parameters, the stacked form
-    # _forward runs: kernels (E, k) per layer; biases and head (E, 1).
-    stack = {"kernels": [np.empty((epochs, k)) for k, _ in layer_shapes],
-             "biases": [np.empty((epochs, 1)) for _ in layer_shapes],
-             "head_w": np.empty((epochs, 1)), "head_b": np.empty((epochs, 1))}
+    x = z[t0:t1]
+    index = _anticausal_index(n_train, layer_shapes)
+    cone = _cone_index(layer_shapes)
+    init = _init_params(layer_shapes, seed)
+    theta = np.concatenate(init["kernels"] + [
+        init["biases"], [init["head_w"], init["head_b"]]])
+    params = _unflatten(theta, layer_shapes)
+    # Row e holds epoch e's parameters; _unflatten of a stack of rows is the
+    # stacked form _forward and _last_prediction run.
+    thetas = np.empty((epochs, theta.size))
     for e in range(epochs):
-        loss, grads = _loss_and_grads(params, z[t0:t1], dilations)
-        if not np.isfinite(loss):
+        loss, grad = _loss_and_flat_grad(params, x, dilations, index)
+        if not math.isfinite(loss):
             raise FitError("tcn training diverged; lower learn_rate")
-        for li in range(len(params["kernels"])):
-            params["kernels"][li] = params["kernels"][li] - learn_rate * grads["kernels"][li]
-            params["biases"][li] -= learn_rate * grads["biases"][li]
-            stack["kernels"][li][e] = params["kernels"][li]
-            stack["biases"][li][e] = params["biases"][li]
-        params["head_w"] -= learn_rate * grads["head_w"]
-        params["head_b"] -= learn_rate * grads["head_b"]
-        stack["head_w"][e] = params["head_w"]
-        stack["head_b"][e] = params["head_b"]
+        theta -= learn_rate * grad
+        thetas[e] = theta
 
-    def forecast_paths(origin, steps, nets):
-        # Column e is the path of the network stacked at row e; each step
-        # stacks the last rf values of every path into one (E, rf) block.
-        shape = nets["head_w"].shape[:1]
+    # One roll forecasts both spans: row e of the stack runs epoch e's
+    # network from the validation origin, and the last row the last epoch's
+    # from the holdout origin.  Each step stacks every row's last rf values.
+    nets = _unflatten(np.concatenate([thetas, thetas[-1:]]), layer_shapes)
+    origins = np.array([task.train_stop] * epochs + [task.validation_stop])
+    windows = z[origins[:, None] + np.arange(-rf, 0)]
 
-        def step(t, ext):
-            window = np.column_stack([np.broadcast_to(v, shape)
-                                      for v in ext[-rf:]])
-            return _forward(nets, window, dilations)[1][:, -1]
+    def step(t, ext):
+        return _last_prediction(nets, np.stack(ext[-rf:], axis=-1), cone)
 
-        return mu + sd * recursive_path(z, origin, steps, step)
-
-    last = {"kernels": [k[-1:] for k in stack["kernels"]],
-            "biases": [b[-1:] for b in stack["biases"]],
-            "head_w": stack["head_w"][-1:], "head_b": stack["head_b"][-1:]}
-    val_paths = forecast_paths(task.train_stop, task.n_validation, stack)
-    hold = forecast_paths(task.validation_stop, task.horizon, last)[:, 0]
+    paths = mu + sd * recursive_path(list(windows.T), rf,
+                                     max(task.n_validation, task.horizon), step)
+    val_paths = paths[:task.n_validation, :-1]
+    hold = paths[:task.horizon, -1]
     return score_round_paths(
         "tcn", task, y, val_paths, hold,
         hyper={"layer_shapes": [list(p) for p in layer_shapes],
                "epochs": int(epochs), "learn_rate": float(learn_rate),
                "seed": int(seed)},
-        params={"kernels": [[float(v) for v in k] for k in params["kernels"]],
-                "biases": [float(b) for b in params["biases"]],
-                "head_w": float(params["head_w"]),
-                "head_b": float(params["head_b"]),
+        params={"kernels": [k.tolist() for k in params["kernels"]],
+                "biases": [float(b[0]) for b in params["biases"]],
+                "head_w": float(params["head_w"][0]),
+                "head_b": float(params["head_b"][0]),
                 "standardize": {"mean": mu, "sd": sd}})
 

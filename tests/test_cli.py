@@ -1014,7 +1014,18 @@ def test_eval_requires_ensemble_column(tmp_path, capsys):
     ("forecasts", "time,alpha,ensemble\n2021-01,104.0,101.0\n"
      "2021-02,high,99.0\n2021-03,109.0,102.0\n",
      "{forecasts}: non-numeric column 'alpha'"),
-], ids=["one_column_actuals", "non_numeric_actual", "non_numeric_forecast"])
+    ("actuals", "time,load\n2021-01,100.0\n2021-02,inf\n2021-03,100.0\n",
+     "{actuals}: row 3, column 'load': 'inf' is not a finite number"),
+    ("actuals", "time,load\n2021-01,100.0\n2021-02,100.0\n2021-03, +nan\n",
+     "{actuals}: row 4, column 'load': '+nan' is not a finite number"),
+    ("forecasts", "time,alpha,ensemble\n2021-01,104.0,101.0\n\n"
+     "2021-02,106.0,-inf\n2021-03,109.0,102.0\n",
+     "{forecasts}: row 4, column 'ensemble': '-inf' is not a finite number"),
+    ("forecasts", "time,alpha,ensemble\n2021-01,1e999,101.0\n"
+     "2021-02,106.0,99.0\n2021-03,109.0,102.0\n",
+     "{forecasts}: row 2, column 'alpha': '1e999' is not a finite number"),
+], ids=["one_column_actuals", "non_numeric_actual", "non_numeric_forecast",
+        "inf_actual", "nan_actual", "inf_forecast", "overflowing_forecast"])
 def test_eval_rejects_unreadable_values(tmp_path, capsys, which, text, error):
     paths = dict(zip(("forecasts", "actuals"), eval_fixtures(tmp_path)))
     with open(paths[which], "w") as fh:

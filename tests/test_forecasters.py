@@ -19,6 +19,7 @@ from copulacast.forecasters.base import (
     lag_design,
     pad_rounds,
     recursive_path,
+    score_round_paths,
 )
 from copulacast.forecasters.baselines import fit_ridge_ar, naive_seasonal
 from copulacast.forecasters.gbt import (
@@ -30,8 +31,10 @@ from copulacast.forecasters.gbt import (
 )
 from copulacast.forecasters.tcn import (
     _causal_conv,
+    _cone_index,
     _forward,
     _init_params,
+    _last_prediction,
     _loss_and_grads,
     dilated_causal_conv,
     fit_tcn,
@@ -130,6 +133,27 @@ def test_validation_mape_oracle_and_pad_rounds():
     padded = pad_rounds(np.array([5.0]))
     assert padded.tolist() == [5.0, 5.0]
     assert pad_rounds(np.array([4.0, 3.0])).tolist() == [4.0, 3.0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(steps=st.integers(1, 40), rounds=st.integers(1, 200),
+       seed=st.integers(0, 2 ** 32 - 1), order=st.sampled_from("CF"),
+       scale=st.sampled_from([1e-3, 1.0, 1e5, 1e150]))
+def test_score_round_paths_keeps_each_rounds_mape_bits(steps, rounds, seed,
+                                                       order, scale):
+    # All rounds are scored in one expression; each error must keep the
+    # bits of its own mape call, whether val_paths is C- or F-ordered.
+    rng = np.random.default_rng(seed)
+    task = ForecastTask(target_column=0, horizon=1, train_range=(0, 3),
+                        validation_range=(3, 3 + steps))
+    y = scale * rng.normal(50.0, 50.0, size=4 + steps)
+    val_paths = np.asarray(scale * rng.normal(50.0, 60.0, size=(steps, rounds)),
+                           order=order)
+    tf = score_round_paths("toy", task, y, val_paths, np.zeros(1), {}, {})
+    expected = pad_rounds([mape(y[3:3 + steps], path) for path in val_paths.T])
+    assert np.array_equal(tf.round_errors.view(np.uint64),
+                          expected.view(np.uint64))
+    assert np.array_equal(tf.validation_forecast, val_paths[:, -1])
 
 
 def test_zero_validation_actual_is_an_evaluation_error():
@@ -308,6 +332,99 @@ def test_tcn_gradients_match_finite_differences():
             assert abs(fd - an) <= 1e-4 * max(1.0, abs(fd))
 
 
+def _loss_and_grads_per_tap(params, x, dilations):
+    # The per-tap gradient that the window form replaced, kept as its
+    # oracle: one dot product and one shifted update per tap and layer.
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    hidden, preds = _forward(params, x, dilations)
+    resid = preds[:-1] - x[1:]
+    loss = float(np.mean(resid ** 2))
+    d_pred = np.zeros(n)
+    d_pred[:-1] = 2.0 * resid / (n - 1)
+    grads = {"kernels": [], "biases": [],
+             "head_w": float(d_pred @ hidden[-1]),
+             "head_b": float(d_pred.sum())}
+    d_h = params["head_w"] * d_pred
+    for li in range(len(params["kernels"]) - 1, -1, -1):
+        h = hidden[li + 1]
+        d_pre = d_h * (1.0 - h * h)
+        kernel = params["kernels"][li]
+        dil = dilations[li]
+        prev = hidden[li]
+        g_kernel = np.zeros_like(kernel)
+        d_prev = np.zeros_like(prev)
+        for i in range(kernel.size):
+            shift = i * dil
+            if shift >= n:
+                break
+            g_kernel[i] = float(d_pre[shift:] @ prev[:n - shift])
+            d_prev[:n - shift] += kernel[i] * d_pre[shift:]
+        grads["kernels"].insert(0, g_kernel)
+        grads["biases"].insert(0, float(d_pre.sum()))
+        d_h = d_prev
+    return loss, grads
+
+
+def _param_vector(params):
+    # Each layer's taps and bias, then the head: the flat layout fit_tcn uses.
+    parts = [np.append(k, b) for k, b in zip(params["kernels"], params["biases"])]
+    return np.concatenate(parts + [[params["head_w"], params["head_b"]]])
+
+
+@pytest.mark.parametrize("layer_shapes", [
+    ((1, 1),),
+    ((1, 1), (3, 2)),
+    ((2, 14),),
+    ((3, 1), (2, 15)),
+    ((2, 1), (2, 29)),
+    ((3, 1), (3, 2), (3, 4)),
+    ((2, 1), (2, 2), (2, 4), (2, 8)),
+], ids=["k1", "k1_then_k3", "dil14", "dil15", "dil29", "default", "four_layers"])
+def test_tcn_window_gradients_match_the_per_tap_loop(layer_shapes):
+    # The series has 30 points, so dilations 14 and 15 reach about half of
+    # it and 29 reaches the first point only.  The window form sums in a
+    # different order, so agreement is to roundoff: the loss within 1e-14
+    # relative and every gradient entry within 1e-14 of the largest one
+    # (measured: at most 2.1e-16 and 5.3e-17).
+    rng = rng_for(21, "tcn-window-grad")
+    params = _init_params(layer_shapes, seed=7)
+    params["biases"] = list(rng.normal(0.0, 0.2, size=len(layer_shapes)))
+    params["head_b"] = 0.1
+    dilations = [d for _, d in layer_shapes]
+    x = rng.normal(size=30)
+    loss, grads = _loss_and_grads(params, x, dilations)
+    ref_loss, ref = _loss_and_grads_per_tap(params, x, dilations)
+    assert abs(loss - ref_loss) <= 1e-14 * ref_loss
+    g, r = _param_vector(grads), _param_vector(ref)
+    assert g.shape == r.shape
+    assert np.max(np.abs(g - r)) <= 1e-14 * np.max(np.abs(r))
+
+
+def test_fit_tcn_matches_the_per_tap_loop_over_150_epochs():
+    # 150 epochs of per-tap gradient steps from the same start must land on
+    # fit_tcn's parameters within 1e-12 relative, each parameter on its own
+    # (measured: at most 1.5e-14).
+    panel = benchmark_panel()
+    task = benchmark_task()
+    shapes = ((3, 1), (3, 2), (3, 4))
+    tf = fit_tcn(task, panel, layer_shapes=shapes, epochs=150, seed=5)
+    t0, t1 = task.train_range
+    y = panel.values[:, 0]
+    z = (y - float(y[t0:t1].mean())) / max(float(y[t0:t1].std()), 1e-8)
+    dilations = [d for _, d in shapes]
+    params = _init_params(shapes, 5)
+    for _ in range(150):
+        _, grads = _loss_and_grads_per_tap(params, z[t0:t1], dilations)
+        for li in range(len(shapes)):
+            params["kernels"][li] = params["kernels"][li] - 0.05 * grads["kernels"][li]
+            params["biases"][li] -= 0.05 * grads["biases"][li]
+        params["head_w"] -= 0.05 * grads["head_w"]
+        params["head_b"] -= 0.05 * grads["head_b"]
+    fitted, ref = _param_vector(tf.params), _param_vector(params)
+    assert np.all(np.abs(fitted - ref) <= 1e-12 * np.abs(ref))
+
+
 def test_fit_tcn_runs_and_respects_shapes():
     panel = benchmark_panel()
     task = benchmark_task()
@@ -395,6 +512,53 @@ def test_tcn_last_output_reads_only_the_receptive_field(layer_shapes):
     _, full = _forward(params, series, dilations)
     _, window = _forward(params, series[-rf:], dilations)
     assert window[-1] == full[-1]
+
+
+@pytest.mark.parametrize("layer_shapes", [
+    ((1, 1),),
+    ((1, 1), (2, 8)),
+    ((3, 1), (3, 2), (3, 4)),
+    ((2, 1), (2, 2), (2, 4), (2, 8)),
+    ((4, 1), (3, 3)),
+    ((3, 5), (2, 1)),
+])
+def test_last_prediction_matches_the_full_forward_bit_for_bit(layer_shapes):
+    # The roll computes only the outputs the last prediction reads; it must
+    # give the full forward pass's last prediction over the same window,
+    # for one network or a stack of 150.
+    rng = rng_for(16, "tcn-cone")
+    dilations = [d for _, d in layer_shapes]
+    rf = receptive_field(layer_shapes)
+    cone = _cone_index(layer_shapes)
+    params = _init_params(layer_shapes, seed=4)
+    params["biases"] = list(rng.normal(0.0, 0.2, size=len(layer_shapes)))
+    window = rng.normal(size=rf)
+    assert _last_prediction(params, window, cone) == \
+        _forward(params, window, dilations)[1][-1]
+    nets = {"kernels": [rng.normal(size=(150, k)) for k, _ in layer_shapes],
+            "biases": [rng.normal(size=(150, 1)) for _ in layer_shapes],
+            "head_w": rng.normal(size=(150, 1)),
+            "head_b": rng.normal(size=(150, 1))}
+    windows = rng.normal(0.0, 3.0, size=(150, rf))
+    assert np.array_equal(
+        _last_prediction(nets, windows, cone).view(np.uint64),
+        _forward(nets, windows, dilations)[1][:, -1].view(np.uint64))
+
+
+@pytest.mark.parametrize("n_validation, horizon", [(4, 12), (12, 5)])
+def test_fit_tcn_rolls_spans_of_different_lengths(n_validation, horizon):
+    # One roll covers both spans, as long as the longer one; each path must
+    # still match the per-epoch reference's own roll.
+    panel = benchmark_panel()
+    task = ForecastTask(target_column=0, horizon=horizon, train_range=(0, 84),
+                        validation_range=(84, 84 + n_validation))
+    shapes = ((3, 1), (3, 2), (3, 4))
+    tf = fit_tcn(task, panel, layer_shapes=shapes, epochs=3, seed=5)
+    errors, val, hold, _ = _fit_tcn_reference(task, panel, shapes, 3, seed=5)
+    assert np.array_equal(tf.round_errors, errors)
+    assert np.array_equal(tf.validation_forecast, val)
+    assert np.array_equal(tf.holdout_forecast, hold)
+    assert hold.shape == (horizon,)
 
 
 def _fit_tcn_reference(task, matrix, layer_shapes, epochs, learn_rate=0.05,
