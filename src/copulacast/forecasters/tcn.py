@@ -13,9 +13,10 @@ pre-activation gradient through an (n, k) index built once per fit
 (im2col), so its kernel gradient and its input gradient are one matrix
 product each.  One roll of the stack then forecasts every epoch's
 validation path and the last epoch's holdout path.  Each of its steps
-gathers only the outputs that the last prediction reads, and adds their
-taps in the order dilated_causal_conv adds them, so each forecast keeps the
-bits of the full forward pass over its window.
+runs a valid convolution over the last receptive field: a layer computes
+only the outputs whose taps all lie inside its input, and adds the taps in
+the order dilated_causal_conv adds them, so each forecast keeps the bits of
+the full forward pass.
 """
 
 import math
@@ -122,35 +123,22 @@ def _forward(params, x, dilations):
     return hidden, preds
 
 
-def _cone_index(layer_shapes):
-    """The im2col index of what the last prediction of a receptive_field
-    window reads.
-
-    Returns (first, index): the window positions it reads and, per layer,
-    an (m, k) index of the taps of each output it needs into the positions
-    below.  Every tap lies inside the window, so nothing is padded.
-    """
-    rf = receptive_field(layer_shapes)
-    positions = [np.array([rf - 1])]
-    for k, d in reversed(layer_shapes):
-        positions.insert(0, np.unique(positions[0][:, None] - d * np.arange(k)))
-    index = [np.searchsorted(below, above[:, None] - d * np.arange(k))
-             for below, above, (k, d) in zip(positions, positions[1:],
-                                             layer_shapes)]
-    return positions[0], index
-
-
-def _last_prediction(params, window, cone):
+def _last_prediction(params, window, dilations):
     """_forward(params, window, dilations)[1][..., -1], bit for bit, for a
-    window of receptive_field values: each layer computes only the outputs
-    in the cone (_cone_index), adding their taps in _causal_conv's order."""
-    first, index = cone
-    h = window[..., first]
-    for kernel, bias, ix in zip(params["kernels"], params["biases"], index):
-        taps = h[..., ix] * kernel[..., None, :]  # taps[..., m, i]
-        pre = taps[..., 0] + 0.0
-        for i in range(1, ix.shape[1]):
-            pre += taps[..., i]
+    window of at least receptive_field values.
+
+    Each layer computes only the outputs whose taps all lie in its input (a
+    valid convolution), adding the taps in _causal_conv's order, so the top
+    layer computes one output for a receptive_field window.
+    """
+    h = window
+    for kernel, bias, dil in zip(params["kernels"], params["biases"], dilations):
+        reach = (kernel.shape[-1] - 1) * dil
+        n = h.shape[-1] - reach
+        taps = kernel[..., :, None] * h[..., None, :]  # taps[..., i, s]
+        pre = taps[..., 0, reach:] + 0.0
+        for i in range(1, kernel.shape[-1]):
+            pre += taps[..., i, reach - i * dil:reach - i * dil + n]
         h = np.tanh(pre + bias)
     return (params["head_w"] * h + params["head_b"])[..., -1]
 
@@ -255,7 +243,6 @@ def fit_tcn(task, matrix, layer_shapes=((3, 1), (3, 2), (3, 4)), epochs=150,
     dilations = [d for _, d in layer_shapes]
     x = z[t0:t1]
     index = _anticausal_index(n_train, layer_shapes)
-    cone = _cone_index(layer_shapes)
     init = _init_params(layer_shapes, seed)
     theta = np.concatenate(init["kernels"] + [
         init["biases"], [init["head_w"], init["head_b"]]])
@@ -278,7 +265,7 @@ def fit_tcn(task, matrix, layer_shapes=((3, 1), (3, 2), (3, 4)), epochs=150,
     windows = z[origins[:, None] + np.arange(-rf, 0)]
 
     def step(t, ext):
-        return _last_prediction(nets, np.stack(ext[-rf:], axis=-1), cone)
+        return _last_prediction(nets, np.stack(ext[-rf:], axis=-1), dilations)
 
     paths = mu + sd * recursive_path(list(windows.T), rf,
                                      max(task.n_validation, task.horizon), step)

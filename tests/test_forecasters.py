@@ -31,7 +31,6 @@ from copulacast.forecasters.gbt import (
 )
 from copulacast.forecasters.tcn import (
     _causal_conv,
-    _cone_index,
     _forward,
     _init_params,
     _last_prediction,
@@ -367,7 +366,7 @@ def _loss_and_grads_per_tap(params, x, dilations):
 
 
 def _param_vector(params):
-    # Each layer's taps and bias, then the head: the flat layout fit_tcn uses.
+    # Each layer's taps and bias, then the head, as one vector.
     parts = [np.append(k, b) for k, b in zip(params["kernels"], params["biases"])]
     return np.concatenate(parts + [[params["head_w"], params["head_b"]]])
 
@@ -525,23 +524,23 @@ def test_tcn_last_output_reads_only_the_receptive_field(layer_shapes):
 def test_last_prediction_matches_the_full_forward_bit_for_bit(layer_shapes):
     # The roll computes only the outputs the last prediction reads; it must
     # give the full forward pass's last prediction over the same window,
-    # for one network or a stack of 150.
-    rng = rng_for(16, "tcn-cone")
+    # for one network or a stack of 150, and for a window longer than the
+    # receptive field.
+    rng = rng_for(16, "tcn-valid")
     dilations = [d for _, d in layer_shapes]
     rf = receptive_field(layer_shapes)
-    cone = _cone_index(layer_shapes)
     params = _init_params(layer_shapes, seed=4)
     params["biases"] = list(rng.normal(0.0, 0.2, size=len(layer_shapes)))
-    window = rng.normal(size=rf)
-    assert _last_prediction(params, window, cone) == \
-        _forward(params, window, dilations)[1][-1]
+    for window in (rng.normal(size=rf), rng.normal(size=rf + 5)):
+        assert _last_prediction(params, window, dilations) == \
+            _forward(params, window, dilations)[1][-1]
     nets = {"kernels": [rng.normal(size=(150, k)) for k, _ in layer_shapes],
             "biases": [rng.normal(size=(150, 1)) for _ in layer_shapes],
             "head_w": rng.normal(size=(150, 1)),
             "head_b": rng.normal(size=(150, 1))}
     windows = rng.normal(0.0, 3.0, size=(150, rf))
     assert np.array_equal(
-        _last_prediction(nets, windows, cone).view(np.uint64),
+        _last_prediction(nets, windows, dilations).view(np.uint64),
         _forward(nets, windows, dilations)[1][:, -1].view(np.uint64))
 
 
