@@ -13,10 +13,10 @@ pre-activation gradient through an (n, k) index built once per fit
 (im2col), so its kernel gradient and its input gradient are one matrix
 product each.  One roll of the stack then forecasts every epoch's
 validation path and the last epoch's holdout path.  Each of its steps
-runs a valid convolution over the last receptive field: a layer computes
-only the outputs whose taps all lie inside its input, and adds the taps in
-the order dilated_causal_conv adds them, so each forecast keeps the bits of
-the full forward pass.
+runs a valid convolution over the last receptive field: a layer keeps
+only the outputs whose taps all lie inside its input, where the causal
+convolution adds the same taps as over the whole series, so each forecast
+keeps the bits of the full forward pass.
 """
 
 import math
@@ -127,19 +127,14 @@ def _last_prediction(params, window, dilations):
     """_forward(params, window, dilations)[1][..., -1], bit for bit, for a
     window of at least receptive_field values.
 
-    Each layer computes only the outputs whose taps all lie in its input (a
-    valid convolution), adding the taps in _causal_conv's order, so the top
-    layer computes one output for a receptive_field window.
+    Each layer keeps only the outputs whose taps all lie inside its input
+    (a valid convolution): there _causal_conv adds the same taps as over the
+    whole series, and the layer above sees fewer positions.
     """
     h = window
     for kernel, bias, dil in zip(params["kernels"], params["biases"], dilations):
         reach = (kernel.shape[-1] - 1) * dil
-        n = h.shape[-1] - reach
-        taps = kernel[..., :, None] * h[..., None, :]  # taps[..., i, s]
-        pre = taps[..., 0, reach:] + 0.0
-        for i in range(1, kernel.shape[-1]):
-            pre += taps[..., i, reach - i * dil:reach - i * dil + n]
-        h = np.tanh(pre + bias)
+        h = np.tanh(_causal_conv(h, kernel, dil)[..., reach:] + bias)
     return (params["head_w"] * h + params["head_b"])[..., -1]
 
 
