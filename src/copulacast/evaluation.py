@@ -20,11 +20,14 @@ from .errors import EvaluationError
 
 def _ape(actual, predicted, labels=None):
     """Per-period absolute percentage errors, as fractions; mape's checks.
-    A zero actual is named by its label, or by its index without labels."""
+    predicted is (..., n) for n actuals, made C-contiguous so each row
+    rounds as a 1-d call would.  A zero actual is named by its label, or by
+    its index without labels."""
     actual = np.asarray(actual, dtype=float)
-    predicted = np.asarray(predicted, dtype=float)
-    if actual.ndim != 1 or actual.shape != predicted.shape:
-        raise EvaluationError("actual and predicted must be 1-d of equal length")
+    predicted = np.ascontiguousarray(predicted, dtype=float)
+    if actual.ndim != 1 or predicted.shape[-1:] != actual.shape:
+        raise EvaluationError("actual must be 1-d and predicted must end "
+                              "in an axis of its length")
     if actual.size < 1:
         raise EvaluationError("need at least one period")
     zeros = np.flatnonzero(actual == 0)
@@ -40,13 +43,18 @@ def mape(actual, predicted):
 
     Args:
         actual: true values, none of them zero.
-        predicted: forecasts of equal length.
+        predicted: forecasts of equal length, or a stack of them (..., n);
+            each row is scored as a 1-d call would score it, bit for bit.
+
+    Returns:
+        A float, or an array of predicted's leading shape for a stack.
 
     Raises:
         EvaluationError: length mismatch, empty input, or a zero actual
             (named by index; zeros are never silently excluded).
     """
-    return float(np.mean(_ape(actual, predicted)) * 100.0)
+    errors = np.mean(_ape(actual, predicted), axis=-1) * 100.0
+    return float(errors) if errors.ndim == 0 else errors
 
 
 def mean_std_mape(per_period):

@@ -142,15 +142,11 @@ def score_round_paths(name, task, y, val_paths, holdout, hyper, params):
     val_paths is steps x rounds: column r forecasts the validation span
     after round r + 1, and the last column is the validation forecast.
     Each column's error is evaluation.mape against y over the validation
-    span, bit for bit: one mape call makes its checks, then every round is
-    scored at once over contiguous rows (the rows of a strided transpose
-    can round differently).  A single round is repeated so the ensemble
-    sees two.
+    span; one mape call scores every round.  A single round is repeated so
+    the ensemble sees two.
     """
     v_actual = y[task.validation_range[0]:task.validation_stop]
-    mape(v_actual, val_paths[:, -1])
-    paths = np.ascontiguousarray(val_paths.T)
-    errors = np.mean(np.abs((v_actual - paths) / v_actual), axis=1) * 100.0
+    errors = mape(v_actual, val_paths.T)
     return TrainedForecaster(
         name=name, round_errors=pad_rounds(errors),
         validation_forecast=val_paths[:, -1], holdout_forecast=holdout,

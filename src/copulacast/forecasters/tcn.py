@@ -12,11 +12,7 @@ in one flat vector, updated once per epoch and written as one row of an
 pre-activation gradient through an (n, k) index built once per fit
 (im2col), so its kernel gradient and its input gradient are one matrix
 product each.  One roll of the stack then forecasts every epoch's
-validation path and the last epoch's holdout path.  Each of its steps
-runs a valid convolution over the last receptive field: a layer keeps
-only the outputs whose taps all lie inside its input, where the causal
-convolution adds the same taps as over the whole series, so each forecast
-keeps the bits of the full forward pass.
+validation path and the last epoch's holdout path.
 """
 
 import math
@@ -62,16 +58,16 @@ def _causal_conv(x, f, dilation):
     x is (..., n) and f is (..., k) with matching leading axes, so a stack
     of series runs through a stack of kernels; each output element sees the
     same taps, added in the same order, as a 1-d call.  All products come
-    from one outer product, and a tap is added only where it reaches into
-    the series, so no product with a padding zero enters the sum.
+    from one outer product of the taps that reach into the series, so it
+    holds min(k, (n - 1) // dilation + 1) x n products per series, and no
+    product with a padding zero enters the sum.
     """
     n = x.shape[-1]
-    taps = f[..., :, None] * x[..., None, :]  # taps[..., i, s] = f[i] x[s]
+    reach = min(f.shape[-1], (n - 1) // dilation + 1)
+    taps = f[..., :reach, None] * x[..., None, :]  # taps[..., i, s] = f[i] x[s]
     y = taps[..., 0, :] + 0.0  # the bits of 0.0 + f[0] x[s]
-    for i in range(1, f.shape[-1]):
+    for i in range(1, reach):
         shift = i * dilation
-        if shift >= n:
-            break
         y[..., shift:] += taps[..., i, :n - shift]
     return y
 
@@ -123,21 +119,6 @@ def _forward(params, x, dilations):
     return hidden, preds
 
 
-def _last_prediction(params, window, dilations):
-    """_forward(params, window, dilations)[1][..., -1], bit for bit, for a
-    window of at least receptive_field values.
-
-    Each layer keeps only the outputs whose taps all lie inside its input
-    (a valid convolution): there _causal_conv adds the same taps as over the
-    whole series, and the layer above sees fewer positions.
-    """
-    h = window
-    for kernel, bias, dil in zip(params["kernels"], params["biases"], dilations):
-        reach = (kernel.shape[-1] - 1) * dil
-        h = np.tanh(_causal_conv(h, kernel, dil)[..., reach:] + bias)
-    return (params["head_w"] * h + params["head_b"])[..., -1]
-
-
 def _anticausal_index(n, layer_shapes):
     """Per layer, the (n, k) anti-causal window of a length-n series (im2col)
     as an index into the series padded with one trailing zero: entry [s, i]
@@ -175,22 +156,6 @@ def _loss_and_flat_grad(params, x, dilations, index):
             d_h = window @ params["kernels"][li]
     return loss, np.concatenate(g_kernels + [
         d_pres[:, :n].sum(axis=1), [d_pred @ hidden[-1], d_pred.sum()]])
-
-
-def _loss_and_grads(params, x, dilations):
-    """_loss_and_flat_grad for a parameter dict: the loss and a dict of
-    gradients (kernel arrays, float biases and head)."""
-    x = np.asarray(x, dtype=float)
-    if x.size < 2:
-        raise ValueError("need at least two points for one-step training")
-    shapes = [(np.size(k), d) for k, d in zip(params["kernels"], dilations)]
-    loss, grad = _loss_and_flat_grad(params, x, dilations,
-                                     _anticausal_index(x.size, shapes))
-    grads = _unflatten(grad, shapes)
-    return loss, {"kernels": grads["kernels"],
-                  "biases": [float(b[0]) for b in grads["biases"]],
-                  "head_w": float(grads["head_w"][0]),
-                  "head_b": float(grads["head_b"][0])}
 
 
 def fit_tcn(task, matrix, layer_shapes=((3, 1), (3, 2), (3, 4)), epochs=150,
@@ -243,7 +208,7 @@ def fit_tcn(task, matrix, layer_shapes=((3, 1), (3, 2), (3, 4)), epochs=150,
         init["biases"], [init["head_w"], init["head_b"]]])
     params = _unflatten(theta, layer_shapes)
     # Row e holds epoch e's parameters; _unflatten of a stack of rows is the
-    # stacked form _forward and _last_prediction run.
+    # stacked form _forward runs.
     thetas = np.empty((epochs, theta.size))
     for e in range(epochs):
         loss, grad = _loss_and_flat_grad(params, x, dilations, index)
@@ -260,7 +225,7 @@ def fit_tcn(task, matrix, layer_shapes=((3, 1), (3, 2), (3, 4)), epochs=150,
     windows = z[origins[:, None] + np.arange(-rf, 0)]
 
     def step(t, ext):
-        return _last_prediction(nets, np.stack(ext[-rf:], axis=-1), dilations)
+        return _forward(nets, np.stack(ext[-rf:], axis=-1), dilations)[1][:, -1]
 
     paths = mu + sd * recursive_path(list(windows.T), rf,
                                      max(task.n_validation, task.horizon), step)

@@ -23,7 +23,9 @@ from copulacast.dataset import MarginalSpec, apply_mask, gen_copula_sample
 from copulacast.ensemble import compute_lambda, update_weights
 from copulacast.evaluation import report_from_grid, wilcoxon_signed_rank
 from copulacast.forecasters.gbt import fit_gbt_arrays
-from copulacast.forecasters.tcn import _forward, _init_params, _loss_and_grads
+from copulacast.forecasters.tcn import (_anticausal_index, _forward,
+                                        _init_params, _loss_and_flat_grad,
+                                        _unflatten)
 from copulacast.forecasters.trmf import fit_trmf
 from copulacast.rng import rng_for
 
@@ -290,40 +292,24 @@ def test_criterion_09_forecaster_properties():
     dilations = [d for _, d in layer_shapes]
     params = _init_params(layer_shapes, seed=5)
     x = rng.normal(size=30)
-    _, grads = _loss_and_grads(params, x, dilations)
+    index = _anticausal_index(x.size, layer_shapes)
+    # Every tap, bias and head parameter, laid out as _unflatten reads them.
+    theta = np.concatenate(params["kernels"] + [
+        params["biases"], [params["head_w"], params["head_b"]]])
+
+    def loss_and_grad(t):
+        return _loss_and_flat_grad(_unflatten(t, layer_shapes), x, dilations,
+                                   index)
+
+    _, grad = loss_and_grad(theta)
     eps = 1e-6
-
-    def clone():
-        return {"kernels": [k.copy() for k in params["kernels"]],
-                "biases": list(params["biases"]),
-                "head_w": params["head_w"], "head_b": params["head_b"]}
-
-    def fd(bump):
-        up, down = clone(), clone()
-        bump(up, eps)
-        bump(down, -eps)
-        return (_loss_and_grads(up, x, dilations)[0]
-                - _loss_and_grads(down, x, dilations)[0]) / (2 * eps)
-
     grad_dev = 0.0
-    for li, kernel in enumerate(params["kernels"]):
-        for i in range(kernel.size):
-            def bump_k(p, e, li=li, i=i):
-                p["kernels"][li][i] += e
-            est = fd(bump_k)
-            grad_dev = max(grad_dev, abs(est - grads["kernels"][li][i])
-                           / max(1.0, abs(est)))
-
-        def bump_b(p, e, li=li):
-            p["biases"][li] += e
-        est = fd(bump_b)
-        grad_dev = max(grad_dev, abs(est - grads["biases"][li])
-                       / max(1.0, abs(est)))
-    for key in ("head_w", "head_b"):
-        def bump_h(p, e, key=key):
-            p[key] += e
-        est = fd(bump_h)
-        grad_dev = max(grad_dev, abs(est - grads[key]) / max(1.0, abs(est)))
+    for j in range(theta.size):
+        up, down = theta.copy(), theta.copy()
+        up[j] += eps
+        down[j] -= eps
+        est = (loss_and_grad(up)[0] - loss_and_grad(down)[0]) / (2 * eps)
+        grad_dev = max(grad_dev, abs(est - grad[j]) / max(1.0, abs(est)))
 
     # GBT training loss monotone per round.
     rng = rng_for(33, "crit9-gbt")

@@ -88,6 +88,15 @@ def test_mape_oracle():
     assert mape(np.array([100.0, 200.0]), np.array([110.0, 180.0])) == 10.0
 
 
+def test_mape_scores_each_row_of_a_stack():
+    actual = np.array([100.0, 200.0])
+    stack = np.array([[110.0, 180.0], [100.0, 200.0], [50.0, 300.0]])
+    assert np.array_equal(mape(actual, stack), [10.0, 0.0, 50.0])
+    assert mape(actual, stack[None]).shape == (1, 3)
+    with pytest.raises(EvaluationError, match="end in an axis of its length"):
+        mape(actual, stack.T)
+
+
 def test_mape_rejects_zero_actual_and_mismatch():
     with pytest.raises(EvaluationError, match="zero"):
         mape(np.array([1.0, 0.0]), np.array([1.0, 1.0]))

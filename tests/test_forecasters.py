@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,11 +31,12 @@ from copulacast.forecasters.gbt import (
     fit_gbt_arrays,
 )
 from copulacast.forecasters.tcn import (
+    _anticausal_index,
     _causal_conv,
     _forward,
     _init_params,
-    _last_prediction,
-    _loss_and_grads,
+    _loss_and_flat_grad,
+    _unflatten,
     dilated_causal_conv,
     fit_tcn,
     receptive_field,
@@ -140,8 +142,8 @@ def test_validation_mape_oracle_and_pad_rounds():
        scale=st.sampled_from([1e-3, 1.0, 1e5, 1e150]))
 def test_score_round_paths_keeps_each_rounds_mape_bits(steps, rounds, seed,
                                                        order, scale):
-    # All rounds are scored in one expression; each error must keep the
-    # bits of its own mape call, whether val_paths is C- or F-ordered.
+    # All rounds are scored in one mape call; each error must keep the bits
+    # of its own 1-d call, whether val_paths is C- or F-ordered.
     rng = np.random.default_rng(seed)
     task = ForecastTask(target_column=0, horizon=1, train_range=(0, 3),
                         validation_range=(3, 3 + steps))
@@ -277,6 +279,25 @@ def test_causal_conv_adds_taps_in_order_for_a_stack_or_a_series(k, dilation):
         assert np.array_equal(stacked[e], direct)
 
 
+def test_causal_conv_forms_only_the_taps_that_reach_the_series():
+    # 5000 taps at dilation 100 over 1000 points: only the first 10 reach
+    # the series, so the products take 10 x 1000 floats (80 kB), not the
+    # 5000 x 1000 (40 MB) of every tap, and a non-finite tap past the start
+    # never enters the sum.
+    rng = rng_for(17, "tcn-conv-reach")
+    x = rng.normal(size=1000)
+    f = rng.normal(size=5000)
+    f[10:] = np.inf
+    tracemalloc.start()
+    try:
+        y = dilated_causal_conv(x, f, dilation=100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert np.array_equal(y, dilated_causal_conv(x, f[:10], dilation=100))
+
+
 @pytest.mark.parametrize("layer_shapes", [
     ((2, 1),),
     ((3, 1), (3, 2)),
@@ -302,6 +323,20 @@ def test_dilated_conv_stack_is_causal(layer_shapes):
         out = stack(bumped)
         assert np.array_equal(out[:pos], base[:pos])
         assert out[pos] != base[pos] or kernels[0][0] == 0.0
+
+
+def _loss_and_grads(params, x, dilations):
+    # fit_tcn's flat gradient for a parameter dict: the loss and a dict of
+    # gradients (kernel arrays, float biases and head).
+    x = np.asarray(x, dtype=float)
+    shapes = [(np.size(k), d) for k, d in zip(params["kernels"], dilations)]
+    loss, grad = _loss_and_flat_grad(params, x, dilations,
+                                     _anticausal_index(x.size, shapes))
+    grads = _unflatten(grad, shapes)
+    return loss, {"kernels": grads["kernels"],
+                  "biases": [float(b[0]) for b in grads["biases"]],
+                  "head_w": float(grads["head_w"][0]),
+                  "head_b": float(grads["head_b"][0])}
 
 
 def test_tcn_gradients_match_finite_differences():
@@ -511,37 +546,6 @@ def test_tcn_last_output_reads_only_the_receptive_field(layer_shapes):
     _, full = _forward(params, series, dilations)
     _, window = _forward(params, series[-rf:], dilations)
     assert window[-1] == full[-1]
-
-
-@pytest.mark.parametrize("layer_shapes", [
-    ((1, 1),),
-    ((1, 1), (2, 8)),
-    ((3, 1), (3, 2), (3, 4)),
-    ((2, 1), (2, 2), (2, 4), (2, 8)),
-    ((4, 1), (3, 3)),
-    ((3, 5), (2, 1)),
-])
-def test_last_prediction_matches_the_full_forward_bit_for_bit(layer_shapes):
-    # The roll computes only the outputs the last prediction reads; it must
-    # give the full forward pass's last prediction over the same window,
-    # for one network or a stack of 150, and for a window longer than the
-    # receptive field.
-    rng = rng_for(16, "tcn-valid")
-    dilations = [d for _, d in layer_shapes]
-    rf = receptive_field(layer_shapes)
-    params = _init_params(layer_shapes, seed=4)
-    params["biases"] = list(rng.normal(0.0, 0.2, size=len(layer_shapes)))
-    for window in (rng.normal(size=rf), rng.normal(size=rf + 5)):
-        assert _last_prediction(params, window, dilations) == \
-            _forward(params, window, dilations)[1][-1]
-    nets = {"kernels": [rng.normal(size=(150, k)) for k, _ in layer_shapes],
-            "biases": [rng.normal(size=(150, 1)) for _ in layer_shapes],
-            "head_w": rng.normal(size=(150, 1)),
-            "head_b": rng.normal(size=(150, 1))}
-    windows = rng.normal(0.0, 3.0, size=(150, rf))
-    assert np.array_equal(
-        _last_prediction(nets, windows, dilations).view(np.uint64),
-        _forward(nets, windows, dilations)[1][:, -1].view(np.uint64))
 
 
 @pytest.mark.parametrize("n_validation, horizon", [(4, 12), (12, 5)])
