@@ -39,24 +39,26 @@ def update_weights(ce, lambdas):
     never underflow the whole vector.
 
     Args:
-        ce: length-N cumulative errors, finite and >= 0.
+        ce: length-N cumulative errors, finite and >= 0, or a (rounds, N)
+            stack of them; each row is weighted as a 1-d call would weight
+            it, bit for bit.
         lambdas: length-N equilibrium factors.
 
     Returns:
-        Length-N weight vector on the simplex.
+        Weights of ce's shape, each row on the simplex.
     """
-    ce = np.asarray(ce, dtype=float)
+    ce = np.ascontiguousarray(ce, dtype=float)
     lambdas = np.asarray(lambdas, dtype=float)
-    if ce.ndim != 1 or ce.size == 0:
+    if ce.ndim not in (1, 2) or ce.size == 0:
         raise ValueError("ce must be a non-empty 1-d sequence")
-    if ce.shape != lambdas.shape:
+    if ce.shape[-1:] != lambdas.shape:
         raise ValueError("ce and lambdas must have the same length")
     if np.any(~np.isfinite(ce)) or np.any(ce < 0):
         raise ValueError("ce must be finite and non-negative")
     scores = -lambdas * ce
-    scores -= scores.max()
+    scores -= scores.max(axis=-1, keepdims=True)
     expd = np.exp(scores)
-    return expd / expd.sum()
+    return expd / expd.sum(axis=-1, keepdims=True)
 
 
 def aggregate(preds, weights):
@@ -117,7 +119,7 @@ def run_ensemble(models, task):
     own = [np.minimum(rounds, e.size) - 1 for e in errs]
     err_rows = np.column_stack([e[i] for e, i in zip(errs, own)])
     ce_rows = np.column_stack([np.cumsum(e)[i] for e, i in zip(errs, own)])
-    weight_rows = np.array([update_weights(ce, lambdas) for ce in ce_rows])
+    weight_rows = update_weights(ce_rows, lambdas)
 
     final_weights = weight_rows[-1]
     horizon = task.horizon

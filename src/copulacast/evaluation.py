@@ -125,15 +125,15 @@ def _exact_tail(doubled_ranks, w_doubled):
     """P(W+ <= w) with W+ accumulated over doubled (integer) ranks.
 
     Dynamic program over the distribution of the doubled positive-rank sum
-    across all 2^n sign assignments; exact integer counts throughout.
+    across all 2^n sign assignments: each rank r shifts the counts by r and
+    adds them.  The int64 counts stay exact (at most 2^25 for n <= 25).
     """
     total = sum(doubled_ranks)
-    counts = [0] * (total + 1)
+    counts = np.zeros(total + 1, dtype=np.int64)
     counts[0] = 1
     for r in doubled_ranks:
-        for s in range(total, r - 1, -1):
-            counts[s] += counts[s - r]
-    favored = sum(counts[:min(w_doubled, total) + 1])
+        counts[r:] += counts[:-r].copy()
+    favored = int(counts[:min(w_doubled, total) + 1].sum())
     return favored / float(2 ** len(doubled_ranks))
 
 

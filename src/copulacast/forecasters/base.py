@@ -4,9 +4,11 @@ Every forecaster in the bank trains on the completed panel restricted to the
 task's training span, tracks a validation error per training round, and
 produces two forecast paths: the validation span forecast recursively from
 the end of training (final round), and the holdout span forecast recursively
-from the end of validation.  `recursive_path` is the one loop that feeds a
-model's forecasts back in place of unseen actuals; `lag_design` builds and
-checks the lagged-target design that ridge AR and GBT regress on.  Covariate
+from the end of validation.  `recursive_path` is the one loop that feeds
+a stack of paths' forecasts back in place of unseen actuals; `roll_spans`
+rolls a model's rounds and its holdout through it at once.  `lag_design`
+builds the lagged-target design that ridge AR and GBT regress on, for the
+training rows and every roll step alike.  Covariate
 columns enter at lag zero and are read from the completed panel (they are
 realized by forecast time in the retrospective protocol).
 """
@@ -154,20 +156,34 @@ def score_round_paths(name, task, y, val_paths, holdout, hyper, params):
         holdout_start=task.validation_stop, hyper=hyper, params=params)
 
 
-def recursive_path(history, start, steps, step_fn):
-    """Roll a one-step forecaster forward, feeding forecasts back as history.
+def recursive_path(recent, periods, steps, step_fn):
+    """Roll one-step forecasters forward, feeding each forecast back.
 
-    step_fn(t, ext) forecasts row t from ext, which lists history[:start]
-    followed by the forecasts for rows start .. t-1.  Returns the `steps`
-    forecasts as a float array.
+    Row p of the float array recent holds path p's latest values, so column
+    -l is lag l; periods is the period each row forecasts first (an int or
+    one per row).  step_fn(t, window) forecasts period t of every row from
+    its latest window, as wide as recent.  Returns the (rows, steps) paths.
     """
-    ext = list(history[:start])
-    out = []
-    for t in range(start, start + steps):
-        value = step_fn(t, ext)
-        out.append(value)
-        ext.append(value)
-    return np.asarray(out, dtype=float)
+    width = recent.shape[1]
+    ext = np.empty((recent.shape[0], width + steps))
+    ext[:, :width] = recent
+    for s in range(steps):
+        ext[:, width + s] = step_fn(periods + s, ext[:, s:width + s])
+    return ext[:, width:]
+
+
+def roll_spans(task, y, width, rounds, step_fn):
+    """Forecast the validation span once per round and the holdout once.
+
+    Row r < rounds starts at the validation origin and row `rounds` at the
+    holdout origin, each from its last `width` values of y, and all roll
+    max(n_validation, horizon) steps; a row's steps past its span are
+    dropped.  Returns (val_paths, holdout), val_paths steps x rounds.
+    """
+    origins = np.array([task.train_stop] * rounds + [task.validation_stop])
+    paths = recursive_path(y[origins[:, None] + np.arange(-width, 0)], origins,
+                           max(task.n_validation, task.horizon), step_fn)
+    return paths[:-1, :task.n_validation].T, paths[-1, :task.horizon]
 
 
 def lag_design(task, matrix, lags, use_features, min_rows):
@@ -177,15 +193,16 @@ def lag_design(task, matrix, lags, use_features, min_rows):
     the task's feature columns at t.  Raises ValueError for an empty lag set
     or a lag < 1, and FitError when the panel does not fit the task, cannot
     supply lag-zero features over the holdout span, or leaves fewer than
-    min_rows training rows after the longest lag.  Returns (lags, design_row,
-    x, target): the lags as ints, design_row(t, ext) reading the lags from
-    ext, the training design and its targets.
+    min_rows training rows after the longest lag.  Returns (lags, design,
+    x, target): the lags as ints; design(t, recent), the C-ordered design
+    rows of periods t from windows whose column -l is lag l (a lag-only
+    design reads no panel row); the training design and its targets.
     """
     lags = tuple(int(l) for l in lags)
     if not lags or min(lags) < 1:
         raise ValueError("lags must be a non-empty tuple of positive ints")
     task.check_matrix(matrix)
-    feats = tuple(task.feature_columns) if use_features else ()
+    feats = list(task.feature_columns) if use_features else []
     if feats and matrix.n_rows < task.validation_stop + task.horizon:
         raise FitError("panel must cover the holdout span to supply lag-zero "
                        "feature columns")
@@ -193,13 +210,17 @@ def lag_design(task, matrix, lags, use_features, min_rows):
     first = max(t0, max(lags))
     if t1 - first < min_rows:
         raise FitError("training span too short for the requested lags")
+    covariates = matrix.values[:, feats]
 
-    def design_row(t, ext):
-        row = [ext[t - l] for l in lags]
-        row.extend(matrix.values[t, j] for j in feats)
-        return row
+    def design(t, recent):
+        x = recent.take(np.negative(lags), axis=1)
+        if not feats:
+            return x
+        # A roll's steps past a row's own span are dropped, so those may
+        # read the panel's last row.
+        return np.hstack([x, covariates.take(t, axis=0, mode="clip")])
 
     y = matrix.values[:, task.target_column]
     rows = np.arange(first, t1)
-    x = np.array([design_row(t, y) for t in rows])
-    return lags, design_row, x, y[rows]
+    x = design(rows, y[rows[:, None] + np.arange(-max(lags), 0)])
+    return lags, design, x, y[rows]

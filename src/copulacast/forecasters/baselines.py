@@ -7,14 +7,7 @@ twice so they plug into the round-indexed ensemble weighting.
 import numpy as np
 
 from ..errors import FitError
-from .base import lag_design, recursive_path, score_round_paths
-
-
-def _single_pass(name, task, y, step, hyper, params):
-    """Forecast both spans with a fitted one-step rule; one validation MAPE."""
-    val = recursive_path(y, task.train_stop, task.n_validation, step)
-    hold = recursive_path(y, task.validation_stop, task.horizon, step)
-    return score_round_paths(name, task, y, val[:, None], hold, hyper, params)
+from .base import lag_design, roll_spans, score_round_paths
 
 
 def naive_seasonal(task, matrix, period=12):
@@ -39,12 +32,10 @@ def naive_seasonal(task, matrix, period=12):
         raise FitError(f"training span must cover at least one full period "
                        f"({period} rows)")
     y = matrix.values[:, task.target_column]
-
-    def step(t, ext):
-        return ext[t - period]
-
-    return _single_pass("naive_seasonal", task, y, step,
-                        hyper={"period": int(period)}, params={})
+    val, hold = roll_spans(task, y, period, 1,
+                           lambda t, window: window[:, -period])
+    return score_round_paths("naive_seasonal", task, y, val, hold,
+                             hyper={"period": int(period)}, params={})
 
 
 def fit_ridge_ar(task, matrix, lags=(1, 2, 3, 12), ridge=1e-4,
@@ -68,8 +59,8 @@ def fit_ridge_ar(task, matrix, lags=(1, 2, 3, 12), ridge=1e-4,
     """
     if ridge < 0:
         raise ValueError("ridge must be >= 0")
-    lags, design_row, x, target = lag_design(task, matrix, lags, use_features,
-                                             min_rows=len(lags) + 1)
+    lags, design, x, target = lag_design(task, matrix, lags, use_features,
+                                         min_rows=len(lags) + 1)
     y = matrix.values[:, task.target_column]
     x_mean = x.mean(axis=0)
     y_mean = target.mean()
@@ -82,11 +73,14 @@ def fit_ridge_ar(task, matrix, lags=(1, 2, 3, 12), ridge=1e-4,
         raise FitError("singular normal equations; set ridge > 0") from None
     intercept = y_mean - float(x_mean @ coef)
 
-    def step(t, ext):
-        return float(np.asarray(design_row(t, ext)) @ coef) + intercept
+    def step(t, window):
+        # One 1-d dot per row, as a single forecast takes it (not gemv).
+        x = design(t, window)
+        return np.matmul(x[:, None, :], coef[:, None])[:, 0, 0] + intercept
 
-    return _single_pass(
-        "ridge_ar", task, y, step,
+    val, hold = roll_spans(task, y, max(lags), 1, step)
+    return score_round_paths(
+        "ridge_ar", task, y, val, hold,
         hyper={"lags": list(lags), "ridge": float(ridge),
                "use_features": bool(use_features)},
         params={"coef": [float(c) for c in coef], "intercept": float(intercept)})

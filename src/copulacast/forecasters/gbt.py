@@ -21,7 +21,7 @@ once; models.json's nested trees are rendered from those arrays.
 import numpy as np
 
 from ..errors import FitError
-from .base import lag_design, recursive_path, score_round_paths
+from .base import lag_design, roll_spans, score_round_paths
 
 
 def _leaf_weight(g_sum, h_sum, reg_alpha):
@@ -228,30 +228,20 @@ def fit_gbt(task, matrix, lags=(1, 2, 3, 12), n_rounds=50, max_depth=3,
     Returns:
         TrainedForecaster named "gbt".
     """
-    lags, design_row, x, target = lag_design(task, matrix, lags, use_features,
-                                             min_rows=2 * min_leaf)
+    lags, design, x, target = lag_design(task, matrix, lags, use_features,
+                                         min_rows=2 * min_leaf)
     model = fit_gbt_arrays(x, target, n_rounds=n_rounds, max_depth=max_depth,
                            min_leaf=min_leaf, reg_alpha=reg_alpha,
                            reg_gamma=reg_gamma, learn_rate=learn_rate)
     y = matrix.values[:, task.target_column]
-
-    def forecast_paths(origin, steps, rounds):
-        # Column k is the path forecast with the first rounds[k] trees; each
-        # step stacks every path's own design row and evaluates all trees.
-        rounds = np.asarray(rounds)
-        paths = np.arange(rounds.size)
-
-        def step(t, ext):
-            x = np.column_stack([np.broadcast_to(v, rounds.shape)
-                                 for v in design_row(t, ext)])
-            return model.running_sums(x)[paths, rounds]
-
-        return recursive_path(y, origin, steps, step)
-
+    # Row k runs the first rounds[k] trees: one validation path per round
+    # (the base score alone when no tree was kept), then the holdout path.
     n_trees = len(model.roots)
-    val_paths = forecast_paths(task.train_stop, task.n_validation,
-                               range(1, n_trees + 1) if n_trees else [0])
-    hold = forecast_paths(task.validation_stop, task.horizon, [n_trees])[:, 0]
+    rounds = np.append(np.arange(1, n_trees + 1) if n_trees else 0, n_trees)
+    paths = np.arange(rounds.size)
+    val_paths, hold = roll_spans(
+        task, y, max(lags), rounds.size - 1,
+        lambda t, window: model.running_sums(design(t, window))[paths, rounds])
     return score_round_paths(
         "gbt", task, y, val_paths, hold,
         hyper={"lags": list(lags), "n_rounds": int(n_rounds),

@@ -21,7 +21,7 @@ import numpy as np
 
 from ..errors import FitError
 from ..rng import rng_for
-from .base import recursive_path, score_round_paths
+from .base import roll_spans, score_round_paths
 
 
 def dilated_causal_conv(series, kernel, dilation=1):
@@ -217,20 +217,13 @@ def fit_tcn(task, matrix, layer_shapes=((3, 1), (3, 2), (3, 4)), epochs=150,
         theta -= learn_rate * grad
         thetas[e] = theta
 
-    # One roll forecasts both spans: row e of the stack runs epoch e's
-    # network from the validation origin, and the last row the last epoch's
-    # from the holdout origin.  Each step stacks every row's last rf values.
+    # Row e of the stack runs epoch e's network from the validation origin,
+    # and the last row the last epoch's from the holdout origin.
     nets = _unflatten(np.concatenate([thetas, thetas[-1:]]), layer_shapes)
-    origins = np.array([task.train_stop] * epochs + [task.validation_stop])
-    windows = z[origins[:, None] + np.arange(-rf, 0)]
-
-    def step(t, ext):
-        return _forward(nets, np.stack(ext[-rf:], axis=-1), dilations)[1][:, -1]
-
-    paths = mu + sd * recursive_path(list(windows.T), rf,
-                                     max(task.n_validation, task.horizon), step)
-    val_paths = paths[:task.n_validation, :-1]
-    hold = paths[:task.horizon, -1]
+    val_paths, hold = roll_spans(
+        task, z, rf, epochs,
+        lambda t, window: _forward(nets, window, dilations)[1][:, -1])
+    val_paths, hold = mu + sd * val_paths, mu + sd * hold
     return score_round_paths(
         "tcn", task, y, val_paths, hold,
         hyper={"layer_shapes": [list(p) for p in layer_shapes],

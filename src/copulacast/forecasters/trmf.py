@@ -11,8 +11,10 @@ S factor rows by a banded quadratic solve, AR weights by least squares), so
 the objective never increases.  The S-row system
 (c + lambda_reg) I + kappa_reg D^T D has half-bandwidth max lag: D^T D is
 built straight into LAPACK upper band storage once per sweep and each row
-is solved by Cholesky (pbsv).  Forecasts extrapolate each factor row with
-its AR recursion and read off Lambda @ S at the future columns.
+is solved by Cholesky (pbsv).  Forecasts roll every factor row's AR
+recursion at once through the bank's `recursive_path` and read off
+Lambda @ S at the future columns; `track_factors` keeps its own loop, as
+each step solves against a realized panel column.
 """
 
 from dataclasses import dataclass, field, replace
@@ -22,7 +24,7 @@ from scipy.linalg.lapack import dpbsv
 
 from ..errors import FitError
 from ..rng import rng_for
-from .base import score_round_paths
+from .base import recursive_path, score_round_paths
 
 
 @dataclass
@@ -194,14 +196,13 @@ def fit_trmf(x, k=4, lags=(1, 12), lambda_reg=0.1, kappa_reg=0.1, sweeps=50,
 
 def extrapolate_factors(factors, ar_weights, lags, horizon):
     """Extend each factor row `horizon` steps with its AR recursion."""
-    k, m = factors.shape
+    m = factors.shape[1]
     max_lag = max(lags)
     if m < max_lag:
         raise ValueError("factor rows shorter than the maximum lag")
-    ext = np.concatenate([factors, np.zeros((k, horizon))], axis=1)
-    for t in range(m, m + horizon):
-        ext[:, t] = _ar_predict(ext, t, ar_weights, lags)
-    return ext[:, m:]
+    return recursive_path(
+        factors[:, m - max_lag:], m, horizon,
+        lambda t, window: _ar_predict(window, max_lag, ar_weights, lags))
 
 
 def forecast_trmf(model, horizon, row=None):

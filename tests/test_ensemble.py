@@ -6,6 +6,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from copulacast.ensemble import (
     ablation,
@@ -91,6 +92,23 @@ def test_update_weights_survives_extreme_spread():
     assert np.all(np.isfinite(w))
     assert abs(w[0] - 1.0) < 1e-12
     assert w[1] == 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), rounds=st.integers(1, 60),
+       n=st.integers(1, 12), order=st.sampled_from("CF"))
+def test_update_weights_scores_each_row_of_a_stack(seed, rounds, n, order):
+    # A (rounds, N) block of cumulative errors, in either memory layout,
+    # weights each row with the bits of its own 1-d call; past eight models
+    # a sum's order decides its last bit.
+    rng = np.random.default_rng(seed)
+    ce = np.asarray(rng.uniform(0.0, 50.0, size=(rounds, n)), order=order)
+    lam = rng.uniform(0.2, 2.0, size=n)
+    stacked = update_weights(ce, lam)
+    assert stacked.shape == (rounds, n)
+    for row, w in zip(ce, stacked):
+        assert np.array_equal(w.view(np.uint64),
+                              update_weights(row, lam).view(np.uint64))
 
 
 def test_aggregate_oracle():

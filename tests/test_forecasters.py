@@ -5,7 +5,7 @@ import math
 import os
 import re
 import tracemalloc
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -155,6 +155,57 @@ def test_score_round_paths_keeps_each_rounds_mape_bits(steps, rounds, seed,
     assert np.array_equal(tf.round_errors.view(np.uint64),
                           expected.view(np.uint64))
     assert np.array_equal(tf.validation_forecast, val_paths[:, -1])
+
+
+def _one_origin_path(history, start, steps, step_fn):
+    # The one-origin loop that recursive_path stacks: step_fn(t, ext)
+    # forecasts period t from ext, history[:start] followed by the
+    # forecasts for periods start .. t-1.
+    ext = list(history[:start])
+    out = []
+    for t in range(start, start + steps):
+        value = step_fn(t, ext)
+        out.append(value)
+        ext.append(value)
+    return np.asarray(out, dtype=float)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_rows=st.integers(1, 8),
+       steps=st.integers(0, 30),
+       lags=st.lists(st.integers(1, 13), min_size=1, max_size=5))
+def test_stacked_recursive_path_equals_one_origin_loops(seed, n_rows, steps,
+                                                        lags):
+    # Rows with their own origins roll together; each row must keep the bits
+    # of its own one-origin loop, lag-zero covariate included.
+    rng = np.random.default_rng(seed)
+    width = max(lags)
+    weights = rng.normal(0.0, 1.0, size=len(lags))
+    weights /= 1.0 + np.abs(weights).sum()
+    series = rng.normal(size=(n_rows, width + 20))
+    origins = rng.integers(width, width + 21, size=n_rows)
+    covariate = rng.normal(size=width + 60)
+
+    def stacked(t, window):
+        acc = 0.0
+        for lag, w in zip(lags, weights):
+            acc = acc + w * window[:, -lag]
+        return acc + covariate[t]
+
+    def single(t, ext):
+        acc = 0.0
+        for lag, w in zip(lags, weights):
+            acc = acc + w * ext[t - lag]
+        return acc + covariate[t]
+
+    rows = np.arange(n_rows)[:, None]
+    recent = series[rows, origins[:, None] + np.arange(-width, 0)]
+    paths = recursive_path(recent, origins, steps, stacked)
+    assert paths.shape == (n_rows, steps)
+    for p in range(n_rows):
+        expected = _one_origin_path(series[p], origins[p], steps, single)
+        assert np.array_equal(paths[p].view(np.uint64),
+                              expected.view(np.uint64))
 
 
 def test_zero_validation_actual_is_an_evaluation_error():
@@ -594,10 +645,11 @@ def _fit_tcn_reference(task, matrix, layer_shapes, epochs, learn_rate=0.05,
             params["biases"][li] -= learn_rate * grads["biases"][li]
         params["head_w"] -= learn_rate * grads["head_w"]
         params["head_b"] -= learn_rate * grads["head_b"]
-        val = mu + sd * recursive_path(z, task.train_stop, task.n_validation,
-                                       step)
+        val = mu + sd * _one_origin_path(z, task.train_stop,
+                                         task.n_validation, step)
         round_errors.append(mape(v_actual, val))
-    hold = mu + sd * recursive_path(z, task.validation_stop, task.horizon, step)
+    hold = mu + sd * _one_origin_path(z, task.validation_stop, task.horizon,
+                                      step)
     return np.asarray(round_errors), val, hold, params
 
 
@@ -697,7 +749,10 @@ def _fit_gbt_reference(x, y, n_rounds, max_depth, min_leaf, reg_alpha,
                        reg_gamma, learn_rate):
     # fit_gbt_arrays' boosting loop over nested trees, each row's step read
     # by predict_row; returns what GBTModel.to_json stores and the final
-    # training predictions.
+    # training predictions.  Like fit_gbt_arrays it refuses a design too
+    # short for one split, even when the target is constant.
+    if x.shape[0] < 2 * min_leaf:
+        raise FitError(f"need at least {2 * min_leaf} rows to grow a split")
     base = float(y.mean())
     pred = np.full(y.size, base)
     trees, losses = [], []
@@ -973,20 +1028,13 @@ def test_gbt_flat_evaluator_matches_tree_node_oracle():
     assert np.array_equal(model.predict(rows), oracle(len(trees)))
 
 
-@pytest.mark.parametrize("use_features", [True, False])
-def test_fit_gbt_paths_match_hand_rolled_recursion(use_features):
-    # Rebuild the trees from the stored parameters and roll each path
-    # forward by hand, feeding every forecast back as the next lag.  With
-    # features the trees split mostly on lag 12 (never fed back within a
-    # 12-step path) and on the lag-zero copies of the target, so the paths
-    # barely read the feedback; the lag-only design makes them depend on it.
-    panel = benchmark_panel()
-    task = benchmark_task()
-    tf = fit_gbt(task, panel, n_rounds=15, use_features=use_features)
+def _gbt_hand_roll(tf, panel, feats):
+    # Rebuild the trees from the stored parameters; roll(origin, steps, r)
+    # forecasts with the first r trees, feeding every forecast back as the
+    # next lag.
     trees = [TreeNode.from_json(t) for t in tf.params["trees"]]
     base, rate = tf.params["base_score"], tf.params["learn_rate"]
     lags = tf.hyper["lags"]
-    feats = task.feature_columns if use_features else ()
 
     def roll(origin, steps, n_trees):
         series = list(panel.values[:origin, 0])
@@ -999,12 +1047,69 @@ def test_fit_gbt_paths_match_hand_rolled_recursion(use_features):
             series.append(value)
         return np.array(series[origin:])
 
+    return trees, roll
+
+
+@pytest.mark.parametrize("use_features", [True, False])
+def test_fit_gbt_paths_match_hand_rolled_recursion(use_features):
+    # With features the trees split mostly on lag 12 (never fed back within
+    # a 12-step path) and on the lag-zero copies of the target, so the paths
+    # barely read the feedback; the lag-only design makes them depend on it.
+    panel = benchmark_panel()
+    task = benchmark_task()
+    tf = fit_gbt(task, panel, n_rounds=15, use_features=use_features)
+    feats = task.feature_columns if use_features else ()
+    trees, roll = _gbt_hand_roll(tf, panel, feats)
     assert len(trees) == tf.n_rounds
     actual = panel.values[84:96, 0]
     for r in range(1, len(trees) + 1):
         assert tf.round_errors[r - 1] == mape(actual, roll(84, 12, r))
     assert np.array_equal(roll(84, 12, len(trees)), tf.validation_forecast)
     assert np.array_equal(roll(96, 12, len(trees)), tf.holdout_forecast)
+
+
+@pytest.mark.parametrize("use_features", [True, False])
+@pytest.mark.parametrize("n_validation, horizon", [(4, 12), (12, 5)])
+def test_fit_gbt_rolls_spans_of_different_lengths(n_validation, horizon,
+                                                  use_features):
+    # One roll covers both spans, as long as the longer one.  The panel ends
+    # with the holdout, so with features and the longer validation span the
+    # holdout path's dropped steps run past the panel's last row.
+    panel = gen_seasonal_load(n_periods=84 + n_validation + horizon,
+                              n_features=12, seed=11)
+    task = ForecastTask(target_column=0, horizon=horizon, train_range=(0, 84),
+                        validation_range=(84, 84 + n_validation),
+                        feature_columns=tuple(range(1, 13)))
+    tf = fit_gbt(task, panel, n_rounds=8, use_features=use_features)
+    feats = task.feature_columns if use_features else ()
+    trees, roll = _gbt_hand_roll(tf, panel, feats)
+    actual = panel.values[84:task.validation_stop, 0]
+    for r in range(1, len(trees) + 1):
+        assert tf.round_errors[r - 1] == mape(actual, roll(84, n_validation, r))
+    assert np.array_equal(roll(84, n_validation, len(trees)),
+                          tf.validation_forecast)
+    assert np.array_equal(roll(task.validation_stop, horizon, len(trees)),
+                          tf.holdout_forecast)
+
+
+@pytest.mark.parametrize("fit", [fit_ridge_ar, fit_gbt], ids=["ridge_ar", "gbt"])
+def test_lag_only_models_fit_a_panel_that_ends_at_the_validation_stop(fit):
+    # A lag-only design reads no panel row past the forecast origins, so an
+    # 18-period holdout needs no panel rows beyond validation, and the
+    # forecasts equal those on a longer panel with the same first 96 rows.
+    long = gen_seasonal_load(n_periods=114, n_features=12, seed=11)
+    short = replace(long, values=long.values[:96], mask=long.mask[:96],
+                    time_index=long.time_index[:96])
+    task = ForecastTask(target_column=0, horizon=18, train_range=(0, 84),
+                        validation_range=(84, 96),
+                        feature_columns=tuple(range(1, 13)))
+    a = fit(task, short, use_features=False)
+    b = fit(task, long, use_features=False)
+    assert a.holdout_forecast.shape == (18,)
+    assert np.all(np.isfinite(a.holdout_forecast))
+    assert np.array_equal(a.validation_forecast, b.validation_forecast)
+    assert np.array_equal(a.holdout_forecast, b.holdout_forecast)
+    assert np.array_equal(a.round_errors, b.round_errors)
 
 
 # -------------------------------------------------------------------- trmf
