@@ -18,6 +18,8 @@ right, value) that prediction descends, a whole design through every tree at
 once; models.json's nested trees are rendered from those arrays.
 """
 
+import math
+
 import numpy as np
 
 from ..errors import FitError
@@ -43,23 +45,35 @@ def _best_split(x, g, min_leaf, reg_alpha):
     gain (only an overflowed G^2 makes one: inf - inf) wins only as the
     first candidate.  gain_core omits the reg_gamma subtraction.
     Returns None when no row is admissible.
+
+    G sums are exact, so no summation order can split a tie: g is scaled
+    by 2^shift, with shift = 50 - ceil(log2(n max|g|)), and rounded to
+    integers, whose sums stay below 2^53 and so are exact in float64;
+    the right side is the total minus the prefix, and the sums are scaled
+    back by 2^-shift.  Equal or mirrored partitions get bit-equal gains.
     """
     n = x.shape[0]
     if n < 2 * min_leaf:
         return None
-    g_total = g.sum()
-    parent = _score(g_total, n, reg_alpha)
+    top = float(np.abs(g).max())
+    shift = 0
+    if 0.0 < top < np.inf:
+        frac, exp = math.frexp(n * math.frexp(top)[0])
+        shift = 50 - math.frexp(top)[1] - exp + (frac == 0.5)
+    ticks = np.rint(np.ldexp(g, shift))
+    t_total = ticks.sum()
+    parent = _score(np.ldexp(t_total, -shift), n, reg_alpha)
     order = np.argsort(x, axis=0, kind="stable")
     xs = x[order, np.arange(x.shape[1])]
     rows = slice(min_leaf - 1, n - min_leaf)
-    gs = np.cumsum(g[order], axis=0)[rows]
+    ts = np.cumsum(ticks[order], axis=0)[rows]
     hs = np.arange(min_leaf, n - min_leaf + 1.0)[:, None]
     lo, hi = xs[rows], xs[min_leaf:n - min_leaf + 1]
     admissible = (lo != hi).T  # feature-major, the order of the scan
     if not admissible.any():
         return None
-    gain = 0.5 * (_score(gs, hs, reg_alpha)
-                  + _score(g_total - gs, n - hs, reg_alpha)
+    gain = 0.5 * (_score(np.ldexp(ts, -shift), hs, reg_alpha)
+                  + _score(np.ldexp(t_total - ts, -shift), n - hs, reg_alpha)
                   - parent)
     candidates = gain.T[admissible]
     k = int(np.argmax(candidates))  # the first NaN, if there is one
@@ -172,9 +186,10 @@ def fit_gbt_arrays(x, y, n_rounds=50, max_depth=3, min_leaf=2, reg_alpha=0.0,
     """Boost trees on a plain design matrix.
 
     Stops early when a round's tree cannot improve (no positive-gain split
-    and a zero root weight).  Raises FitError when the first round has no
-    admissible threshold at all while the target still varies, and when a
-    round's training loss is not finite.  Raises ValueError unless
+    and a zero root weight).  Raises FitError when x has fewer than
+    2 * min_leaf rows, even for a constant target; when the first round has
+    no admissible threshold at all while the target still varies; and when
+    a round's training loss is not finite.  Raises ValueError unless
     learn_rate > 0 and reg_alpha, reg_gamma >= 0.
 
     Returns:

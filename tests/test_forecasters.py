@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from copulacast.dataset import gen_seasonal_load, write_json
 from copulacast.errors import EvaluationError, FitError
@@ -820,19 +820,37 @@ def test_flat_growth_matches_nested_tree_reference(case):
     assert np.array_equal(model.predict(x), pred)
 
 
+def _fixed_point_sums(g, order):
+    # The prefix and right-side G sums of g in the given row order, each
+    # exact: g in integer units of 2^-shift, one Python int sum per prefix.
+    n = g.size
+    top = max(abs(float(v)) for v in g)
+    shift = 0
+    if 0.0 < top < math.inf:
+        shift = 50 - math.ceil(math.log2(n * math.frexp(top)[0])) - math.frexp(top)[1]
+    ticks = [round(math.ldexp(float(v), shift)) if math.isfinite(v) else float(v)
+             for v in g]
+    total = sum(ticks)
+    prefix = [sum(ticks[i] for i in order[:k + 1]) for k in range(n)]
+    return ([math.ldexp(p, -shift) for p in prefix],
+            [math.ldexp(total - p, -shift) for p in prefix],
+            math.ldexp(total, -shift))
+
+
 def _best_split_reference(x, g, h, min_leaf, reg_alpha):
     # The scalar scan _best_split replaced, kept as its oracle: every
     # admissible threshold of every feature in (feature, threshold) order,
     # keeping the first key (-gain, feature, threshold) that is smaller.
+    # G sums are the exact fixed-point sums of _fixed_point_sums.
     n, n_feat = x.shape
-    g_total, h_total = g.sum(), h.sum()
-    parent = _score(g_total, h_total, reg_alpha)
+    h_total = h.sum()
+    parent = _score(_fixed_point_sums(g, range(n))[2], h_total, reg_alpha)
     best = None
     any_candidate = False
     for j in range(n_feat):
         order = np.argsort(x[:, j], kind="stable")
         xs = x[order, j]
-        gs = np.cumsum(g[order])
+        gs, g_right, _ = _fixed_point_sums(g, order.tolist())
         hs = np.cumsum(h[order])
         for i in range(n - 1):
             if xs[i] == xs[i + 1]:
@@ -842,7 +860,7 @@ def _best_split_reference(x, g, h, min_leaf, reg_alpha):
                 continue
             any_candidate = True
             gain = 0.5 * (_score(gs[i], hs[i], reg_alpha)
-                          + _score(g_total - gs[i], h_total - hs[i], reg_alpha)
+                          + _score(g_right[i], h_total - hs[i], reg_alpha)
                           - parent)
             threshold = 0.5 * (xs[i] + xs[i + 1])
             key = (-gain, j, threshold)
@@ -887,6 +905,29 @@ def test_best_split_matches_scalar_reference(min_leaf, reg_alpha):
     few = rng.normal(size=(2 * min_leaf - 1, 3))
     g = rng.normal(size=few.shape[0])
     assert _best_split(few, g, min_leaf, reg_alpha) is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(4, 60),
+       p=st.integers(1, 4), min_leaf=st.integers(1, 3),
+       reg_alpha=st.sampled_from([0.0, 1.5]))
+def test_best_split_does_not_move_when_rows_reorder_within_sides(
+        seed, n, p, min_leaf, reg_alpha):
+    # Append a column that sends the best split's rows to the same two
+    # sides, then shuffle the rows: the new column sums each side in row
+    # order, not in feature j's sort order, yet it only ties the pick, so
+    # the lower feature keeps it with the same gain bits.
+    rng = np.random.default_rng(seed)
+    x = np.round(rng.normal(0.0, 1.5, size=(n, p)), 1)
+    g = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4)
+    split = _best_split(x, g, min_leaf, reg_alpha)
+    assume(split is not None)
+    _, j, threshold = split
+    side = (x[:, j] > threshold).astype(float)
+    perm = rng.permutation(n)
+    moved = _best_split(np.column_stack([x, side])[perm], g[perm], min_leaf, reg_alpha)
+    assert moved == split
+    assert np.float64(moved[0]).tobytes() == np.float64(split[0]).tobytes()
 
 
 def test_best_split_nan_gain_rule_matches_scalar_reference():
