@@ -7,7 +7,8 @@ normal-quantile cut points.  The mapping runs per column, not per cell:
 a continuous column's observed rows go through one np.interp and one
 normal-quantile call, and an ordinal column's through one searchsorted
 against cut points computed once for the column.  The normal CDF and
-quantile are scipy.special.ndtr and ndtri.
+quantile are _normal.ndtr and ndtri; each completion maps all continuous
+cells to latent values in one ndtri call and back in one ndtr call.
 
 The latent rows are modeled as N(0, sigma) with sigma a correlation matrix
 estimated by EM: the E-step computes conditional first and second moments
@@ -27,9 +28,10 @@ One conditioning kernel serves em_fit, impute, pseudo_loglik and e_step:
   layouts, row selections of those arrays grouped by observed-block size.
   RowConstraint lists (e_step, pseudo_loglik) enter through the same
   arrays.
-- Factors and solves call LAPACK potrf/potrs (scipy.linalg.lapack) directly,
-  with cho_factor/cho_solve's checks kept: one of each per distinct pattern
-  gives both an interval row's precision and every row's gain.
+- Factors and solves run LAPACK's Cholesky routines from numpy's OpenBLAS
+  (np.linalg.cholesky and _lapack.potrs), with cho_factor/cho_solve's
+  checks kept: one factor and one solve per distinct pattern give both an
+  interval row's precision and every row's gain.
 - The ordinal mean-field sweep runs for all interval rows at once, one
   array step per (pass, ordinal slot), with each row's coordinate order
   and stopping test, array truncated moments and stacked np.matmul dot
@@ -41,11 +43,12 @@ tests/test_copula.py checks against a copy of that computation.
 
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
-from scipy.special import ndtr, ndtri
 
+from ._lapack import potrs
+from ._normal import ndtr, ndtri
 from .dataset import CONTINUOUS, ORDINAL, ObservationMatrix, write_json
 from .errors import FitError
 
@@ -67,9 +70,10 @@ class MarginalTransform:
     support: np.ndarray
     cum_probs: np.ndarray
 
-    @property
+    @cached_property
     def cut_points(self):
-        """Latent cut points (ordinal columns): normal quantiles of cum_probs."""
+        """Latent cut points (ordinal columns): normal quantiles of cum_probs,
+        computed once per marginal."""
         return ndtri(np.asarray(self.cum_probs))
 
     def to_latent(self, x):
@@ -200,7 +204,8 @@ def _latent_cells(matrix, marginals):
         rows = np.flatnonzero(matrix.mask[:, j])
         x = matrix.values[rows, j]
         if marginal.kind == CONTINUOUS:
-            exact[rows, j] = marginal.to_latent(x)
+            # to_latent's probabilities; one ndtri call below maps them all
+            exact[rows, j] = np.interp(x, marginal.support, marginal.cum_probs)
             continue
         support = marginal.support
         idx = np.minimum(np.searchsorted(support, x), support.size - 1)
@@ -213,6 +218,8 @@ def _latent_cells(matrix, marginals):
         raise ValueError(f"column {matrix.column_names[j]!r} row {i}: "
                          f"value {float(matrix.values[i, j])!r} is not "
                          "an observed level")
+    continuous = matrix.mask & ~interval
+    exact[continuous] = ndtri(exact[continuous])
     return exact, lo, hi, interval
 
 
@@ -268,7 +275,8 @@ def _truncated_moments(lo, hi, mean, sd):
     """
     a = (lo - mean) / sd
     b = (hi - mean) / sd
-    mass = ndtr(b) - ndtr(a)
+    cdf_b, cdf_a = ndtr(np.stack((b, a)))
+    mass = cdf_b - cdf_a
     finite_a, finite_b = np.isfinite(a), np.isfinite(b)
     a0 = np.where(finite_a, a, 0.0)
     b0 = np.where(finite_b, b, 0.0)
@@ -310,25 +318,6 @@ def _check_finite(a):
         raise ValueError("array must not contain infs or NaNs")
 
 
-def _potrf(block):
-    """Lower Cholesky factor from LAPACK potrf, as cho_factor(lower=True) gives it."""
-    c, info = dpotrf(block, lower=1, clean=0)
-    if info > 0:
-        raise np.linalg.LinAlgError(
-            f"{info}-th leading minor of the array is not positive definite")
-    if info < 0:
-        raise ValueError(f"illegal value in {-info}th argument of internal potrf")
-    return c
-
-
-def _potrs(c, b):
-    """Solve with a _potrf factor through LAPACK potrs, as cho_solve does."""
-    x, info = dpotrs(c, b, lower=1)
-    if info != 0:
-        raise ValueError(f"illegal value in {-info}th argument of internal potrs")
-    return x
-
-
 class _Plan:
     """The latent cells of a panel, arranged once per fit.
 
@@ -346,8 +335,10 @@ class _Plan:
       the observed block, its bounds and whether it exists;
     - groups: the exact-only rows by pattern, in pattern order, with their
       stacked exact values z and sums z^T z;
-    - loglik_rows: each row's exact block, exact values and interval log
-      masses;
+    - loglik_z: per exact block (the exact cells of a row), the stacked
+      exact values of its rows; loglik_sizes: the blocks by size, as
+      (block ids, their stacked columns); loglik_rows: each row's exact
+      block and interval log masses;
     - exact_layout (one row per exact-only pattern with missing cells) and
       interval_layout (the rows with interval cells): every E-step's layouts.
     """
@@ -383,19 +374,24 @@ class _Plan:
                 group_rows.append(r)
         exact_cells = mask & ~interval
         keys, block = np.unique(exact_cells, axis=0, return_inverse=True)
-        self.loglik_blocks = [(c[:, None], c) for c in map(np.flatnonzero, keys)]
-        values = exact[exact_cells]
-        self.exact_finite = bool(np.isfinite(values).all())
-        mass = ndtr(hi[interval]) - ndtr(lo[interval])
+        block = block.reshape(-1)
+        self.loglik_z = [exact[np.flatnonzero(block == i)[:, None], np.flatnonzero(key)]
+                         for i, key in enumerate(keys)]
+        sizes = keys.sum(axis=1)
+        self.loglik_sizes = []
+        for k in np.unique(sizes[sizes > 0]).tolist():
+            ids = np.flatnonzero(sizes == k)
+            self.loglik_sizes.append((ids.tolist(), np.nonzero(keys[ids])[1].reshape(-1, k)))
+        self.exact_finite = bool(np.isfinite(exact[exact_cells]).all())
+        cdf_hi, cdf_lo = ndtr(np.stack((hi[interval], lo[interval])))
+        mass = cdf_hi - cdf_lo
         terms = np.log(np.where(1e-300 > mass, 1e-300, mass)).tolist()
         self.loglik_rows = []
-        a = b = 0
-        for block_id, k, d in zip(block.reshape(-1).tolist(),
-                                  exact_cells.sum(axis=1).tolist(),
+        b = 0
+        for block_id, k, d in zip(block.tolist(), exact_cells.sum(axis=1).tolist(),
                                   self.n_ordinal.tolist()):
-            self.loglik_rows.append((block_id if k else None, values[a:a + k],
-                                     terms[b:b + d]))
-            a, b = a + k, b + d
+            self.loglik_rows.append((block_id if k else None, terms[b:b + d]))
+            b += d
         self.exact_layout = _Layout(self, np.array(group_rows, dtype=np.intp))
         self.interval_layout = _Layout(self, np.flatnonzero(self.n_ordinal))
 
@@ -437,13 +433,15 @@ class _Conditioning:
     Each block of the layout is conditioned in stacked form: one fancy index
     gathers its rows' ridged observed submatrices, one their cross blocks
     Sigma_MO and one their missing blocks, and one np.matmul forms every
-    conditional covariance Sigma_MM - gain Sigma_OM.  Per distinct pattern,
-    LAPACK potrf factors once and potrs solves once, against [I | Sigma_OM^T]
-    if its rows carry interval cells (they lead their block), else Sigma_OM^T;
-    potrs solves each column alone, so an interval row's precision and each
-    gain are column slices of it, bit for bit.  cho_factor/cho_solve's checks
-    stay: a non-finite input is a ValueError, a non-PD block a FitError.  A
-    row with nothing missing and no interval cell needs no factor.
+    conditional covariance Sigma_MM - gain Sigma_OM.  One np.linalg.cholesky
+    factors a block's new patterns, and per distinct pattern LAPACK potrs
+    solves once, against [I | Sigma_OM^T] if its rows carry interval cells
+    (they lead their block), else Sigma_OM^T; the right-hand sides are built
+    as rows, LAPACK's column-major columns, and potrs solves each alone, so
+    an interval row's precision and each gain are slices of the solution,
+    bit for bit.  cho_factor/cho_solve's checks stay: a non-finite input is
+    a ValueError, a non-PD block a FitError.  A row with nothing missing and
+    no interval cell needs no factor.
     """
 
     def __init__(self, sigma, plan, layout, ridge):
@@ -451,7 +449,6 @@ class _Conditioning:
         # Finite entries that cannot overflow when the ridge is added pass
         # every finiteness check, so the checks are skipped.
         finite = float(np.abs(sigma).max(initial=0.0)) + abs(ridge) < np.inf
-        solves = {}
         self.precs, self.gains, self.conds = [], [], []
         self.gain, self.cond = {}, {}
         for n, start, mid, stop, pids, o, m in layout.blocks:
@@ -461,23 +458,32 @@ class _Conditioning:
             if not finite:
                 _check_finite(blocks)
                 _check_finite(cross)
-            for i, pid in enumerate(pids if m.size else pids[:mid - start]):
-                if pid not in solves:
-                    try:
-                        c = _potrf(blocks[i])
-                    except np.linalg.LinAlgError:
-                        raise FitError("observed block of sigma is not positive "
-                                       "definite") from None
-                    rhs = cross[i].T
-                    solves[pid] = _potrs(c, np.hstack((eye, rhs)) if i < mid - start else rhs)
+            # each distinct pattern, the row that first carries it, and
+            # each row's pattern
+            _, at, pattern = np.unique(np.array(pids if m.size else pids[:mid - start],
+                                                dtype=np.intp),
+                                       return_index=True, return_inverse=True)
+            try:
+                factors = np.linalg.cholesky(blocks[at])
+            except np.linalg.LinAlgError:
+                raise FitError("observed block of sigma is not positive "
+                               "definite") from None
             del blocks
-            self.precs.append(np.array([solves[pid][:, :n]
-                                        for pid in pids[:mid - start]]).reshape(-1, n, n))
+            # each factor's rows as LAPACK's column-major lower triangle, and
+            # each pattern's right-hand sides as rows: [I | Sigma_OM^T]'s
+            # columns, the identity solved only for interval patterns
+            factors = factors.transpose(0, 2, 1).copy()
+            solves = np.empty((at.size, n + m.shape[1], n))
+            solves[:, :n] = eye
+            solves[:, n:] = cross[at]
+            for c, solve, interval in zip(factors, solves, (at < mid - start).tolist()):
+                potrs(c, solve if interval else solve[n:])
+            self.precs.append(solves[pattern[:mid - start], :n].transpose(0, 2, 1))
             if not m.size:
                 self.gains.append(None)
                 self.conds.append(None)
                 continue
-            gain = np.array([solves[pid][:, -m.shape[1]:].T for pid in pids])
+            gain = solves[pattern, n:]
             cond = (sigma[m[:, :, None], m[:, None, :]]
                     - np.matmul(gain, cross.transpose(0, 2, 1)))
             self.gains.append(gain)
@@ -528,7 +534,6 @@ class _Conditioning:
         sd = np.sqrt(cond_var)
         if max_inner > 0 and (has & (sd <= 0)).any():
             raise ValueError("need sd > 0")
-        index = np.arange(count)
         active = np.ones(count, dtype=bool)
         for _ in range(max_inner):
             delta = np.zeros(count)
@@ -536,19 +541,23 @@ class _Conditioning:
             for t in range(depth):
                 for prec_rows, latent, dot in products[t]:
                     np.matmul(prec_rows, latent, out=dot)
-                k = layout.at[t]
-                zk = z[index, k]
-                mu, var = _truncated_moments(layout.lo[t], layout.hi[t],
-                                             zk - cond_var[t] * dots, sd[t])
-                step = active & has[t]
+                # only the rows that step: the rest keep their cells
+                step = np.flatnonzero(active & has[t])
+                k = layout.at[t, step]
+                zk = z[step, k]
+                mu, var = _truncated_moments(layout.lo[t, step], layout.hi[t, step],
+                                             zk - cond_var[t, step] * dots[step],
+                                             sd[t, step])
                 # the scalar loop's max(delta, |mu - z|) and
                 # max(scale, |mu|, |z|, 1.0), one comparison at a time
-                change = np.abs(mu - zk)
-                delta = np.where(step & (change > delta), change, delta)
+                change, row_delta = np.abs(mu - zk), delta[step]
+                delta[step] = np.where(change > row_delta, change, row_delta)
+                row_scale = scale[step]
                 for size in (np.abs(mu), np.abs(zk)):
-                    scale = np.where(step & (size > scale), size, scale)
-                z[index, k] = np.where(step, mu, zk)
-                v[index, k] = np.where(step, var, v[index, k])
+                    row_scale = np.where(size > row_scale, size, row_scale)
+                scale[step] = row_scale
+                z[step, k] = mu
+                v[step, k] = var
             active &= ~(delta / scale < inner_tol)
             if not active.any():
                 break
@@ -699,31 +708,46 @@ class CopulaModel:
 
 
 def _loglik(sigma, plan, ridge):
-    """pseudo_loglik over a plan: one factor per exact pattern, rows in order."""
+    """pseudo_loglik over a plan: one np.linalg.cholesky per block size, one
+    solve per exact pattern against all its rows, rows added in order."""
     finite = float(np.abs(sigma).max(initial=0.0)) + abs(ridge) < np.inf
-    factors = {}
+    if not plan.exact_finite:
+        for z in plan.loglik_z:
+            _check_finite(z)
+    exact_terms = [None] * len(plan.loglik_z)
+    for ids, cols in plan.loglik_sizes:
+        blocks = sigma[cols[:, :, None], cols[:, None, :]]
+        if not finite:
+            _check_finite(blocks)
+        try:
+            factors = np.linalg.cholesky(blocks)
+        except np.linalg.LinAlgError:
+            factors = np.array([_repaired_factor(block, ridge) for block in blocks])
+        logdets = 2.0 * np.sum(np.log(np.diagonal(factors, axis1=1, axis2=2)), axis=1)
+        # each factor's rows as LAPACK's column-major lower triangle
+        for block_id, c, logdet in zip(ids, factors.transpose(0, 2, 1).copy(), logdets):
+            z = plan.loglik_z[block_id]
+            x = z.copy()
+            potrs(c, x)
+            exact_terms[block_id] = iter([-0.5 * (zr.size * _LOG_2PI + logdet + float(zr @ xr))
+                                          for zr, xr in zip(z, x)])
     total = 0.0
-    for block_id, z, terms in plan.loglik_rows:
+    for block_id, terms in plan.loglik_rows:
         if block_id is not None:
-            if block_id not in factors:
-                block = sigma[plan.loglik_blocks[block_id]]
-                if not finite:
-                    _check_finite(block)
-                try:
-                    c = _potrf(block)
-                except np.linalg.LinAlgError:
-                    warnings.warn("singular observed block in pseudo_loglik; "
-                                  "applying ridge repair")
-                    c = _potrf(block + ridge * np.eye(z.size))
-                factors[block_id] = (c, 2.0 * np.sum(np.log(np.diag(c))))
-            c, logdet = factors[block_id]
-            if not plan.exact_finite:
-                _check_finite(z)
-            quad = float(z @ _potrs(c, z))
-            total += -0.5 * (z.size * _LOG_2PI + logdet + quad)
+            total += next(exact_terms[block_id])
         for term in terms:
             total += term
     return total
+
+
+def _repaired_factor(block, ridge):
+    """The lower Cholesky factor of block, or, with a warning, of block + ridge I."""
+    try:
+        return np.linalg.cholesky(block)
+    except np.linalg.LinAlgError:
+        warnings.warn("singular observed block in pseudo_loglik; "
+                      "applying ridge repair")
+        return np.linalg.cholesky(block + ridge * np.eye(len(block)))
 
 
 def pseudo_loglik(sigma, constraints, ridge=1e-8):
@@ -854,9 +878,15 @@ def _fill(model, matrix, plan):
     latent = np.zeros(matrix.values.shape)
     kernel.missing_means(kernel.observed_moments()[0], latent)
     values = matrix.values.copy()
+    continuous = ~matrix.mask & np.array([m.kind == CONTINUOUS for m in model.marginals])
+    latent[continuous] = ndtr(latent[continuous])  # from_latent's probabilities
     for j, marginal in enumerate(model.marginals):
         rows = np.flatnonzero(~matrix.mask[:, j])
-        values[rows, j] = marginal.from_latent(latent[rows, j])
+        if marginal.kind == CONTINUOUS:
+            values[rows, j] = np.interp(latent[rows, j], marginal.cum_probs,
+                                        marginal.support)
+        else:
+            values[rows, j] = marginal.from_latent(latent[rows, j])
     return replace(matrix, values=values, mask=np.ones_like(matrix.mask))
 
 

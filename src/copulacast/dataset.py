@@ -16,8 +16,8 @@ import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
+from ._normal import ndtr, ndtri
 from .errors import DataError
 from .rng import rng_for
 

@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
 
+from ._normal import ndtr
 from .dataset import write_json
 from .errors import EvaluationError
 

@@ -11,7 +11,7 @@ S factor rows by a banded quadratic solve, AR weights by least squares), so
 the objective never increases.  The S-row system
 (c + lambda_reg) I + kappa_reg D^T D has half-bandwidth max lag: D^T D is
 built straight into LAPACK upper band storage once per sweep and each row
-is solved by Cholesky (pbsv).  Forecasts roll every factor row's AR
+is solved by Cholesky (pbsv, from numpy's OpenBLAS).  Forecasts roll every factor row's AR
 recursion at once through the bank's `recursive_path` and read off
 Lambda @ S at the future columns; `track_factors` keeps its own loop, as
 each step solves against a realized panel column.
@@ -20,8 +20,8 @@ each step solves against a realized panel column.
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg.lapack import dpbsv
 
+from .._lapack import pbsv
 from ..errors import FitError
 from ..rng import rng_for
 from .base import recursive_path, score_round_paths
@@ -160,14 +160,16 @@ def fit_trmf(x, k=4, lags=(1, 12), lambda_reg=0.1, kappa_reg=0.1, sweeps=50,
         # each S factor row given the others: a banded quadratic whose
         # right-hand side (X - Lambda_o S_o)^T lam_f is taken through
         # X^T Lambda and Lambda^T Lambda, both fixed during this step
-        band = kappa_reg * _ar_band(m, lags, w)
+        # each factor's band column by column, as pbsv reads it
+        band = (kappa_reg * _ar_band(m, lags, w)).transpose(0, 2, 1).copy()
         cross = lam.T @ lam
         xl = x.T @ lam
         for f in range(k):
             others = [i for i in range(k) if i != f]
-            band[f, max_lag] += cross[f, f] + lambda_reg
+            band[f, :, max_lag] += cross[f, f] + lambda_reg
             b = xl[:, f] - s[others, :].T @ cross[others, f]
-            _, s[f, :], info = dpbsv(band[f], b)
+            info = pbsv(band[f], b)
+            s[f, :] = b
             if info != 0:
                 raise FitError(f"trmf factor system {f} is not positive "
                                f"definite (pbsv info {info})")

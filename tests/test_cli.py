@@ -286,18 +286,46 @@ def test_csv_ordinal_inf_without_levels_reports_data_error(tmp_path, capsys):
     assert os.listdir(out) == []
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs about half a second of import time and a third of
-    # the peak memory; the package uses only scipy.linalg and scipy.special.
+def test_cli_import_loads_no_scipy_module():
+    # Importing SciPy cost about 0.38 s of every invocation's start-up and a
+    # third of the peak memory; the package has its own normal functions and
+    # binds LAPACK from numpy's OpenBLAS.
     src = os.path.dirname(os.path.dirname(copulacast.__file__))
     code = ("import sys, copulacast.cli; "
             "print(sorted(m for m in sys.modules "
-            "if m == 'scipy.stats' or m.startswith('scipy.stats.')))")
+            "if m == 'scipy' or m.startswith('scipy.')))")
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_every_command_runs_with_scipy_blocked(tmp_path):
+    # sys.modules["scipy"] = None makes any import of SciPy fail.
+    src = os.path.dirname(os.path.dirname(copulacast.__file__))
+    out = str(tmp_path)
+    code = f"""
+import sys
+sys.modules["scipy"] = None
+from copulacast.cli import main
+for argv in (["synth", "--out", {out!r} + "/synth"],
+             ["impute", "--out", {out!r} + "/impute"],
+             ["run", "--out", {out!r} + "/run"],
+             ["eval", {out!r} + "/run/forecasts.csv", {out!r} + "/run/forecasts.csv",
+              "--out", {out!r} + "/eval"],
+             ["ablate", "--out", {out!r} + "/ablate"]):
+    assert main(argv) == 0, argv
+"""
+    done = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    for name in ("completed.csv", "forecasts.csv", "report.json"):
+        assert os.path.isfile(os.path.join(out, "run", name))
+    assert os.path.isfile(os.path.join(out, "eval", "report.json"))
+    assert os.path.isfile(os.path.join(out, "ablate", "ablation.csv"))
 
 
 # ------------------------------------------------------------------- synth

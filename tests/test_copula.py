@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from copulacast import copula
+from copulacast._normal import ndtr
 from copulacast.copula import (
     CopulaModel,
     MarginalTransform,
@@ -217,11 +218,11 @@ def same_bits(x, y):
 
 
 def scipy_truncated_normal_moments(lo, hi, mean=0.0, sd=1.0):
-    """truncated_normal_moments written with scipy.stats.norm.cdf."""
-    from scipy.stats import norm
+    """truncated_normal_moments written as the scipy.stats formula, with the
+    package's normal CDF in place of norm.cdf."""
     a = (lo - mean) / sd
     b = (hi - mean) / sd
-    mass = norm.cdf(b) - norm.cdf(a)
+    mass = ndtr(b) - ndtr(a)
     if mass < 1e-300:
         anchor = lo if abs(a) < abs(b) else hi
         if not np.isfinite(anchor):
@@ -266,7 +267,7 @@ def test_marginal_maps_equal_scipy_stats_formulas_bit_for_bit():
         assert same_bits(cont.to_latent(v),
                          norm.ppf(np.interp(v, cont.support, cont.cum_probs)))
     assert same_bits(cont.from_latent(z),
-                     np.interp(norm.cdf(z), cont.cum_probs, cont.support))
+                     np.interp(ndtr(z), cont.cum_probs, cont.support))
     assert same_bits(ordi.from_latent(z), ordi.support[
         np.searchsorted(norm.ppf(ordi.cum_probs), z, side="left")])
 
@@ -571,10 +572,16 @@ def test_copula_model_save_load_round_trip(tmp_path):
 # The per-row conditioning code the batched kernel replaced, kept here as
 # the reference it must match bit for bit: e_step's scalar mean-field loop,
 # _estep_sum's per-row pass over interval rows and pseudo_loglik's per-row
-# solves, all through scipy's cho_factor / cho_solve.
+# solves.  Each factor is np.linalg.cholesky's, which is the package's
+# LAPACK potrf bit for bit, and each solve scipy's cho_solve, whose potrs
+# gives the package's bits; the normal CDF is the package's.
+
+def _cho_factor(block):
+    """cho_factor(block, lower=True), factored by np.linalg.cholesky."""
+    return np.linalg.cholesky(block), True
+
 
 def _truncated_normal_moments_reference(lo, hi, mean=0.0, sd=1.0):
-    from scipy.special import ndtr
     if not hi > lo:
         raise ValueError("need hi > lo")
     if sd <= 0:
@@ -600,7 +607,7 @@ def _truncated_normal_moments_reference(lo, hi, mean=0.0, sd=1.0):
 def _e_step_reference(sigma, constraint, ridge=1e-8, max_inner=50,
                       inner_tol=1e-6, passes=None):
     """The scalar e_step; appends each interval row's pass count to passes."""
-    from scipy.linalg import cho_factor, cho_solve
+    from scipy.linalg import cho_solve
     sigma = np.asarray(sigma, dtype=float)
     q = sigma.shape[0]
     obs = list(constraint.observed)
@@ -616,7 +623,7 @@ def _e_step_reference(sigma, constraint, ridge=1e-8, max_inner=50,
     if ord_cols or mis:
         block = sigma[np.ix_(obs, obs)] + ridge * np.eye(len(obs))
         try:
-            factor = cho_factor(block, lower=True)
+            factor = _cho_factor(block)
         except np.linalg.LinAlgError:
             raise FitError("observed block of sigma is not positive definite") from None
     if ord_cols:
@@ -663,7 +670,7 @@ def _e_step_reference(sigma, constraint, ridge=1e-8, max_inner=50,
 
 
 def _estep_sum_reference(sigma, constraints, ridge, passes=None):
-    from scipy.linalg import cho_factor, cho_solve
+    from scipy.linalg import cho_solve
     q = sigma.shape[0]
     groups = {}
     singles = []
@@ -684,7 +691,7 @@ def _estep_sum_reference(sigma, constraints, ridge, passes=None):
             total += sum_oo
             continue
         block = sigma[np.ix_(obs, obs)] + ridge * np.eye(len(obs))
-        factor = cho_factor(block, lower=True)
+        factor = _cho_factor(block)
         cross = sigma[np.ix_(mis, list(obs))]
         gain = cho_solve(factor, cross.T).T
         mean_m = z @ gain.T
@@ -704,8 +711,7 @@ def _estep_sum_reference(sigma, constraints, ridge, passes=None):
 
 
 def _pseudo_loglik_reference(sigma, constraints, ridge=1e-8):
-    from scipy.linalg import cho_factor, cho_solve
-    from scipy.special import ndtr
+    from scipy.linalg import cho_solve
     cache = {}
     total = 0.0
     for con in constraints:
@@ -714,12 +720,11 @@ def _pseudo_loglik_reference(sigma, constraints, ridge=1e-8):
             if cols not in cache:
                 block = sigma[np.ix_(cols, cols)]
                 try:
-                    factor = cho_factor(block, lower=True)
+                    factor = _cho_factor(block)
                 except np.linalg.LinAlgError:
                     warnings.warn("singular observed block in pseudo_loglik; "
                                   "applying ridge repair")
-                    factor = cho_factor(block + ridge * np.eye(len(cols)),
-                                        lower=True)
+                    factor = _cho_factor(block + ridge * np.eye(len(cols)))
                 logdet = 2.0 * np.sum(np.log(np.diag(factor[0])))
                 cache[cols] = (factor, logdet)
             factor, logdet = cache[cols]
@@ -870,8 +875,8 @@ def test_conditioning_makes_one_potrs_call_per_distinct_pattern(monkeypatch):
     rng = rng_for(4, "potrs-calls")
     sigma = project_correlation(np.corrcoef(rng.normal(size=(6, 12))) + np.eye(6))
     calls = []
-    potrs = copula._potrs
-    monkeypatch.setattr(copula, "_potrs", lambda c, b: calls.append(b.shape) or potrs(c, b))
+    potrs = copula.potrs
+    monkeypatch.setattr(copula, "potrs", lambda c, b: calls.append(b.shape) or potrs(c, b))
     for layout in (plan.exact_layout, plan.interval_layout, fill):
         calls.clear()
         _Conditioning(sigma, plan, layout, 1e-8)

@@ -17,9 +17,9 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st
 
+from copulacast._lapack import potrs
 from copulacast.copula import (CopulaModel, _constraint_cells, _estep_sum, _fill,
-                               _latent_cells, _Layout, _loglik, _Plan, _potrf,
-                               _potrs, complete,
+                               _latent_cells, _Layout, _loglik, _Plan, complete,
                                em_fit, fit_marginals, impute, project_correlation,
                                row_constraints, truncated_normal_moments)
 from copulacast.dataset import (CONTINUOUS, ORDINAL, MarginalSpec, ObservationMatrix,
@@ -168,11 +168,19 @@ def test_one_potrs_against_stacked_right_sides_equals_separate_solves(seed, n, e
     solves each right-hand-side column on its own."""
     rng = rng_for(seed, "stacked-potrs")
     a = rng.normal(size=(n, n))
-    c = _potrf(project_correlation(a @ a.T + 0.1 * np.eye(n)) + 1e-8 * np.eye(n))
+    block = project_correlation(a @ a.T + 0.1 * np.eye(n)) + 1e-8 * np.eye(n)
+    c = np.linalg.cholesky(block).T.copy()  # L column by column
     cross = rng.uniform(-1.0, 1.0, size=(extra, n))
-    both = _potrs(c, np.hstack((np.eye(n), cross.T)))
-    assert same_bits(both[:, :n], _potrs(c, np.eye(n)))
-    assert same_bits(both[:, n:], _potrs(c, cross.T))
+
+    def solved(rows):
+        rows = rows.copy()
+        assert potrs(c, rows) == 0
+        return rows
+
+    both = solved(np.concatenate((np.eye(n), cross)))
+    assert same_bits(both[:n], solved(np.eye(n)))
+    if extra:
+        assert same_bits(both[n:], solved(cross))
 
 
 # Intervals narrower than 0.01 are left out: there the variance is a

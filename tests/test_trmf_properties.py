@@ -214,10 +214,7 @@ def test_banded_fit_matches_the_dense_sweep(case):
 
 
 def test_a_failed_band_factorization_is_a_fit_error(monkeypatch):
-    def not_positive_definite(ab, b):
-        return ab, b, 3
-
-    monkeypatch.setattr(trmf, "dpbsv", not_positive_definite)
+    monkeypatch.setattr(trmf, "pbsv", lambda ab, b: 3)
     x = rng_for(5, "trmf-pbsv").normal(size=(3, 20))
     with pytest.raises(FitError, match=r"pbsv info 3"):
         fit_trmf(x, k=2, lags=(1, 4), sweeps=2)
