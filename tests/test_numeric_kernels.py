@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from copulacast import _lapack
 from copulacast._normal import ndtr, ndtri
+from test_copula import same_bits
 
 scipy_special = pytest.importorskip("scipy.special")
 scipy_lapack = pytest.importorskip("scipy.linalg.lapack")
@@ -19,11 +20,6 @@ scipy_lapack = pytest.importorskip("scipy.linalg.lapack")
 EXP_M2 = 0.13533528323661269189      # ndtri's branch point exp(-2)
 EXP_M32 = 1.2664165549094176e-14     # where sqrt(-2 log y) reaches 8
 TINY = 5e-324
-
-
-def same_bits(a, b):
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 def same_values(a, b):
