@@ -23,15 +23,17 @@ One conditioning kernel serves em_fit, impute, pseudo_loglik and e_step:
   the panel's latent cell arrays (_latent_cells: exact values, interval
   bounds and the interval mask, each shaped like the panel), which never
   change between iterations (complete fits and fills one matrix on one
-  plan): per-row column orders, pattern ids and padded latent starts and
-  ordinal-slot tables, the exact-only rows grouped by pattern, and
-  layouts, row selections of those arrays grouped by observed-block size.
+  plan): per-row column orders, padded latent starts and ordinal-slot
+  tables, and the E-step's layout, the rows with an observed cell grouped
+  by observed-block size, each block numbering its own patterns once.
   RowConstraint lists (e_step, pseudo_loglik) enter through the same
   arrays.
 - Factors and solves run LAPACK's Cholesky routines from numpy's OpenBLAS
   (np.linalg.cholesky and _lapack.potrs), with cho_factor/cho_solve's
   checks kept: one factor and one solve per distinct pattern give both an
-  interval row's precision and every row's gain.
+  interval row's precision and every row's gain.  Every row with an
+  observed cell, exact-only or not, takes its E[z z^T] from this kernel;
+  a row with none adds sigma.
 - The ordinal mean-field sweep runs for all interval rows at once, one
   array step per (pass, ordinal slot), with each row's coordinate order
   and stopping test, array truncated moments and stacked np.matmul dot
@@ -269,13 +271,16 @@ def _truncated_moments(lo, hi, mean, sd):
     """Elementwise truncated-normal moments, the scalar expressions on arrays.
 
     Each element goes through the same IEEE operations as the scalar form,
-    so the results agree bit for bit; infinite bounds contribute zero
+    so the results agree bit for bit.  An interval whose lower bound lies
+    above the mean takes its mass from the mirror interval (-b, -a), which
+    does not cancel in the upper tail; infinite bounds contribute zero
     density, and elements whose interval mass underflows collapse to the
     nearest finite endpoint with zero variance.
     """
     a = (lo - mean) / sd
     b = (hi - mean) / sd
-    cdf_b, cdf_a = ndtr(np.stack((b, a)))
+    upper = a > 0
+    cdf_b, cdf_a = ndtr(np.stack((np.where(upper, -a, b), np.where(upper, -b, a))))
     mass = cdf_b - cdf_a
     finite_a, finite_b = np.isfinite(a), np.isfinite(b)
     a0 = np.where(finite_a, a, 0.0)
@@ -327,20 +332,16 @@ class _Plan:
     impute:
 
     - cols: each row's observed columns, then its missing ones; n_obs and
-      n_ordinal: its observed and observed-ordinal cell counts; pid: its
-      missing pattern, numbered in the order of the observed-column tuples;
+      n_ordinal: its observed and observed-ordinal cell counts;
     - z0: each row's observed latent start (exact values, ordinal cells at
       their standard truncated means), padded; at, lo, hi and has, the
       (depth, rows) tables of each row's t-th ordinal cell: its position in
       the observed block, its bounds and whether it exists;
-    - groups: the exact-only rows by pattern, in pattern order, with their
-      stacked exact values z and sums z^T z;
     - loglik_z: per exact block (the exact cells of a row), the stacked
       exact values of its rows; loglik_sizes: the blocks by size, as
       (block ids, their stacked columns); loglik_rows: each row's exact
       block and interval log masses;
-    - exact_layout (one row per exact-only pattern with missing cells) and
-      interval_layout (the rows with interval cells): every E-step's layouts.
+    - estep_layout: every E-step's layout, the rows with an observed cell.
     """
 
     def __init__(self, mask, exact, lo, hi, interval):
@@ -348,8 +349,6 @@ class _Plan:
         self.n_obs = mask.sum(axis=1)
         self.n_ordinal = interval.sum(axis=1)
         self.cols = np.argsort(~mask, axis=1, kind="stable")
-        key = np.where(np.arange(self.q) < self.n_obs[:, None], self.cols, -1)
-        self.pid = np.unique(key, axis=0, return_inverse=True)[1].reshape(-1)
         latent = exact.copy()
         latent[interval], _ = _truncated_moments(lo[interval], hi[interval], 0.0, 1.0)
         self.z0 = np.take_along_axis(latent, self.cols, axis=1)
@@ -360,18 +359,6 @@ class _Plan:
         self.has, self.at = has.T, np.where(has, at, 0).T
         self.lo = np.take_along_axis(lo, ordinal, axis=1).T
         self.hi = np.take_along_axis(hi, ordinal, axis=1).T
-        plain = np.flatnonzero(self.n_ordinal == 0)
-        plain = plain[np.argsort(self.pid[plain], kind="stable")]
-        self.groups, group_rows = [], []
-        runs = np.unique(self.pid[plain], return_index=True, return_counts=True)
-        for pid, first, count in zip(*(run.tolist() for run in runs)):
-            rows = plain[first:first + count]
-            r = rows[0]
-            o, m = self.cols[r, :self.n_obs[r]], self.cols[r, self.n_obs[r]:]
-            z = exact[rows[:, None], o] if o.size else None
-            self.groups.append((pid, o, m, count, z, None if z is None else z.T @ z))
-            if o.size and m.size:
-                group_rows.append(r)
         exact_cells = mask & ~interval
         keys, block = np.unique(exact_cells, axis=0, return_inverse=True)
         block = block.reshape(-1)
@@ -383,7 +370,11 @@ class _Plan:
             ids = np.flatnonzero(sizes == k)
             self.loglik_sizes.append((ids.tolist(), np.nonzero(keys[ids])[1].reshape(-1, k)))
         self.exact_finite = bool(np.isfinite(exact[exact_cells]).all())
-        cdf_hi, cdf_lo = ndtr(np.stack((hi[interval], lo[interval])))
+        # above 0, the mass of the mirror interval, as in _truncated_moments
+        cut_lo, cut_hi = lo[interval], hi[interval]
+        upper = cut_lo > 0
+        cdf_hi, cdf_lo = ndtr(np.stack((np.where(upper, -cut_lo, cut_hi),
+                                        np.where(upper, -cut_hi, cut_lo))))
         mass = cdf_hi - cdf_lo
         terms = np.log(np.where(1e-300 > mass, 1e-300, mass)).tolist()
         self.loglik_rows = []
@@ -392,19 +383,20 @@ class _Plan:
                                   self.n_ordinal.tolist()):
             self.loglik_rows.append((block_id if k else None, terms[b:b + d]))
             b += d
-        self.exact_layout = _Layout(self, np.array(group_rows, dtype=np.intp))
-        self.interval_layout = _Layout(self, np.flatnonzero(self.n_ordinal))
+        self.estep_layout = _Layout(self, np.flatnonzero(self.n_obs))
 
 
 class _Layout:
     """A row set of a plan arranged for stacked work.
 
     Rows are ordered by observed-block size n, interval rows first within a
-    size, and split into blocks (n, start, mid, stop, pids, o, m): rows
-    start:mid of the order carry interval cells, mid:stop do not, and o and
-    m stack the rows' observed and missing column indices.  z0, at, lo, hi
-    and has are the plan's arrays at these rows, cut to the set's widest
-    observed block and deepest ordinal slot.
+    size, and split into blocks (n, start, mid, stop, first, pattern, o, m):
+    rows start:mid of the order carry interval cells, mid:stop do not; o
+    and m stack the rows' observed and missing column indices; first holds
+    the block position of the first row of each distinct observed-column
+    set, and pattern each row's set, numbered in the order of the sets.  z0,
+    at, lo, hi and has are the plan's arrays at these rows, cut to the set's
+    widest observed block and deepest ordinal slot.
     """
 
     def __init__(self, plan, rows):
@@ -423,7 +415,9 @@ class _Layout:
             n, block = int(sizes[start]), rows[start:stop]
             mid = start + int(np.count_nonzero(plan.n_ordinal[block]))
             cols = plan.cols[block]
-            self.blocks.append((n, start, mid, stop, plan.pid[block].tolist(),
+            _, first, pattern = np.unique(cols[:, :n], axis=0, return_index=True,
+                                          return_inverse=True)
+            self.blocks.append((n, start, mid, stop, first, pattern.reshape(-1),
                                 cols[:, :n], cols[:, n:]))
 
 
@@ -434,7 +428,7 @@ class _Conditioning:
     gathers its rows' ridged observed submatrices, one their cross blocks
     Sigma_MO and one their missing blocks, and one np.matmul forms every
     conditional covariance Sigma_MM - gain Sigma_OM.  One np.linalg.cholesky
-    factors a block's new patterns, and per distinct pattern LAPACK potrs
+    factors a block's distinct patterns, and per distinct pattern LAPACK potrs
     solves once, against [I | Sigma_OM^T] if its rows carry interval cells
     (they lead their block), else Sigma_OM^T; the right-hand sides are built
     as rows, LAPACK's column-major columns, and potrs solves each alone, so
@@ -450,19 +444,15 @@ class _Conditioning:
         # every finiteness check, so the checks are skipped.
         finite = float(np.abs(sigma).max(initial=0.0)) + abs(ridge) < np.inf
         self.precs, self.gains, self.conds = [], [], []
-        self.gain, self.cond = {}, {}
-        for n, start, mid, stop, pids, o, m in layout.blocks:
+        for n, start, mid, stop, first, pattern, o, m in layout.blocks:
             eye = np.eye(n)
             blocks = sigma[o[:, :, None], o[:, None, :]] + ridge * eye
             cross = sigma[m[:, :, None], o[:, None, :]]
             if not finite:
                 _check_finite(blocks)
                 _check_finite(cross)
-            # each distinct pattern, the row that first carries it, and
-            # each row's pattern
-            _, at, pattern = np.unique(np.array(pids if m.size else pids[:mid - start],
-                                                dtype=np.intp),
-                                       return_index=True, return_inverse=True)
+            # with nothing missing, only the interval rows' pattern
+            at = first if m.size else first[first < mid - start]
             try:
                 factors = np.linalg.cholesky(blocks[at])
             except np.linalg.LinAlgError:
@@ -484,12 +474,9 @@ class _Conditioning:
                 self.conds.append(None)
                 continue
             gain = solves[pattern, n:]
-            cond = (sigma[m[:, :, None], m[:, None, :]]
-                    - np.matmul(gain, cross.transpose(0, 2, 1)))
             self.gains.append(gain)
-            self.conds.append(cond)
-            for i, pid in enumerate(pids):
-                self.gain[pid], self.cond[pid] = gain[i], cond[i]
+            self.conds.append(sigma[m[:, :, None], m[:, None, :]]
+                              - np.matmul(gain, cross.transpose(0, 2, 1)))
 
     def observed_moments(self, max_inner=50, inner_tol=1e-6):
         """Observed latent means and variances of the layout's rows.
@@ -517,7 +504,7 @@ class _Conditioning:
         dots = np.zeros(count)
         out = dots.reshape(count, 1, 1)
         products = [[] for _ in range(depth)]
-        for (n, start, mid, _, _, _, _), prec in zip(layout.blocks, self.precs):
+        for (n, start, mid, *_), prec in zip(layout.blocks, self.precs):
             if mid == start:
                 continue
             s = min(depth, n)
@@ -567,7 +554,7 @@ class _Conditioning:
         """Write each layout row's conditional missing mean gain @ z_obs into
         its row of latent."""
         rows = self.layout.rows[:, None]
-        for (n, start, _, stop, _, _, m), gain in zip(self.layout.blocks, self.gains):
+        for (n, start, _, stop, *_, m), gain in zip(self.layout.blocks, self.gains):
             if gain is not None:
                 latent[rows[start:stop], m] = np.matmul(gain, z[start:stop, :n, None])[:, :, 0]
 
@@ -575,7 +562,7 @@ class _Conditioning:
         """Each layout row's symmetrized E[z z^T], stacked in layout order."""
         q = self.plan.q
         out = np.empty((len(self.layout.rows), q, q))
-        for (n, start, _, stop, _, o, m), gain, cond in zip(
+        for (n, start, _, stop, *_, o, m), gain, cond in zip(
                 self.layout.blocks, self.gains, self.conds):
             zb, vb = z[start:stop, :n], v[start:stop, :n]
             batch = np.arange(stop - start)[:, None, None]
@@ -623,7 +610,7 @@ def e_step(sigma, constraint, ridge=1e-8, max_inner=50, inner_tol=1e-6):
     if not constraint.observed:
         return np.zeros(q), sigma.copy()
     plan = _Plan(*_constraint_cells([constraint], q))
-    kernel = _Conditioning(sigma, plan, _Layout(plan, np.array([0])), ridge)
+    kernel = _Conditioning(sigma, plan, plan.estep_layout, ridge)
     z, v = kernel.observed_moments(max_inner, inner_tol)
     e_z = np.zeros((1, q))
     e_z[0, list(constraint.observed)] = z[0]
@@ -764,35 +751,15 @@ def pseudo_loglik(sigma, constraints, ridge=1e-8):
 
 
 def _estep_sum(sigma, plan, ridge):
-    """Sum of E[z z^T] over a plan's rows.
-
-    Rows whose observed coordinates are all exact (continuous) share the
-    conditional algebra, so they are processed per pattern with one solve;
-    rows with interval constraints get their e_step moments from the
-    batched kernel and are added one at a time, in row order.
-    """
-    q = plan.q
-    exact = _Conditioning(sigma, plan, plan.exact_layout, ridge)
-    total = np.zeros((q, q))
-    for pid, o, m, count, z, sum_oo in plan.groups:
-        if z is None:
-            total += count * sigma
-            continue
-        if not m.size:
-            total += sum_oo
-            continue
-        mean_m = z @ exact.gain[pid].T            # rows x |mis|
-        block = np.zeros((q, q))
-        block[o[:, None], o] = sum_oo
-        block[m[:, None], m] = count * exact.cond[pid] + mean_m.T @ mean_m
-        cross_mo = mean_m.T @ z
-        block[m[:, None], o] = cross_mo
-        block[o[:, None], m] = cross_mo.T
-        total += block
-    kernel = _Conditioning(sigma, plan, plan.interval_layout, ridge)
+    """Sum of E[z z^T] over a plan's rows: each row with an observed cell
+    from the kernel, added in row order, then sigma once per empty row."""
+    kernel = _Conditioning(sigma, plan, plan.estep_layout, ridge)
     second = kernel.second_moments(*kernel.observed_moments())
+    total = np.zeros((plan.q, plan.q))
     for i in kernel.layout.row_order:
         total += second[i]
+    for _ in range(plan.n_obs.size - second.shape[0]):
+        total += sigma
     return 0.5 * (total + total.T)
 
 
