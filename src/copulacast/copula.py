@@ -23,11 +23,11 @@ One conditioning kernel serves em_fit, impute, pseudo_loglik and e_step:
   the panel's latent cell arrays (_latent_cells: exact values, interval
   bounds and the interval mask, each shaped like the panel), which never
   change between iterations (complete fits and fills one matrix on one
-  plan): per-row column orders, padded latent starts and ordinal-slot
-  tables, and the E-step's layout, the rows with an observed cell grouped
-  by observed-block size, each block numbering its own patterns once.
-  RowConstraint lists (e_step, pseudo_loglik) enter through the same
-  arrays.
+  plan): the rows with an observed cell in one order, by observed-block
+  size, with their latent starts and ordinal-slot tables, each size's block
+  numbering its own patterns once.  The E-step conditions every row, the
+  fill the leading ones, which have a missing cell.  RowConstraint lists
+  (e_step, pseudo_loglik) enter through the same arrays and checks.
 - Factors and solves run LAPACK's Cholesky routines from numpy's OpenBLAS
   (np.linalg.cholesky and _lapack.potrs), with cho_factor/cho_solve's
   checks kept: one factor and one solve per distinct pattern give both an
@@ -327,38 +327,31 @@ class _Plan:
     """The latent cells of a panel, arranged once per fit.
 
     The cells never change between EM iterations, so everything the
-    conditioning needs from them is gathered here once, as arrays over the
-    panel's rows, and reused by every E-step, the log-likelihood and
-    impute:
+    conditioning needs from them is gathered here once and reused by every
+    E-step, the log-likelihood and impute.  rows holds the rows with an
+    observed cell in one order, by observed-block size n, interval rows
+    first within a size; the partial rows with a missing cell lead it (a
+    fully observed row has the largest n), row_order maps it back to panel
+    order, and empty counts the other rows.  In that order:
 
-    - cols: each row's observed columns, then its missing ones; n_obs and
-      n_ordinal: its observed and observed-ordinal cell counts;
     - z0: each row's observed latent start (exact values, ordinal cells at
       their standard truncated means), padded; at, lo, hi and has, the
       (depth, rows) tables of each row's t-th ordinal cell: its position in
       the observed block, its bounds and whether it exists;
-    - loglik_z: per exact block (the exact cells of a row), the stacked
-      exact values of its rows; loglik_sizes: the blocks by size, as
-      (block ids, their stacked columns); loglik_rows: each row's exact
-      block and interval log masses;
-    - estep_layout: every E-step's layout, the rows with an observed cell.
+    - blocks, one (n, start, mid, stop, first, pattern, o, m) per size:
+      rows start:mid carry interval cells, mid:stop do not; o and m stack
+      their observed and missing columns; first holds the block position of
+      each distinct observed-column set's first row, pattern each row's set.
+
+    In panel order, loglik_z: per exact block (the exact cells of a row),
+    the stacked exact values of its rows; loglik_sizes: the blocks by size,
+    as (block ids, their stacked columns); loglik_rows: each row's exact
+    block and interval log masses.
     """
 
     def __init__(self, mask, exact, lo, hi, interval):
         self.q = mask.shape[1]
-        self.n_obs = mask.sum(axis=1)
-        self.n_ordinal = interval.sum(axis=1)
-        self.cols = np.argsort(~mask, axis=1, kind="stable")
-        latent = exact.copy()
-        latent[interval], _ = _truncated_moments(lo[interval], hi[interval], 0.0, 1.0)
-        self.z0 = np.take_along_axis(latent, self.cols, axis=1)
-        depth = int(self.n_ordinal.max(initial=0))
-        ordinal = np.argsort(~interval, axis=1, kind="stable")[:, :depth]
-        has = np.arange(depth) < self.n_ordinal[:, None]
-        at = np.take_along_axis(np.cumsum(mask, axis=1) - 1, ordinal, axis=1)
-        self.has, self.at = has.T, np.where(has, at, 0).T
-        self.lo = np.take_along_axis(lo, ordinal, axis=1).T
-        self.hi = np.take_along_axis(hi, ordinal, axis=1).T
+        n_obs, n_ordinal = mask.sum(axis=1), interval.sum(axis=1)
         exact_cells = mask & ~interval
         keys, block = np.unique(exact_cells, axis=0, return_inverse=True)
         block = block.reshape(-1)
@@ -380,71 +373,69 @@ class _Plan:
         self.loglik_rows = []
         b = 0
         for block_id, k, d in zip(block.tolist(), exact_cells.sum(axis=1).tolist(),
-                                  self.n_ordinal.tolist()):
+                                  n_ordinal.tolist()):
             self.loglik_rows.append((block_id if k else None, terms[b:b + d]))
             b += d
-        self.estep_layout = _Layout(self, np.flatnonzero(self.n_obs))
-
-
-class _Layout:
-    """A row set of a plan arranged for stacked work.
-
-    Rows are ordered by observed-block size n, interval rows first within a
-    size, and split into blocks (n, start, mid, stop, first, pattern, o, m):
-    rows start:mid of the order carry interval cells, mid:stop do not; o
-    and m stack the rows' observed and missing column indices; first holds
-    the block position of the first row of each distinct observed-column
-    set, and pattern each row's set, numbered in the order of the sets.  z0,
-    at, lo, hi and has are the plan's arrays at these rows, cut to the set's
-    widest observed block and deepest ordinal slot.
-    """
-
-    def __init__(self, plan, rows):
-        self.rows = rows = rows[np.lexsort((plan.n_ordinal[rows] == 0, plan.n_obs[rows]))]
+        rows = np.flatnonzero(n_obs)
+        self.rows = rows = rows[np.lexsort((n_ordinal[rows] == 0, n_obs[rows]))]
         self.row_order = np.argsort(rows, kind="stable")
-        sizes = plan.n_obs[rows]
-        self.depth = int(plan.n_ordinal[rows].max(initial=0))
-        self.z0 = plan.z0[rows, :sizes.max(initial=0)]
-        self.at, self.lo, self.hi, self.has = (
-            table[:self.depth].take(rows, axis=1)
-            for table in (plan.at, plan.lo, plan.hi, plan.has))
-        self.good_intervals = bool((self.hi > self.lo).all())
+        self.empty = n_obs.size - rows.size
+        mask, latent, lo, hi, interval = (a[rows] for a in (mask, exact, lo, hi, interval))
+        sizes, n_ordinal = n_obs[rows], n_ordinal[rows]
+        self.partial = int(np.count_nonzero(sizes < self.q))
+        cols = np.argsort(~mask, axis=1, kind="stable")
+        latent[interval], _ = _truncated_moments(lo[interval], hi[interval], 0.0, 1.0)
+        self.z0 = np.take_along_axis(latent, cols[:, :sizes.max(initial=0)], axis=1)
+        depth = int(n_ordinal.max(initial=0))
+        ordinal = np.argsort(~interval, axis=1, kind="stable")[:, :depth]
+        has = np.arange(depth) < n_ordinal[:, None]
+        at = np.take_along_axis(np.cumsum(mask, axis=1) - 1, ordinal, axis=1)
+        self.has, self.at = has.T, np.where(has, at, 0).T
+        self.lo, self.hi = (np.take_along_axis(x, ordinal, axis=1).T for x in (lo, hi))
         self.blocks = []
         starts = np.flatnonzero(np.diff(sizes, prepend=-1)).tolist()
         for start, stop in zip(starts, starts[1:] + [rows.size]):
-            n, block = int(sizes[start]), rows[start:stop]
-            mid = start + int(np.count_nonzero(plan.n_ordinal[block]))
-            cols = plan.cols[block]
-            _, first, pattern = np.unique(cols[:, :n], axis=0, return_index=True,
-                                          return_inverse=True)
-            self.blocks.append((n, start, mid, stop, first, pattern.reshape(-1),
-                                cols[:, :n], cols[:, n:]))
+            n = int(sizes[start])
+            mid = start + int(np.count_nonzero(n_ordinal[start:stop]))
+            o, m = cols[start:stop, :n], cols[start:stop, n:]
+            _, first, pattern = np.unique(o, axis=0, return_index=True, return_inverse=True)
+            self.blocks.append((n, start, mid, stop, first, pattern.reshape(-1), o, m))
+
+
+def _check_cells(plan, stop):
+    """The E-step's and pseudo_loglik's cell checks on a plan's first stop rows."""
+    if not (plan.hi[:, :stop] > plan.lo[:, :stop]).all():
+        raise ValueError("need hi > lo")
+    if not plan.exact_finite:
+        _check_finite(plan.z0[:stop])
 
 
 class _Conditioning:
-    """The conditional-Gaussian algebra of one sigma over a layout's rows.
+    """The conditional-Gaussian algebra of one sigma over a plan's leading rows.
 
-    Each block of the layout is conditioned in stacked form: one fancy index
-    gathers its rows' ridged observed submatrices, one their cross blocks
-    Sigma_MO and one their missing blocks, and one np.matmul forms every
-    conditional covariance Sigma_MM - gain Sigma_OM.  One np.linalg.cholesky
-    factors a block's distinct patterns, and per distinct pattern LAPACK potrs
-    solves once, against [I | Sigma_OM^T] if its rows carry interval cells
-    (they lead their block), else Sigma_OM^T; the right-hand sides are built
-    as rows, LAPACK's column-major columns, and potrs solves each alone, so
-    an interval row's precision and each gain are slices of the solution,
-    bit for bit.  cho_factor/cho_solve's checks stay: a non-finite input is
-    a ValueError, a non-PD block a FitError.  A row with nothing missing and
+    The first stop rows of the plan's order are conditioned, whole blocks.
+    Each block is conditioned in stacked form: one fancy index gathers its
+    rows' ridged observed submatrices, one their cross blocks Sigma_MO and
+    one their missing blocks, and one np.matmul forms every conditional
+    covariance Sigma_MM - gain Sigma_OM.  One np.linalg.cholesky factors a
+    block's distinct patterns, and per distinct pattern LAPACK potrs solves
+    once, against [I | Sigma_OM^T] if its rows carry interval cells (they
+    lead their block), else Sigma_OM^T; the right-hand sides are built as
+    rows, LAPACK's column-major columns, and potrs solves each alone, so an
+    interval row's precision and each gain are slices of the solution, bit
+    for bit.  cho_factor/cho_solve's checks stay: a non-finite input is a
+    ValueError, a non-PD block a FitError.  A row with nothing missing and
     no interval cell needs no factor.
     """
 
-    def __init__(self, sigma, plan, layout, ridge):
-        self.plan, self.layout = plan, layout
+    def __init__(self, sigma, plan, ridge, stop):
+        self.plan, self.stop = plan, stop
+        self.blocks = [block for block in plan.blocks if block[3] <= stop]
         # Finite entries that cannot overflow when the ridge is added pass
         # every finiteness check, so the checks are skipped.
         finite = float(np.abs(sigma).max(initial=0.0)) + abs(ridge) < np.inf
         self.precs, self.gains, self.conds = [], [], []
-        for n, start, mid, stop, first, pattern, o, m in layout.blocks:
+        for n, start, mid, _, first, pattern, o, m in self.blocks:
             eye = np.eye(n)
             blocks = sigma[o[:, :, None], o[:, None, :]] + ridge * eye
             cross = sigma[m[:, :, None], o[:, None, :]]
@@ -479,9 +470,9 @@ class _Conditioning:
                               - np.matmul(gain, cross.transpose(0, 2, 1)))
 
     def observed_moments(self, max_inner=50, inner_tol=1e-6):
-        """Observed latent means and variances of the layout's rows.
+        """Observed latent means and variances of the conditioned rows.
 
-        Returns (z, v), padded (rows, width) arrays in layout order: exact
+        Returns (z, v), padded (rows, width) arrays in plan order: exact
         values with zero variance, and for interval cells the ordinal
         mean-field fixed point.  The sweep runs for all interval rows at
         once, one array step per (pass, ordinal slot): slot t is each row's
@@ -492,23 +483,23 @@ class _Conditioning:
         precision row strided by n, a contiguous latent vector), so BLAS
         runs the same kernel and the sums agree bit for bit.
         """
-        layout = self.layout
-        count, depth = len(layout.rows), layout.depth
-        z = layout.z0.copy()
+        plan, count = self.plan, self.stop
+        _check_cells(plan, count)
+        z = plan.z0[:count].copy()
         v = np.zeros_like(z)
+        at, lo, hi, has = (table[:, :count] for table in (plan.at, plan.lo, plan.hi, plan.has))
+        depth = int(has.sum(axis=0).max(initial=0))
         if not depth:
             return z, v
-        if not layout.good_intervals:
-            raise ValueError("need hi > lo")
         diag = np.ones((depth, count))
         dots = np.zeros(count)
         out = dots.reshape(count, 1, 1)
         products = [[] for _ in range(depth)]
-        for (n, start, mid, *_), prec in zip(layout.blocks, self.precs):
+        for (n, start, mid, *_), prec in zip(self.blocks, self.precs):
             if mid == start:
                 continue
             s = min(depth, n)
-            k = layout.at[:s, start:mid].T[:, :, None]
+            k = at[:s, start:mid].T[:, :, None]
             picked = np.take_along_axis(prec, k, axis=1)    # [b, t] = prec_b[k_bt]
             diag[:s, start:mid] = np.take_along_axis(picked, k, axis=2)[:, :, 0].T
             rows = np.zeros((mid - start, n, n))
@@ -516,7 +507,7 @@ class _Conditioning:
             for t in range(s):
                 products[t].append((rows[:, None, :, t], z[start:mid, :n, None],
                                     out[start:mid]))
-        has = layout.has
+        has = has[:depth]
         cond_var = np.where(has, 1.0 / diag, 1.0)
         sd = np.sqrt(cond_var)
         if max_inner > 0 and (has & (sd <= 0)).any():
@@ -530,9 +521,9 @@ class _Conditioning:
                     np.matmul(prec_rows, latent, out=dot)
                 # only the rows that step: the rest keep their cells
                 step = np.flatnonzero(active & has[t])
-                k = layout.at[t, step]
+                k = at[t, step]
                 zk = z[step, k]
-                mu, var = _truncated_moments(layout.lo[t, step], layout.hi[t, step],
+                mu, var = _truncated_moments(lo[t, step], hi[t, step],
                                              zk - cond_var[t, step] * dots[step],
                                              sd[t, step])
                 # the scalar loop's max(delta, |mu - z|) and
@@ -551,19 +542,19 @@ class _Conditioning:
         return z, v
 
     def missing_means(self, z, latent):
-        """Write each layout row's conditional missing mean gain @ z_obs into
-        its row of latent."""
-        rows = self.layout.rows[:, None]
-        for (n, start, _, stop, *_, m), gain in zip(self.layout.blocks, self.gains):
+        """Write each conditioned row's missing mean gain @ z_obs into its
+        row of latent."""
+        rows = self.plan.rows[:, None]
+        for (n, start, _, stop, *_, m), gain in zip(self.blocks, self.gains):
             if gain is not None:
                 latent[rows[start:stop], m] = np.matmul(gain, z[start:stop, :n, None])[:, :, 0]
 
     def second_moments(self, z, v):
-        """Each layout row's symmetrized E[z z^T], stacked in layout order."""
+        """Each conditioned row's symmetrized E[z z^T], stacked in plan order."""
         q = self.plan.q
-        out = np.empty((len(self.layout.rows), q, q))
+        out = np.empty((self.stop, q, q))
         for (n, start, _, stop, *_, o, m), gain, cond in zip(
-                self.layout.blocks, self.gains, self.conds):
+                self.blocks, self.gains, self.conds):
             zb, vb = z[start:stop, :n], v[start:stop, :n]
             batch = np.arange(stop - start)[:, None, None]
             diag = np.zeros((stop - start, n, n))
@@ -610,7 +601,7 @@ def e_step(sigma, constraint, ridge=1e-8, max_inner=50, inner_tol=1e-6):
     if not constraint.observed:
         return np.zeros(q), sigma.copy()
     plan = _Plan(*_constraint_cells([constraint], q))
-    kernel = _Conditioning(sigma, plan, plan.estep_layout, ridge)
+    kernel = _Conditioning(sigma, plan, ridge, plan.rows.size)
     z, v = kernel.observed_moments(max_inner, inner_tol)
     e_z = np.zeros((1, q))
     e_z[0, list(constraint.observed)] = z[0]
@@ -698,9 +689,7 @@ def _loglik(sigma, plan, ridge):
     """pseudo_loglik over a plan: one np.linalg.cholesky per block size, one
     solve per exact pattern against all its rows, rows added in order."""
     finite = float(np.abs(sigma).max(initial=0.0)) + abs(ridge) < np.inf
-    if not plan.exact_finite:
-        for z in plan.loglik_z:
-            _check_finite(z)
+    _check_cells(plan, plan.rows.size)
     exact_terms = [None] * len(plan.loglik_z)
     for ids, cols in plan.loglik_sizes:
         blocks = sigma[cols[:, :, None], cols[:, None, :]]
@@ -753,12 +742,12 @@ def pseudo_loglik(sigma, constraints, ridge=1e-8):
 def _estep_sum(sigma, plan, ridge):
     """Sum of E[z z^T] over a plan's rows: each row with an observed cell
     from the kernel, added in row order, then sigma once per empty row."""
-    kernel = _Conditioning(sigma, plan, plan.estep_layout, ridge)
+    kernel = _Conditioning(sigma, plan, ridge, plan.rows.size)
     second = kernel.second_moments(*kernel.observed_moments())
     total = np.zeros((plan.q, plan.q))
-    for i in kernel.layout.row_order:
+    for i in plan.row_order:
         total += second[i]
-    for _ in range(plan.n_obs.size - second.shape[0]):
+    for _ in range(plan.empty):
         total += sigma
     return 0.5 * (total + total.T)
 
@@ -840,8 +829,7 @@ def impute(model, matrix):
 
 def _fill(model, matrix, plan):
     """impute on a plan of the matrix's latent cells under model.marginals."""
-    rows = np.flatnonzero((plan.n_obs > 0) & (plan.n_obs < plan.q))
-    kernel = _Conditioning(model.sigma, plan, _Layout(plan, rows), model.ridge)
+    kernel = _Conditioning(model.sigma, plan, model.ridge, plan.partial)
     latent = np.zeros(matrix.values.shape)
     kernel.missing_means(kernel.observed_moments()[0], latent)
     values = matrix.values.copy()

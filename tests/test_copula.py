@@ -21,7 +21,6 @@ from copulacast.copula import (
     _fill,
     _constraint_cells,
     _latent_cells,
-    _Layout,
     _Plan,
     _truncated_moments,
     complete,
@@ -402,6 +401,7 @@ ORDINAL_MARGINAL = MarginalTransform(kind=ORDINAL, support=np.array([1.0, 2.0]),
                                      cum_probs=np.array([0.5]))
 CONTINUOUS_MARGINAL = MarginalTransform(kind=CONTINUOUS, support=np.array([1.0, 2.0]),
                                         cum_probs=np.array([1 / 3, 2 / 3]))
+CORRELATED = np.array([[1.0, 0.5], [0.5, 1.0]])
 
 
 @pytest.mark.parametrize("call, message", [
@@ -440,11 +440,23 @@ CONTINUOUS_MARGINAL = MarginalTransform(kind=CONTINUOUS, support=np.array([1.0, 
     (lambda: pseudo_loglik(np.eye(2), [RowConstraint(exact={0: math.inf},
                                                      intervals={}, missing=(1,))]),
      "array must not contain infs or NaNs"),
+    # e_step and pseudo_loglik reject the same bad cells with one message
+    (lambda: e_step(CORRELATED, RowConstraint(exact={0: math.nan}, intervals={},
+                                              missing=(1,))),
+     "array must not contain infs or NaNs"),
+    (lambda: e_step(CORRELATED, RowConstraint(exact={0: math.inf}, intervals={},
+                                              missing=(1,))),
+     "array must not contain infs or NaNs"),
+    (lambda: pseudo_loglik(CORRELATED, [RowConstraint(exact={},
+                                                      intervals={0: (math.nan, 1.0)},
+                                                      missing=(1,))]),
+     "need hi > lo"),
 ], ids=["to_latent_ordinal", "to_interval_continuous", "moments_zero_sd",
         "e_step_arity", "projection_not_square", "model_dimension",
         "model_asymmetric", "model_diagonal", "model_not_psd", "em_no_iterations",
         "impute_column_count", "latent_cells_marginal_count", "e_step_empty_interval",
-        "loglik_infinite_exact"])
+        "loglik_infinite_exact", "e_step_nan_exact", "e_step_infinite_exact",
+        "loglik_nan_interval"])
 def test_copula_input_checks_name_the_fault(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
@@ -908,29 +920,61 @@ def test_estep_sum_equals_the_grouped_per_pattern_sum(panel):
 
 def test_conditioning_makes_one_potrs_call_per_distinct_pattern(monkeypatch):
     masked = mixed_edge_panel()
-    # Rows 4-11 lose their ordinal cells, so the fill's layout has blocks
-    # whose interval rows and exact-only rows share an observed-block size.
+    # Rows 4-11 lose their ordinal cells, so the rows the fill conditions
+    # have blocks whose interval rows and exact-only rows share a size.
     masked.mask[4:12, 2:] = False
     masked.values[4:12, 2:] = np.nan
     marginals = fit_marginals(masked)
-    plan = _Plan(masked.mask, *_latent_cells(masked, marginals))
-    fill = _Layout(plan, np.flatnonzero((plan.n_obs > 0) & (plan.n_obs < plan.q)))
-    assert any(start < mid < stop for _, start, mid, stop, *_ in fill.blocks)
+    cells = _latent_cells(masked, marginals)
+    plan = _Plan(masked.mask, *cells)
+    assert any(start < mid < stop <= plan.partial for _, start, mid, stop, *_ in plan.blocks)
+    # the rows with a missing cell lead the order, the fully observed follow
+    assert not masked.mask[plan.rows[:plan.partial]].all(axis=1).any()
+    assert masked.mask[plan.rows[plan.partial:]].all()
     rng = rng_for(4, "potrs-calls")
     sigma = project_correlation(np.corrcoef(rng.normal(size=(6, 12))) + np.eye(6))
     calls = []
     potrs = copula.potrs
     monkeypatch.setattr(copula, "potrs", lambda c, b: calls.append(b.shape) or potrs(c, b))
-    for layout in (plan.estep_layout, fill):
+    counts = []
+    for stop in (plan.rows.size, plan.partial):
         calls.clear()
-        _Conditioning(sigma, plan, layout, 1e-8)
+        _Conditioning(sigma, plan, 1e-8, stop)
         # a row needs a solve if it has a missing or an interval cell
-        rows = layout.rows[(plan.n_obs[layout.rows] < plan.q)
-                           | (plan.n_ordinal[layout.rows] > 0)]
+        rows = plan.rows[:stop]
+        rows = rows[~masked.mask[rows].all(axis=1) | cells[3][rows].any(axis=1)]
+        counts.append(len(calls))
         assert len(calls) == np.unique(masked.mask[rows], axis=0).shape[0] > 0
+    # the fully observed interval rows' pattern is solved by the E-step only
+    assert counts[0] == counts[1] + 1
     model = CopulaModel(sigma=sigma, marginals=marginals)
     assert same_bits(_fill(model, masked, plan).values,
                      _impute_reference(model, masked))
+
+
+def test_fill_factors_no_fully_observed_row(monkeypatch):
+    # At a rank-one sigma and ridge 0 only one-cell observed blocks are
+    # positive definite.  The fill conditions the rows with a missing cell,
+    # each observing one cell here, and factors no fully observed row, so it
+    # fills where the E-step over every row fails.
+    values = np.array([[1.0, 1.0], [2.0, np.nan], [np.nan, 2.0],
+                       [3.0, 3.0], [4.0, np.nan], [np.nan, 1.0]])
+    masked = ObservationMatrix(
+        values=values, mask=~np.isnan(values), column_kinds=(CONTINUOUS, ORDINAL),
+        column_names=("a", "g"), time_index=monthly_index(datetime.date(2013, 1, 1), 6),
+        ordinal_levels={1: (1.0, 2.0, 3.0)})
+    model = CopulaModel(sigma=np.ones((2, 2)), marginals=fit_marginals(masked), ridge=0.0)
+    plan = _Plan(masked.mask, *_latent_cells(masked, model.marginals))
+    with pytest.raises(FitError):
+        _estep_sum(model.sigma, plan, 0.0)
+    sizes = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky",
+                        lambda a: sizes.append(a.shape[-1]) or cholesky(a))
+    completed = impute(model, masked)
+    assert sizes and set(sizes) == {1}
+    assert completed.mask.all() and np.isfinite(completed.values).all()
+    assert same_bits(completed.values[masked.mask], values[masked.mask])
 
 
 @pytest.mark.parametrize("panel, max_iters", [
