@@ -34,6 +34,10 @@ One conditioning kernel serves em_fit, impute, pseudo_loglik and e_step:
   interval row's precision and every row's gain.  Every row with an
   observed cell, exact-only or not, takes its E[z z^T] from this kernel;
   a row with none adds sigma.
+- The log-likelihood stacks each exact-block size's rows: one
+  np.linalg.cholesky and one np.linalg.solve of the factors per size, and
+  one math.fsum over every row's term and every interval log mass, exactly
+  rounded, so its value does not depend on row order.
 - The ordinal mean-field sweep runs for all interval rows at once, one
   array step per (pass, ordinal slot), with each row's coordinate order
   and stopping test, array truncated moments and stacked np.matmul dot
@@ -43,6 +47,7 @@ Every result equals the per-row scalar computation bit for bit, which
 tests/test_copula.py checks against a copy of that computation.
 """
 
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -323,6 +328,12 @@ def _check_finite(a):
         raise ValueError("array must not contain infs or NaNs")
 
 
+def _check_sigma(sigma, ridge):
+    """_check_finite of every block of sigma + ridge I at once: it passes when
+    sigma's entries are finite and none overflows when the ridge is added."""
+    _check_finite(float(np.abs(sigma).max(initial=0.0)) + abs(ridge))
+
+
 class _Plan:
     """The latent cells of a panel, arranged once per fit.
 
@@ -343,39 +354,28 @@ class _Plan:
       their observed and missing columns; first holds the block position of
       each distinct observed-column set's first row, pattern each row's set.
 
-    In panel order, loglik_z: per exact block (the exact cells of a row),
-    the stacked exact values of its rows; loglik_sizes: the blocks by size,
-    as (block ids, their stacked columns); loglik_rows: each row's exact
-    block and interval log masses.
+    For the log-likelihood, loglik_blocks: per exact-block size k > 0 (a
+    row's exact cells form its exact block), the (rows, k) exact columns and
+    exact values of the rows with k exact cells; loglik_masses: the log
+    mass of every interval cell.
     """
 
     def __init__(self, mask, exact, lo, hi, interval):
         self.q = mask.shape[1]
         n_obs, n_ordinal = mask.sum(axis=1), interval.sum(axis=1)
         exact_cells = mask & ~interval
-        keys, block = np.unique(exact_cells, axis=0, return_inverse=True)
-        block = block.reshape(-1)
-        self.loglik_z = [exact[np.flatnonzero(block == i)[:, None], np.flatnonzero(key)]
-                         for i, key in enumerate(keys)]
-        sizes = keys.sum(axis=1)
-        self.loglik_sizes = []
-        for k in np.unique(sizes[sizes > 0]).tolist():
-            ids = np.flatnonzero(sizes == k)
-            self.loglik_sizes.append((ids.tolist(), np.nonzero(keys[ids])[1].reshape(-1, k)))
         self.exact_finite = bool(np.isfinite(exact[exact_cells]).all())
+        n_exact = exact_cells.sum(axis=1)
+        exact_cols = np.argsort(~exact_cells, axis=1, kind="stable")
+        exact_z = np.take_along_axis(exact, exact_cols, axis=1)
+        self.loglik_blocks = [(exact_cols[n_exact == k, :k], exact_z[n_exact == k, :k])
+                              for k in range(1, self.q + 1) if (n_exact == k).any()]
         # above 0, the mass of the mirror interval, as in _truncated_moments
         cut_lo, cut_hi = lo[interval], hi[interval]
         upper = cut_lo > 0
         cdf_hi, cdf_lo = ndtr(np.stack((np.where(upper, -cut_lo, cut_hi),
                                         np.where(upper, -cut_hi, cut_lo))))
-        mass = cdf_hi - cdf_lo
-        terms = np.log(np.where(1e-300 > mass, 1e-300, mass)).tolist()
-        self.loglik_rows = []
-        b = 0
-        for block_id, k, d in zip(block.tolist(), exact_cells.sum(axis=1).tolist(),
-                                  n_ordinal.tolist()):
-            self.loglik_rows.append((block_id if k else None, terms[b:b + d]))
-            b += d
+        self.loglik_masses = np.log(np.maximum(cdf_hi - cdf_lo, 1e-300))
         rows = np.flatnonzero(n_obs)
         self.rows = rows = rows[np.lexsort((n_ordinal[rows] == 0, n_obs[rows]))]
         self.row_order = np.argsort(rows, kind="stable")
@@ -423,25 +423,21 @@ class _Conditioning:
     lead their block), else Sigma_OM^T; the right-hand sides are built as
     rows, LAPACK's column-major columns, and potrs solves each alone, so an
     interval row's precision and each gain are slices of the solution, bit
-    for bit.  cho_factor/cho_solve's checks stay: a non-finite input is a
-    ValueError, a non-PD block a FitError.  A row with nothing missing and
-    no interval cell needs no factor.
+    for bit.  cho_factor/cho_solve's checks stay: a non-finite sigma
+    (_check_sigma, once for every block) or cell is a ValueError, a non-PD
+    block a FitError.  A row with nothing missing and no interval cell needs
+    no factor.
     """
 
     def __init__(self, sigma, plan, ridge, stop):
         self.plan, self.stop = plan, stop
         self.blocks = [block for block in plan.blocks if block[3] <= stop]
-        # Finite entries that cannot overflow when the ridge is added pass
-        # every finiteness check, so the checks are skipped.
-        finite = float(np.abs(sigma).max(initial=0.0)) + abs(ridge) < np.inf
+        _check_sigma(sigma, ridge)
         self.precs, self.gains, self.conds = [], [], []
         for n, start, mid, _, first, pattern, o, m in self.blocks:
             eye = np.eye(n)
             blocks = sigma[o[:, :, None], o[:, None, :]] + ridge * eye
             cross = sigma[m[:, :, None], o[:, None, :]]
-            if not finite:
-                _check_finite(blocks)
-                _check_finite(cross)
             # with nothing missing, only the interval rows' pattern
             at = first if m.size else first[first < mid - start]
             try:
@@ -686,34 +682,22 @@ class CopulaModel:
 
 
 def _loglik(sigma, plan, ridge):
-    """pseudo_loglik over a plan: one np.linalg.cholesky per block size, one
-    solve per exact pattern against all its rows, rows added in order."""
-    finite = float(np.abs(sigma).max(initial=0.0)) + abs(ridge) < np.inf
+    """pseudo_loglik over a plan: per exact-block size, one np.linalg.cholesky
+    and one np.linalg.solve of the factors over its rows, and every term
+    added by one math.fsum, exactly rounded in any row order."""
+    _check_sigma(sigma, ridge)
     _check_cells(plan, plan.rows.size)
-    exact_terms = [None] * len(plan.loglik_z)
-    for ids, cols in plan.loglik_sizes:
+    terms = [plan.loglik_masses]
+    for cols, z in plan.loglik_blocks:
         blocks = sigma[cols[:, :, None], cols[:, None, :]]
-        if not finite:
-            _check_finite(blocks)
         try:
             factors = np.linalg.cholesky(blocks)
         except np.linalg.LinAlgError:
             factors = np.array([_repaired_factor(block, ridge) for block in blocks])
         logdets = 2.0 * np.sum(np.log(np.diagonal(factors, axis1=1, axis2=2)), axis=1)
-        # each factor's rows as LAPACK's column-major lower triangle
-        for block_id, c, logdet in zip(ids, factors.transpose(0, 2, 1).copy(), logdets):
-            z = plan.loglik_z[block_id]
-            x = z.copy()
-            potrs(c, x)
-            exact_terms[block_id] = iter([-0.5 * (zr.size * _LOG_2PI + logdet + float(zr @ xr))
-                                          for zr, xr in zip(z, x)])
-    total = 0.0
-    for block_id, terms in plan.loglik_rows:
-        if block_id is not None:
-            total += next(exact_terms[block_id])
-        for term in terms:
-            total += term
-    return total
+        y = np.linalg.solve(factors, z[:, :, None])[:, :, 0]
+        terms.append(-0.5 * (cols.shape[1] * _LOG_2PI + logdets + np.sum(y * y, axis=1)))
+    return math.fsum(np.concatenate(terms).tolist())
 
 
 def _repaired_factor(block, ridge):

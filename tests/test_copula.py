@@ -402,6 +402,8 @@ ORDINAL_MARGINAL = MarginalTransform(kind=ORDINAL, support=np.array([1.0, 2.0]),
 CONTINUOUS_MARGINAL = MarginalTransform(kind=CONTINUOUS, support=np.array([1.0, 2.0]),
                                         cum_probs=np.array([1 / 3, 2 / 3]))
 CORRELATED = np.array([[1.0, 0.5], [0.5, 1.0]])
+NAN_OUTSIDE_BLOCKS = np.eye(3)
+NAN_OUTSIDE_BLOCKS[1, 2] = math.nan  # only in the missing block of row {0}
 
 
 @pytest.mark.parametrize("call, message", [
@@ -451,12 +453,25 @@ CORRELATED = np.array([[1.0, 0.5], [0.5, 1.0]])
                                                       intervals={0: (math.nan, 1.0)},
                                                       missing=(1,))]),
      "need hi > lo"),
+    # one sigma check for the kernel and the log-likelihood: a non-finite
+    # entry anywhere, or an infinite ridge, is rejected by both
+    (lambda: pseudo_loglik([[1.0, math.nan], [math.nan, 1.0]],
+                           [RowConstraint(exact={}, intervals={0: (0.0, 1.0)},
+                                          missing=(1,))]),
+     "array must not contain infs or NaNs"),
+    (lambda: e_step(NAN_OUTSIDE_BLOCKS, RowConstraint(exact={0: 0.3}, intervals={},
+                                                      missing=(1, 2))),
+     "array must not contain infs or NaNs"),
+    (lambda: pseudo_loglik(np.eye(2), [RowConstraint(exact={0: 0.3}, intervals={},
+                                                     missing=(1,))], ridge=math.inf),
+     "array must not contain infs or NaNs"),
 ], ids=["to_latent_ordinal", "to_interval_continuous", "moments_zero_sd",
         "e_step_arity", "projection_not_square", "model_dimension",
         "model_asymmetric", "model_diagonal", "model_not_psd", "em_no_iterations",
         "impute_column_count", "latent_cells_marginal_count", "e_step_empty_interval",
         "loglik_infinite_exact", "e_step_nan_exact", "e_step_infinite_exact",
-        "loglik_nan_interval"])
+        "loglik_nan_interval", "loglik_nan_sigma_interval_row",
+        "e_step_nan_in_missing_block", "loglik_infinite_ridge"])
 def test_copula_input_checks_name_the_fault(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
@@ -584,10 +599,12 @@ def test_copula_model_save_load_round_trip(tmp_path):
 # ----------------------------------------------- scalar reference kernel
 # The per-row conditioning code the batched kernel replaced, kept here as
 # the reference it must match bit for bit: e_step's scalar mean-field loop,
-# _estep_sum's per-row pass and pseudo_loglik's per-row solves.  Each
+# _estep_sum's per-row pass and pseudo_loglik's per-row terms.  Each
 # factor is np.linalg.cholesky's, which is the package's LAPACK potrf bit
-# for bit, and each solve scipy's cho_solve, whose potrs gives the
-# package's bits; the normal CDF is the package's.
+# for bit.  The E-step's solves are scipy's cho_solve, whose potrs gives
+# the package's bits; the log-likelihood's are np.linalg.solve of one
+# row's factor, as the package's stacked solve, and its terms are added by
+# math.fsum.  The normal CDF is the package's.
 
 def _cho_factor(block):
     """cho_factor(block, lower=True), factored by np.linalg.cholesky."""
@@ -740,31 +757,28 @@ def _estep_sum_grouped(sigma, constraints, ridge):
 
 
 def _pseudo_loglik_reference(sigma, constraints, ridge=1e-8):
-    from scipy.linalg import cho_solve
-    cache = {}
-    total = 0.0
+    terms = []
     for con in constraints:
-        cols = tuple(sorted(con.exact))
+        cols = sorted(con.exact)
         if cols:
-            if cols not in cache:
-                block = sigma[np.ix_(cols, cols)]
-                try:
-                    factor = _cho_factor(block)
-                except np.linalg.LinAlgError:
-                    warnings.warn("singular observed block in pseudo_loglik; "
-                                  "applying ridge repair")
-                    factor = _cho_factor(block + ridge * np.eye(len(cols)))
-                logdet = 2.0 * np.sum(np.log(np.diag(factor[0])))
-                cache[cols] = (factor, logdet)
-            factor, logdet = cache[cols]
-            z = np.array([con.exact[j] for j in cols])
-            quad = float(z @ cho_solve(factor, z))
-            total += -0.5 * (len(cols) * np.log(2.0 * np.pi) + logdet + quad)
+            block = sigma[np.ix_(cols, cols)]
+            if not np.isfinite(block).all():  # cho_factor's check
+                raise ValueError("array must not contain infs or NaNs")
+            try:
+                factor = np.linalg.cholesky(block)
+            except np.linalg.LinAlgError:
+                warnings.warn("singular observed block in pseudo_loglik; "
+                              "applying ridge repair")
+                factor = np.linalg.cholesky(block + ridge * np.eye(len(cols)))
+            logdet = 2.0 * np.sum(np.log(np.diag(factor)))
+            y = np.linalg.solve(factor, np.array([con.exact[j] for j in cols]))
+            terms.append(-0.5 * (len(cols) * np.log(2.0 * np.pi) + logdet
+                                 + float(np.sum(y * y))))
         for j in sorted(con.intervals):
             lo, hi = con.intervals[j]
             mass = ndtr(-lo) - ndtr(-hi) if lo > 0 else ndtr(hi) - ndtr(lo)
-            total += float(np.log(max(mass, 1e-300)))
-    return total
+            terms.append(float(np.log(max(mass, 1e-300))))
+    return math.fsum(terms)
 
 
 def _em_reference(matrix, max_iters, tol=1e-4, ridge=1e-8, passes=None):
